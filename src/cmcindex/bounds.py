@@ -22,7 +22,6 @@ import numpy as np
 from . import ambient as amb
 from . import spectral as sp
 from .surfaces import Immersion, area
-from .variations import peter_paul_margin  # noqa: F401  (part of the check suite)
 
 __all__ = [
     "topological_r", "r_table", "delta_expression", "optimize_delta",

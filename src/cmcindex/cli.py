@@ -22,6 +22,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,12 @@ _BOUNDS_DEFAULTS = _SPECTRUM_DEFAULTS + [
 
 class ConfigError(ValueError):
     pass
+
+
+# type and smallest value of each top-level config setting
+_SETTINGS = {"seed": (Integral, None), "variations": (Integral, 0),
+             "tolerance": (Real, 0), "count": (Integral, 1), "stability": (bool, None)}
+_TYPE_NAMES = {Integral: "an integer", Real: "a number", bool: "true or false"}
 
 
 @dataclass
@@ -102,13 +109,15 @@ def _load_config(args, defaults: list) -> RunConfig:
             raw = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
+        if not isinstance(raw, dict) or not isinstance(raw.get("surfaces", []), list):
+            raise ConfigError("config must be an object with a 'surfaces' list")
+    for d in raw.get("surfaces", []):
+        _check_descriptor(d)
     # deep-copy descriptors: overrides below must never leak into the
     # module-level defaults across invocations
     surfaces = [dict(d, params=dict(d.get("params", {})))
                 for d in raw.get("surfaces", defaults)]
     for d in surfaces:
-        if "kind" not in d:
-            raise ConfigError("surface descriptor missing 'kind'")
         if "resolution" not in d:
             d["resolution"] = list(gal.default_resolution(d["kind"], **d["params"]))
         else:
@@ -128,9 +137,9 @@ def _load_config(args, defaults: list) -> RunConfig:
             else:
                 d["resolution"] = [n, n]
     cfg = RunConfig(surfaces=surfaces)
-    for key in ("seed", "variations", "tolerance", "count", "stability"):
+    for key, (kind, least) in _SETTINGS.items():
         if key in raw:
-            setattr(cfg, key, raw[key])
+            setattr(cfg, key, _setting(key, raw[key], kind, least))
     if args.seed is not None:
         cfg.seed = args.seed
     if getattr(args, "out", None):
@@ -138,6 +147,31 @@ def _load_config(args, defaults: list) -> RunConfig:
     cfg.svg = bool(getattr(args, "svg", False))
     cfg.r_table = bool(getattr(args, "r_table", False))
     return cfg
+
+
+def _setting(key: str, value, kind: type, least):
+    # JSON true/false are Python ints; accept them only where a bool is meant
+    if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+        raise ConfigError(f"{key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    if least is not None and value < least:
+        raise ConfigError(f"{key!r} must be at least {least}, got {value!r}")
+    return value
+
+
+def _check_descriptor(d) -> None:
+    if not isinstance(d, dict) or "kind" not in d:
+        raise ConfigError(f"surface descriptor {d!r} needs a 'kind'")
+    params = d.get("params", {})
+    if not isinstance(params, dict):
+        raise ConfigError(f"'params' of {d['kind']!r} must be an object")
+    res = d.get("resolution")
+    if res is not None and not (isinstance(res, list) and len(res) == 2 and all(
+            isinstance(v, int) and not isinstance(v, bool) for v in res)):
+        raise ConfigError(f"'resolution' of {d['kind']!r} must be two integers")
+    try:
+        gal.check_params(d["kind"], params)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(exc.args[0]) from exc
 
 
 # ------------------------------------------------------------------- writers
@@ -249,8 +283,7 @@ def _spectrum_for(desc: dict, cfg: RunConfig) -> dict:
     stable = None
     if cfg.stability:
         nx, ny = desc["resolution"]
-        # refine by 5/4 (even nx for sphere pole closure), staying under the
-        # dense-solver cap for all default grids
+        # refine by 5/4 (even nx for sphere pole closure)
         fine_desc = dict(desc, resolution=[2 * (int(nx * 1.25) // 2),
                                            int(ny * 1.25)])
         fine = sp.eigensolve(sp.assemble_jacobi(_build(fine_desc)),
@@ -382,7 +415,9 @@ def main(argv=None) -> int:
         p.add_argument("--resolution", type=int, help="override grid resolution")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default="cmcindex_out")
-        p.add_argument("--svg", action="store_true")
+        if name == "spectrum":
+            p.add_argument("--svg", action="store_true",
+                           help="also write an SVG strip plot of the spectra")
         if name == "bounds":
             p.add_argument("--r-table", dest="r_table", action="store_true",
                            help="also write the r(g,b) table for g<=10, b<=40")

@@ -10,6 +10,7 @@ center, matching h = 2/rho (R^3), 2*cot(rho) (S^3) and 2*coth(rho) (H^3).
 from __future__ import annotations
 
 import json
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
@@ -19,16 +20,38 @@ from .delaunay import delaunay_torus, solve_profile
 from .grids import sphere_grid, torus_grid
 from .surfaces import Immersion
 
-__all__ = ["gallery", "gallery_names", "default_resolution",
+__all__ = ["gallery", "gallery_names", "default_resolution", "check_params",
            "descriptor", "from_descriptor", "GALLERY_SCHEMA_VERSION"]
 
 GALLERY_SCHEMA_VERSION = 1
 
 _CACHE: dict = {}
 
+# accepted parameters of each gallery member and their number types
+_PARAMS = {"sphere_r3": {"radius": Real}, "sphere_s3": {"radius": Real},
+           "sphere_h3": {"radius": Real}, "clifford_torus": {},
+           "delaunay_t3": {"k": Integral, "neck": Real}}
+
 
 def gallery_names() -> list[str]:
-    return ["sphere_r3", "sphere_s3", "sphere_h3", "clifford_torus", "delaunay_t3"]
+    return list(_PARAMS)
+
+
+def check_params(name: str, params: dict) -> None:
+    """Raise KeyError for an unknown surface or a parameter it does not take,
+    TypeError for a parameter value of the wrong type."""
+    if name not in _PARAMS:
+        raise KeyError(f"unknown gallery surface {name!r}")
+    accepted = _PARAMS[name]
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise KeyError(f"{name} takes no parameter(s) {unknown}; "
+                       f"accepted: {sorted(accepted)}")
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, accepted[key]):
+            raise TypeError(f"{name} parameter {key!r} must be "
+                            f"{'an integer' if accepted[key] is Integral else 'a number'}, "
+                            f"got {value!r}")
 
 
 def default_resolution(name: str, **params) -> tuple[int, int]:
@@ -172,6 +195,7 @@ def _clifford(resolution) -> Immersion:
 
 def gallery(name: str, resolution: tuple[int, int] | None = None, **params) -> Immersion:
     """Construct a gallery member (cached per name/params/resolution)."""
+    check_params(name, params)
     res = tuple(resolution) if resolution is not None else default_resolution(name, **params)
     key = (name, tuple(sorted(params.items())), res)
     if key in _CACHE:
@@ -184,13 +208,11 @@ def gallery(name: str, resolution: tuple[int, int] | None = None, **params) -> I
         imm = _sphere_h3(params.get("radius", 0.8), res)
     elif name == "clifford_torus":
         imm = _clifford(res)
-    elif name == "delaunay_t3":
+    else:   # delaunay_t3
         k = int(params.get("k", 1))
         neck = float(params.get("neck", 0.55))
         prof = _profile_cached(neck)
         imm = delaunay_torus(k, neck, res[0], res[1], profile=prof)
-    else:
-        raise KeyError(f"unknown gallery surface {name!r}")
     _CACHE[key] = imm
     return imm
 

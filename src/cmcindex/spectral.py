@@ -2,29 +2,46 @@
 eigensolves, Morse index / nullity / weak (volume-constrained) index, and
 heat-trace utilities.
 
-The weak form is assembled from the same 8th-order differentiation stencils
-used for variation fields:
+The weak form is assembled, as a sparse matrix, from the same 8th-order
+differentiation stencils used for variation fields:
 
     f K f = int |grad f|^2 - q f^2 dSigma,      f M f = int f^2 dSigma,
 
 with q = |A|^2 + Ric_N(nu, nu) for the Jacobi operator and q = 0 for the
 Laplace-Beltrami operator.  K is symmetric by construction and M is the
-(diagonal, positive) quadrature mass, so the pencil is solved by explicit
-symmetric reduction plus LAPACK's tridiagonalization / implicit-shift
-eigensolver, deterministically.
+(diagonal, positive) quadrature mass, so the pencil is reduced explicitly to
+the standard symmetric problem B = M^{-1/2} K M^{-1/2}.
+
+Two solvers share that reduction:
+
+* the Fourier block path.  When the mass, the potential and the chart
+  weights do not vary along a periodic chart axis (x on the spheres and the
+  Clifford torus, y on Delaunay tori), K commutes with chart shifts along it
+  and is block circulant (on spheres the antipodal pole closure is itself a
+  shift).  A DFT over the shift index of K's first block-row gives one
+  Hermitian L x L block per wavenumber (Davis, *Circulant Matrices*, 1979);
+  wavenumbers k and -k are conjugate, so only 0 <= k <= S/2 are solved and
+  0 < k < S/2 count twice.  Eigenvectors are the real cos/sin lifts of the
+  block eigenvectors.  No n x n array is ever formed.
+* the dense path, LAPACK's tridiagonalization / implicit-shift solver on the
+  full B, for every other operator; it is also the cross-check oracle of
+  the block path.  It is capped at ``MAX_UNKNOWNS``.
+
+Both are deterministic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse import diags
+from scipy.sparse import csr_matrix, diags
+from scipy.sparse.linalg import eigsh
 
 from .surfaces import Immersion
-from .variations import jacobi_form  # noqa: F401  (re-exported for consistency checks)
 
 __all__ = [
     "DiscreteOperator", "SpectralResult", "HeatTraceValue",
@@ -33,6 +50,8 @@ __all__ = [
 ]
 
 MAX_UNKNOWNS = 5000
+# relative spread below which a sampled field counts as constant along an axis
+SHIFT_RTOL = 1e-12
 
 
 @dataclass
@@ -41,14 +60,34 @@ class DiscreteOperator:
 
     imm: Immersion
     kind: str                    # "jacobi" | "laplace" | "custom"
-    K: np.ndarray                # dense symmetric (n, n)
+    K_sparse: csr_matrix         # symmetric (n, n)
     M_diag: np.ndarray           # positive quadrature mass (n,)
     q: np.ndarray                # potential samples (nx, ny)
     resolution: tuple[int, int]
 
     @property
     def n(self) -> int:
-        return self.K.shape[0]
+        return self.M_diag.size
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        """Dense copy of K, for the dense solver and oracles."""
+        if self.n > MAX_UNKNOWNS:
+            raise ValueError(f"operator has {self.n} unknowns; dense eigensolver "
+                             f"capped at {MAX_UNKNOWNS}")
+        return self.K_sparse.toarray()
+
+    @cached_property
+    def shift_axis(self) -> Optional[int]:
+        """Periodic chart axis along which the pencil is shift invariant."""
+        g = self.imm.grid
+        shape = (g.nx, g.ny)
+        fields = (self.M_diag.reshape(shape), np.broadcast_to(self.q, shape),
+                  self.imm.chart_weights)
+        for axis, periodic in ((0, g.periodic_x), (1, g.periodic_y)):
+            if periodic and all(_constant_along(f, axis) for f in fields):
+                return axis
+        return None
 
     def describe(self) -> dict:
         return {
@@ -59,6 +98,11 @@ class DiscreteOperator:
             "potential_min": float(self.q.min()),
             "potential_max": float(self.q.max()),
         }
+
+
+def _constant_along(f: np.ndarray, axis: int) -> bool:
+    spread = np.abs(f - np.take(f, [0], axis=axis)).max()
+    return bool(spread <= SHIFT_RTOL * np.abs(f).max())
 
 
 @dataclass
@@ -104,20 +148,15 @@ class HeatTraceValue:
 
 def assemble_operator(imm: Immersion, q: np.ndarray, kind: str = "custom") -> DiscreteOperator:
     g = imm.grid
-    n = g.nx * g.ny
-    if n > MAX_UNKNOWNS:
-        raise ValueError(f"grid has {n} unknowns; dense eigensolver capped at {MAX_UNKNOWNS}")
     w0 = diags(imm.chart_weights.ravel())
     dx = g.diff_matrix_x()
     dy = g.diff_matrix_y()
     fx = g.filter_matrix(0)
     fy = g.filter_matrix(1)
-    K = (dx.T @ w0 @ dx + dy.T @ w0 @ dy
-         + fx.T @ w0 @ fx + fy.T @ w0 @ fy).toarray()
-    K = 0.5 * (K + K.T)
+    K = dx.T @ w0 @ dx + dy.T @ w0 @ dy + fx.T @ w0 @ fx + fy.T @ w0 @ fy
     m = imm.area_weights.ravel()
     q = np.asarray(q, dtype=float)
-    K[np.diag_indices_from(K)] -= m * q.ravel()
+    K = (0.5 * (K + K.T) - diags(m * q.ravel())).tocsr()
     return DiscreteOperator(imm, kind, K, m, q, (g.nx, g.ny))
 
 
@@ -128,6 +167,105 @@ def assemble_jacobi(imm: Immersion) -> DiscreteOperator:
 
 def assemble_laplace(imm: Immersion) -> DiscreteOperator:
     return assemble_operator(imm, np.zeros((imm.grid.nx, imm.grid.ny)), kind="laplace")
+
+
+# ------------------------------------------------------- reduced eigenproblems
+
+def _dense_reduced(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(B, M^{-1/2}) with B = M^{-1/2} K M^{-1/2}, symmetrized."""
+    scale = 1.0 / np.sqrt(op.M_diag)
+    B = scale[:, None] * op.K * scale[None, :]
+    return 0.5 * (B + B.T), scale
+
+
+def _mode_blocks(op: DiscreteOperator) -> tuple[list, np.ndarray]:
+    """Reduced blocks B_k of wavenumbers k = 0..S/2 along ``op.shift_axis``,
+    and the M^{-1/2} of one chart line.
+
+    With shift index s, C_s = K[line 0, line s] and B_k = M^{-1/2}
+    (sum_s C_s e^{-2 pi i k s / S}) M^{-1/2}; the self-conjugate wavenumbers
+    (2k = 0 mod S) give real symmetric blocks.
+    """
+    nx, ny = op.resolution
+    if op.shift_axis == 0:
+        S, L = nx, ny
+        rows, perm = np.arange(ny), (1, 0, 2)            # [j, s, j'] -> [s, j, j']
+    else:
+        S, L = ny, nx
+        rows, perm = np.arange(nx) * ny, (2, 0, 1)       # [i, i', s] -> [s, i, i']
+    line = op.K_sparse[rows].toarray().reshape(L, nx, ny).transpose(perm)
+    F = np.fft.rfft(line, axis=0)
+    scale = 1.0 / np.sqrt(op.M_diag[rows])
+    blocks = []
+    for k in range(S // 2 + 1):
+        B = scale[:, None] * F[k] * scale[None, :]
+        B = 0.5 * (B + B.conj().T)
+        blocks.append(B.real if _multiplicity(k, S) == 1 else B)
+    return blocks, scale
+
+
+def _multiplicity(k: int, S: int) -> int:
+    return 1 if (2 * k) % S == 0 else 2
+
+
+def _block_eigen(op: DiscreteOperator, count: int,
+                 want_vectors: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Full sorted spectrum and, optionally, the lowest ``count`` M-orthonormal
+    eigenvectors, from the Fourier blocks."""
+    blocks, scale = _mode_blocks(op)
+    S = op.resolution[op.shift_axis]
+    vals, pairs = [], []      # pairs[i] = (wavenumber, block column, lift part)
+    solved = []
+    for k, B in enumerate(blocks):
+        if want_vectors:
+            w, U = sla.eigh(B)
+            solved.append(U)
+        else:
+            w = sla.eigvalsh(B)
+        for part in range(_multiplicity(k, S)):
+            vals.append(w)
+            pairs.extend((k, c, part) for c in range(w.size))
+    lam = np.concatenate(vals)
+    order = np.argsort(lam, kind="stable")
+    if not want_vectors:
+        return lam[order], None
+    # lift: phi[s, line] = Re / Im of e^{-2 pi i k s / S} M^{-1/2} u
+    vecs = np.empty((op.n, count))
+    for col, idx in enumerate(order[:count]):
+        k, c, part = pairs[idx]
+        phase = np.exp(-2j * np.pi * k * np.arange(S) / S)
+        v = np.outer(phase, scale * solved[k][:, c])
+        v = v.imag if part else v.real
+        vecs[:, col] = (v if op.shift_axis == 0 else v.T).ravel()
+    vecs /= np.sqrt(np.einsum("ij,i,ij->j", vecs, op.M_diag, vecs))
+    return lam[order], vecs
+
+
+def _dense_eigen(op: DiscreteOperator, count: int,
+                 want_vectors: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    B, scale = _dense_reduced(op)
+    w = sla.eigvalsh(B)
+    if not want_vectors:
+        return w, None
+    if count == 0:
+        return w, np.empty((op.n, 0))
+    _, V = sla.eigh(B, subset_by_index=[0, count - 1])
+    return w, scale[:, None] * V
+
+
+def _constrained_eigvalsh(B: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Eigenvalues of symmetric B restricted to the complement of a, by a
+    Householder reflector taking a to e_0."""
+    e = np.zeros_like(a)
+    e[0] = np.linalg.norm(a)
+    u = a - e
+    nu = np.linalg.norm(u)
+    if nu < 1e-300:
+        raise RuntimeError("degenerate constraint vector")
+    u /= nu
+    BH = B - 2.0 * np.outer(u, u @ B)
+    BH = BH - 2.0 * np.outer(BH @ u, u)
+    return sla.eigvalsh(0.5 * (BH[1:, 1:] + BH[1:, 1:].T))
 
 
 # ----------------------------------------------------------------- eigensolve
@@ -154,23 +292,19 @@ def _null_tolerance(eigs: np.ndarray, resolution, reference_resolution) -> float
 def eigensolve(op: DiscreteOperator, count: int,
                reference_resolution: Optional[tuple[int, int]] = None,
                want_vectors: bool = True) -> SpectralResult:
-    """Lowest ``count`` eigenpairs of K phi = lambda M phi.
+    """Lowest ``count`` eigenpairs of K phi = lambda M phi, with the full
+    spectrum.
 
-    The diagonal mass is inverted explicitly (B = M^{-1/2} K M^{-1/2}), then
-    the symmetric problem is solved densely; eigenvectors are returned
-    M-orthonormal with lexicographic sign normalization.
+    Uses the Fourier block path when ``op.shift_axis`` is set and the dense
+    path otherwise; eigenvectors are returned M-orthonormal with
+    lexicographic sign normalization.
     """
     if count > op.n:
         raise ValueError(f"requested {count} eigenpairs of an {op.n}-dim operator")
-    scale = 1.0 / np.sqrt(op.M_diag)
-    B = scale[:, None] * op.K * scale[None, :]
-    B = 0.5 * (B + B.T)
-    if want_vectors:
-        w, V = sla.eigh(B)
-        vecs = _normalize_signs(scale[:, None] * V[:, :count])
-    else:
-        w = sla.eigvalsh(B)
-        vecs = None
+    solve = _dense_eigen if op.shift_axis is None else _block_eigen
+    w, vecs = solve(op, count, want_vectors)
+    if vecs is not None:
+        vecs = _normalize_signs(vecs)
     ref = reference_resolution or op.resolution
     eps = _null_tolerance(w[:count], op.resolution, ref)
     return SpectralResult(w[:count].copy(), vecs, w, eps, op.resolution,
@@ -178,11 +312,17 @@ def eigensolve(op: DiscreteOperator, count: int,
 
 
 def residual_norms(op: DiscreteOperator, res: SpectralResult) -> np.ndarray:
-    """||K phi - lambda M phi|| per returned pair, relative to ||K||."""
+    """||K phi - lambda M phi|| per returned pair, relative to ||K||_2."""
     if res.eigenvectors is None:
         raise ValueError("residuals need eigenvectors")
-    R = op.K @ res.eigenvectors - (op.M_diag[:, None] * res.eigenvectors) * res.eigenvalues
-    return np.linalg.norm(R, axis=0) / np.linalg.norm(op.K, 2)
+    V = res.eigenvectors
+    R = op.K_sparse @ V - (op.M_diag[:, None] * V) * res.eigenvalues
+    # ||K||_2 of symmetric K is its largest-magnitude eigenvalue; a fixed
+    # start vector keeps the Lanczos iteration deterministic
+    v0 = np.random.default_rng(0).standard_normal(op.n)
+    knorm = abs(float(eigsh(op.K_sparse, k=1, which="LM", v0=v0,
+                            return_eigenvectors=False)[0]))
+    return np.linalg.norm(R, axis=0) / knorm
 
 
 def index_nullity(res: SpectralResult, finer: Optional[SpectralResult] = None) -> tuple[int, int]:
@@ -200,25 +340,21 @@ def weak_index(op: DiscreteOperator, count: int = 24) -> int:
 
     After the diagonal mass reduction the constraint becomes g perp M^{1/2} 1;
     that direction is removed by a Householder reflector and the reduced
-    standard problem solved densely.  The null tolerance is taken from the
-    same low band as the unconstrained classification, so the discrete
-    interlacing i - 1 <= i_h <= i is preserved.
+    standard problem solved.  On the Fourier block path M^{1/2} 1 lies in
+    wavenumber 0, so only that block is reduced.  The null tolerance is taken
+    from the same low band as the unconstrained classification, so the
+    discrete interlacing i - 1 <= i_h <= i is preserved.
     """
-    scale = 1.0 / np.sqrt(op.M_diag)
-    B = scale[:, None] * op.K * scale[None, :]
-    B = 0.5 * (B + B.T)
-    a = np.sqrt(op.M_diag)
-    e = np.zeros_like(a)
-    e[0] = np.linalg.norm(a)
-    u = a - e
-    nu = np.linalg.norm(u)
-    if nu < 1e-300:
-        raise RuntimeError("degenerate constraint vector")
-    u /= nu
-    BH = B - 2.0 * np.outer(u, u @ B)
-    BH = BH - 2.0 * np.outer(BH @ u, u)
-    Br = 0.5 * (BH[1:, 1:] + BH[1:, 1:].T)
-    w = sla.eigvalsh(Br)
+    if op.shift_axis is None:
+        B, scale = _dense_reduced(op)
+        w = _constrained_eigvalsh(B, 1.0 / scale)
+    else:
+        blocks, scale = _mode_blocks(op)
+        S = op.resolution[op.shift_axis]
+        parts = [_constrained_eigvalsh(blocks[0], 1.0 / scale)]
+        for k, B in enumerate(blocks[1:], start=1):
+            parts.extend([sla.eigvalsh(B)] * _multiplicity(k, S))
+        w = np.sort(np.concatenate(parts))
     eps = _null_tolerance(w[:min(count, w.size)], op.resolution, op.resolution)
     return int(np.count_nonzero(w < -eps))
 

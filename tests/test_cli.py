@@ -58,6 +58,28 @@ def test_unknown_surface_is_config_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("change", [
+    {"variations": "3"}, {"seed": 1.5}, {"count": True}, {"count": 0},
+    {"tolerance": "1e-6"}, {"stability": "yes"},
+    {"surfaces": [{"kind": "sphere_r3", "params": {"bogus": 3}}]},
+    {"surfaces": [{"kind": "sphere_r3", "params": {"radius": "one"}}]},
+    {"surfaces": [{"kind": "clifford_torus", "resolution": [32]}]},
+])
+def test_invalid_config_is_config_error(tmp_path, capsys, change):
+    cfg = dict(SMALL_IDENTITY, **change)
+    rc = cli.main(["identity", "--config", _cfg(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_svg_flag_only_on_spectrum():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["identity", "--svg"])
+    assert exc.value.code == 2
+
+
 def test_bad_config_file_is_config_error(tmp_path):
     p = tmp_path / "broken.json"
     p.write_text("{not json")

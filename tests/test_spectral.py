@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from cmcindex import gallery as gal
 from cmcindex import spectral as sp
@@ -37,16 +40,97 @@ def test_operator_invariants():
     assert np.abs(resid).max() < 1e-10 * np.abs(op.K).max()
 
 
+def _oscillating_potential(imm):
+    X, Y = imm.grid.meshes()
+    return 2.0 + np.cos(X) * np.sin(Y)
+
+
 def test_dense_cap_enforced():
+    # a potential varying along both chart axes leaves only the dense solver
     imm = gal.gallery("clifford_torus", resolution=(80, 80))
+    op = sp.assemble_operator(imm, _oscillating_potential(imm))
     with pytest.raises(ValueError):
-        sp.assemble_jacobi(imm)
+        sp.eigensolve(op, 4, want_vectors=False)
+    with pytest.raises(ValueError):
+        sp.weak_index(op)
+
+
+def test_dense_fallback_without_shift_symmetry():
+    imm = gal.gallery("clifford_torus", resolution=(24, 24))
+    op = sp.assemble_operator(imm, _oscillating_potential(imm))
+    assert op.shift_axis is None
+    res = sp.eigensolve(op, 6)
+    assert res.all_eigenvalues.shape == (op.n,)
+    assert sp.residual_norms(op, res).max() <= 1e-10
 
 
 def test_eigensolve_count_validated():
     op, _ = jacobi_solve("clifford_torus")
     with pytest.raises(ValueError):
         sp.eigensolve(op, op.n + 1)
+
+
+# ------------------------------------------------------ Fourier block solver
+
+BLOCK_CASES = [
+    ("sphere_r3", {"resolution": (32, 16)}, 0),
+    ("sphere_s3", {"resolution": (32, 16)}, 0),
+    ("sphere_h3", {"resolution": (32, 16)}, 0),
+    ("clifford_torus", {"resolution": (24, 24)}, 0),
+    ("delaunay_t3", {"k": 1, "resolution": (16, 16)}, 1),
+    ("delaunay_t3", {"k": 2, "resolution": (32, 16)}, 1),
+]
+
+
+@pytest.mark.parametrize("name,kw,axis", BLOCK_CASES,
+                         ids=[f"{c[0]}-{c[1].get('k', '')}" for c in BLOCK_CASES])
+def test_block_path_matches_dense(name, kw, axis):
+    op = sp.assemble_jacobi(gal.gallery(name, **kw))
+    assert op.shift_axis == axis
+    dense = dataclasses.replace(op)
+    dense.shift_axis = None          # the same pencil through the dense solver
+    block_res = sp.eigensolve(op, 12)
+    dense_res = sp.eigensolve(dense, 12)
+    scale = np.abs(dense_res.all_eigenvalues).max()
+    assert block_res.all_eigenvalues.shape == (op.n,)
+    assert (np.abs(block_res.all_eigenvalues - dense_res.all_eigenvalues).max()
+            <= 1e-12 * scale)
+    assert sp.index_nullity(block_res) == sp.index_nullity(dense_res)
+    assert sp.weak_index(op) == sp.weak_index(dense)
+    assert sp.residual_norms(op, block_res).max() <= 1e-10
+    gram = block_res.eigenvectors.T @ (op.M_diag[:, None] * block_res.eigenvectors)
+    assert np.abs(gram - np.eye(12)).max() < 1e-12
+
+
+def test_block_path_without_reflection_symmetry():
+    # a diagonal coupling (i, j) ~ (i + 1, j + 1) keeps the pencil shift
+    # invariant in x but not mirror symmetric, so the blocks are complex
+    op = sp.assemble_jacobi(gal.gallery("clifford_torus", resolution=(24, 24)))
+    nx, ny = op.resolution
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    T = csr_matrix((np.ones(op.n), ((i * ny + j).ravel(),
+                                    (((i + 1) % nx) * ny + (j + 1) % ny).ravel())),
+                   shape=(op.n, op.n))
+    skew = dataclasses.replace(op, K_sparse=op.K_sparse + 0.1 * (T + T.T))
+    assert skew.shift_axis == 0
+    dense = dataclasses.replace(skew)
+    dense.shift_axis = None
+    block_res = sp.eigensolve(skew, 12)
+    dense_res = sp.eigensolve(dense, 12)
+    assert (np.abs(block_res.all_eigenvalues - dense_res.all_eigenvalues).max()
+            <= 1e-12 * np.abs(dense_res.all_eigenvalues).max())
+    assert sp.residual_norms(skew, block_res).max() <= 1e-10
+    assert sp.weak_index(skew) == sp.weak_index(dense)
+
+
+def test_block_path_beyond_dense_cap():
+    op = sp.assemble_jacobi(gal.gallery("clifford_torus", resolution=(80, 80)))
+    assert op.n > sp.MAX_UNKNOWNS
+    res = sp.eigensolve(op, 16, want_vectors=False)
+    assert np.abs(res.eigenvalues - lattice_eigenvalues(16, shift=-4.0)).max() < 0.02
+    assert sp.index_nullity(res) == (5, 4)
+    assert sp.weak_index(op) == 4
+    assert "K" not in vars(op)       # no dense copy was formed
 
 
 # ------------------------------------------------------------- exact spectra
