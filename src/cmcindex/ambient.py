@@ -113,10 +113,34 @@ def inner(space: AmbientSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     otherwise (generic spaces carry isometric R^d coordinates, whose induced
     metric is the Euclidean restriction).  The complex-bilinear extension is
     obtained by passing complex arrays.
+
+    The component sums are unrolled in the order ``(x * y).sum(-1)`` uses,
+    so the result is bit-identical to it without the slow reduction over a
+    3- or 4-long axis.
     """
     if space.kind == "H3":
-        return (x[..., :3] * y[..., :3]).sum(-1) - x[..., 3] * y[..., 3]
-    return (x * y).sum(-1)
+        return _component_sum(x, y, 3) - x[..., 3] * y[..., 3]
+    return _component_sum(x, y, x.shape[-1])
+
+
+def _component_sum(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
+    """sum_{i<d} x_i y_i, bit-identical to ``(x[..., :d] * y[..., :d]).sum(-1)``.
+
+    numpy sums from +0.0: three real or complex terms, and four real ones,
+    in sequence; four complex terms pairwise.  Adding +0.0 last reproduces
+    the start value's only effect, the sign of an exactly zero sum.  Other
+    lengths and non-float data take the reduction itself.
+    """
+    kind = np.result_type(x, y).kind
+    if d not in (3, 4) or x.shape[-1] != y.shape[-1] or kind not in "fc":
+        return (x[..., :d] * y[..., :d]).sum(-1)
+    out, *rest = [x[..., i] * y[..., i] for i in range(d)]
+    if d == 4 and kind == "c":
+        rest = [rest[0], rest[1] + rest[2]]
+    for t in rest:
+        out += t
+    out += 0.0
+    return out
 
 
 def norm(space: AmbientSpace, x: np.ndarray) -> np.ndarray:

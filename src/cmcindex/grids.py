@@ -140,36 +140,24 @@ class ParamGrid:
         nx, ny = self.nx, self.ny
         out = np.empty((nx, ny + 2 * m) + f.shape[2:], dtype=f.dtype)
         out[:, m:ny + m] = f
-        g = np.roll(f, nx // 2, axis=0)
-        out[:, :m] = g[:, m - 1::-1]
-        out[:, ny + m:] = g[:, :ny - m - 1:-1]
+        antipodal = (np.arange(nx) + nx // 2) % nx
+        out[:, :m] = f[antipodal, m - 1::-1]
+        out[:, ny + m:] = f[antipodal, :ny - m - 1:-1]
         return out
 
     def diff_x(self, f: np.ndarray) -> np.ndarray:
         """d/dx of a sampled field, 8th order, periodic."""
-        out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
-        for k, c in enumerate(_C8, start=1):
-            out += c * (np.roll(f, -k, axis=0) - np.roll(f, k, axis=0))
-        return out / self.hx
+        return _diff_padded(_pad_periodic(f, 0), 0, self.nx, self.hx)
 
     def diff_theta(self, f: np.ndarray) -> np.ndarray:
         if self.topology != "sphere":
             raise ValueError("diff_theta is only defined on sphere grids")
-        m = STENCIL_HALF_WIDTH
-        g = self._pad_theta(f)
-        out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
-        ny = self.ny
-        for k, c in enumerate(_C8, start=1):
-            out += c * (g[:, m + k:m + k + ny] - g[:, m - k:m - k + ny])
-        return out / self.dtheta
+        return _diff_padded(self._pad_theta(f), 1, self.ny, self.dtheta)
 
     def diff_y(self, f: np.ndarray) -> np.ndarray:
         """d/dy in chart coordinates (Mercator y on spheres)."""
         if self.topology == "torus":
-            out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
-            for k, c in enumerate(_C8, start=1):
-                out += c * (np.roll(f, -k, axis=1) - np.roll(f, k, axis=1))
-            return out / self.hy
+            return _diff_padded(_pad_periodic(f, 1), 1, self.ny, self.hy)
         dth = self.diff_theta(f)
         shape = (1, self.ny) + (1,) * (f.ndim - 2)
         return np.sin(self.theta).reshape(shape) * dth
@@ -273,6 +261,37 @@ class ParamGrid:
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
             shape=(nx * ny, nx * ny),
         ).tocsr()
+
+
+def _pad_periodic(f: np.ndarray, axis: int) -> np.ndarray:
+    """Copy of a periodic field extended by the stencil half width on both
+    ends of one axis."""
+    n = f.shape[axis]
+    m = STENCIL_HALF_WIDTH
+    return np.take(f, np.arange(-m, n + m) % n, axis=axis)
+
+
+def _diff_padded(g: np.ndarray, axis: int, n: int, h: float) -> np.ndarray:
+    """8th-order centered first derivative along one axis of a padded field.
+
+    ``g`` holds the n nodes of that axis plus STENCIL_HALF_WIDTH padding
+    nodes on each end; every shift is a slice of it.  The terms
+    c * (f[i + k] - f[i - k]) are summed from zero in the order of ``_C8``,
+    through one scratch array.
+    """
+    m = STENCIL_HALF_WIDTH
+
+    def shifted(k):
+        return g[(slice(None),) * axis + (slice(m + k, m + k + n),)]
+
+    out = np.zeros(shifted(0).shape, dtype=np.result_type(g.dtype, float))
+    term = np.empty_like(out)
+    for k, c in enumerate(_C8, start=1):
+        np.subtract(shifted(k), shifted(-k), out=term)
+        term *= c
+        out += term
+    out /= h
+    return out
 
 
 def torus_grid(nx: int, ny: int, lx: float = TWO_PI, ly: float = TWO_PI) -> ParamGrid:

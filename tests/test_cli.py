@@ -154,10 +154,20 @@ def test_module_entry_point(tmp_path):
 
 
 def test_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("CMCINDEX_THREADS", "1")
-    rc = cli.main(["identity", "--config", _cfg(tmp_path, SMALL_IDENTITY),
-                   "--out", str(tmp_path / "out")])
-    assert rc == 0
+    # outputs are byte-identical whatever the thread cap
+    configs = {"identity": SMALL_IDENTITY, "spectrum": SMALL_SPECTRUM}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("CMCINDEX_THREADS", threads)
+        for command, payload in configs.items():
+            rc = cli.main([command, "--config", _cfg(tmp_path, payload, f"{command}.json"),
+                           "--out", str(tmp_path / f"{command}-{threads}")])
+            assert rc == 0
+    for command in configs:
+        one, two = tmp_path / f"{command}-1", tmp_path / f"{command}-2"
+        names = sorted(p.name for p in one.iterdir())
+        assert names == sorted(p.name for p in two.iterdir())
+        for name in names:
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
     monkeypatch.setenv("CMCINDEX_THREADS", "not-a-number")
     rc = cli.main(["identity", "--config", _cfg(tmp_path, SMALL_IDENTITY),
                    "--out", str(tmp_path / "out2")])

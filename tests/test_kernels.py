@@ -1,0 +1,128 @@
+"""Bit-identity of the comparison-identity kernels against their reference
+formulas: ``(x * y).sum(-1)`` for ambient inner products, the ``np.roll``
+stencils and pole padding for chart derivatives, and the meshgrid trig sum
+for seeded torus fields.  The fast kernels must give the same floating-point
+result element by element, signed zeros included."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from cmcindex import ambient as amb
+from cmcindex import gallery as gal
+from cmcindex import variations as vr
+from cmcindex.grids import _C8, STENCIL_HALF_WIDTH, sphere_grid, torus_grid
+
+
+def _same_bits(new, old) -> bool:
+    new, old = np.asarray(new), np.asarray(old)
+    return (new.dtype == old.dtype and np.array_equal(new, old)
+            and new.tobytes() == old.tobytes())
+
+
+def _field(rng, shape, cplx):
+    f = rng.standard_normal(shape)
+    if cplx:
+        f = f + 1j * rng.standard_normal(shape)
+    f[rng.random(shape) < 0.1] = 0.0
+    f[rng.random(shape) < 0.1] = -0.0
+    if len(shape) >= 2:
+        # a block of zeros of both signs, so that some stencil sums are zero
+        block = f[:shape[0] * 2 // 3, :shape[1] * 3 // 4]
+        block[...] = np.where(rng.random(block.shape) < 0.5, 0.0, -0.0)
+    return f
+
+
+def _ref_inner(space, x, y):
+    if space.kind == "H3":
+        return (x[..., :3] * y[..., :3]).sum(-1) - x[..., 3] * y[..., 3]
+    return (x * y).sum(-1)
+
+
+def _ref_roll_diff(f, axis, h):
+    out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
+    for k, c in enumerate(_C8, start=1):
+        out += c * (np.roll(f, -k, axis=axis) - np.roll(f, k, axis=axis))
+    return out / h
+
+
+def _ref_diff(grid, f, axis):
+    if axis == 0:
+        return _ref_roll_diff(f, 0, grid.hx)
+    if grid.topology == "torus":
+        return _ref_roll_diff(f, 1, grid.hy)
+    m, nx, ny = STENCIL_HALF_WIDTH, grid.nx, grid.ny
+    g = np.empty((nx, ny + 2 * m) + f.shape[2:], dtype=f.dtype)
+    g[:, m:ny + m] = f
+    rolled = np.roll(f, nx // 2, axis=0)
+    g[:, :m] = rolled[:, m - 1::-1]
+    g[:, ny + m:] = rolled[:, :ny - m - 1:-1]
+    out = np.zeros_like(f, dtype=np.result_type(f.dtype, float))
+    for k, c in enumerate(_C8, start=1):
+        out += c * (g[:, m + k:m + k + ny] - g[:, m - k:m - k + ny])
+    shape = (1, ny) + (1,) * (f.ndim - 2)
+    return np.sin(grid.theta).reshape(shape) * (out / grid.dtheta)
+
+
+def _ref_random_scalar(imm, rng, degree=None, decay=0.3):
+    g = imm.grid
+    m = min(degree or 2, g.nx // 4, g.ny // 4)
+    X, Y = g.meshes()
+    xi = 2.0 * np.pi * (X - g.x_range[0]) / (g.x_range[1] - g.x_range[0])
+    eta = 2.0 * np.pi * (Y - g.y_range[0]) / (g.y_range[1] - g.y_range[0])
+    out = np.zeros_like(X)
+    for j in range(m + 1):
+        for k in range(m + 1):
+            amp = decay ** (j + k)
+            out += amp * rng.standard_normal() * np.cos(j * xi + rng.uniform(0, 2 * np.pi)) \
+                * np.cos(k * eta + rng.uniform(0, 2 * np.pi))
+    return out
+
+
+def _check_inner(space, cplx):
+    rng = np.random.default_rng(11)
+    for shape in ((24, 16), (5,), ()):
+        x = _field(rng, shape + (space.dim,), cplx)
+        y = _field(rng, shape + (space.dim,), False)
+        if shape:
+            x[0] = -0.0  # all-zero products: the sign of a zero sum
+        for other in (y, -y, x.conj()):
+            assert _same_bits(amb.inner(space, x, other), _ref_inner(space, x, other))
+
+
+def _check_diff(grid, axis, cplx, vector):
+    rng = np.random.default_rng(12)
+    shape = (grid.nx, grid.ny) + ((4,) if vector else ())
+    f = _field(rng, shape, cplx)
+    new = grid.diff_x(f) if axis == 0 else grid.diff_y(f)
+    assert _same_bits(new, _ref_diff(grid, f, axis))
+
+
+def _check_random_scalar(kind, params, resolution):
+    imm = gal.gallery(kind, resolution=resolution, **params)
+    for seed in range(5):
+        for degree in (None, 1, 3):
+            new = vr.random_scalar(imm, np.random.default_rng(seed), degree=degree)
+            old = _ref_random_scalar(imm, np.random.default_rng(seed), degree=degree)
+            assert _same_bits(new, old)
+
+
+CASES = (
+    [pytest.param(_check_inner, (space, cplx),
+                  id=f"inner-{space.kind}-{'complex' if cplx else 'real'}")
+     for space in (amb.R3, amb.S3, amb.H3) for cplx in (False, True)]
+    + [pytest.param(_check_diff, (grid, axis, cplx, vector),
+                    id=f"diff_{'xy'[axis]}-{grid.topology}-"
+                       f"{'complex' if cplx else 'real'}-{'vector' if vector else 'scalar'}")
+       for grid in (torus_grid(24, 16, 1.3, 0.7), sphere_grid(16, 12))
+       for axis in (0, 1) for cplx in (False, True) for vector in (False, True)]
+    + [pytest.param(_check_random_scalar, (kind, params, res), id=f"random_scalar-{kind}")
+       for kind, params, res in [("clifford_torus", {}, (32, 24)),
+                                 ("delaunay_t3", {"k": 2, "neck": 0.55}, (48, 24))]]
+)
+
+
+@pytest.mark.parametrize("check,args", CASES)
+def test_kernel_matches_reference_formula_bit_for_bit(check, args):
+    check(*args)
