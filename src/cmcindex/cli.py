@@ -281,34 +281,42 @@ def cmd_identity(cfg: RunConfig) -> int:
     return 0 if all(r["pass"] for r in results) else 1
 
 
-def _spectrum_for(desc: dict, cfg: RunConfig) -> dict:
+def _analyse(desc: dict, count: int, stability: bool = False) -> tuple:
+    """Build, assemble and solve one surface: (imm, op, res, record), where
+    the record holds the surface key, index, nullity, weak index, the
+    refinement-stability flag (None unless ``stability``), the interlacing
+    check and the known index lower bound with its check."""
     imm = _build(desc)
     op = sp.assemble_jacobi(imm)
-    res = sp.eigensolve(op, min(cfg.count, op.n), want_vectors=False)
+    res = sp.eigensolve(op, min(count, op.n), want_vectors=False)
     stable = None
-    if cfg.stability:
+    if stability:
         nx, ny = desc["resolution"]
         # refine by 5/4 (even nx for sphere pole closure)
         fine_desc = dict(desc, resolution=[2 * (int(nx * 1.25) // 2),
                                            int(ny * 1.25)])
         fine = sp.eigensolve(sp.assemble_jacobi(_build(fine_desc)),
-                             min(cfg.count, op.n), want_vectors=False)
+                             min(count, op.n), want_vectors=False)
         sp.index_nullity(res, fine)
         stable = res.stable
     i, n = sp.index_nullity(res)
     iw = sp.weak_index(op)
     lb = imm.reference.get("index_lower_bound")
-    return {
+    return imm, op, res, {
         "surface": _surface_key(desc), "index": i, "nullity": n,
         "weak_index": iw, "stable": stable,
         "sandwich_ok": bool(i - 1 <= iw <= i),
         "index_lower_bound": lb,
         "index_lb_ok": None if lb is None else bool(i >= lb),
-        "eigenvalues": [float(v) for v in res.eigenvalues],
-        "classification": res.classification(),
-        "eps_null": res.eps_null,
-        "operator": op.describe(),
     }
+
+
+def _spectrum_for(desc: dict, cfg: RunConfig) -> dict:
+    _, op, res, out = _analyse(desc, cfg.count, cfg.stability)
+    out.update(eigenvalues=[float(v) for v in res.eigenvalues],
+               classification=res.classification(), eps_null=res.eps_null,
+               operator=op.describe())
+    return out
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
@@ -342,18 +350,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 
 def cmd_bounds(cfg: RunConfig) -> int:
     def worker(desc):
-        imm = _build(desc)
-        op = sp.assemble_jacobi(imm)
-        res = sp.eigensolve(op, min(cfg.count, op.n), want_vectors=False)
-        i, n = sp.index_nullity(res)
-        iw = sp.weak_index(op)
-        rep = bd.bound_report(imm, i, n, iw)
-        out = rep.to_dict()
-        out["surface"] = _surface_key(desc)
-        out["sandwich_ok"] = bool(i - 1 <= iw <= i)
-        lb = imm.reference.get("index_lower_bound")
-        out["index_lower_bound"] = lb
-        out["index_lb_ok"] = None if lb is None else bool(i >= lb)
+        imm, _, _, rec = _analyse(desc, cfg.count)
+        out = bd.bound_report(imm, rec["index"], rec["nullity"],
+                              rec["weak_index"]).to_dict()
+        for key in ("surface", "sandwich_ok", "index_lower_bound", "index_lb_ok"):
+            out[key] = rec[key]
         return out
 
     results = _map_surfaces(cfg, worker)

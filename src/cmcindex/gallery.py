@@ -10,6 +10,7 @@ center, matching h = 2/rho (R^3), 2*cot(rho) (S^3) and 2*coth(rho) (H^3).
 from __future__ import annotations
 
 import json
+import threading
 from numbers import Integral, Real
 from typing import Callable
 
@@ -26,6 +27,9 @@ __all__ = ["gallery", "gallery_names", "default_resolution", "check_params",
 GALLERY_SCHEMA_VERSION = 1
 
 _CACHE: dict = {}
+# one lock per cache key, so that concurrent threads build each key once
+_KEY_LOCKS: dict = {}
+_KEY_LOCKS_GUARD = threading.Lock()
 
 # accepted parameters of each gallery member and their number types
 _PARAMS = {"sphere_r3": {"radius": Real}, "sphere_s3": {"radius": Real},
@@ -198,29 +202,33 @@ def gallery(name: str, resolution: tuple[int, int] | None = None, **params) -> I
     check_params(name, params)
     res = tuple(resolution) if resolution is not None else default_resolution(name, **params)
     key = (name, tuple(sorted(params.items())), res)
-    if key in _CACHE:
-        return _CACHE[key]
+    return _cached(key, lambda: _construct(name, res, params))
+
+
+def _construct(name: str, res: tuple[int, int], params: dict) -> Immersion:
     if name == "sphere_r3":
-        imm = _sphere_r3(params.get("radius", 1.0), res)
-    elif name == "sphere_s3":
-        imm = _sphere_s3(params.get("radius", 0.9), res)
-    elif name == "sphere_h3":
-        imm = _sphere_h3(params.get("radius", 0.8), res)
-    elif name == "clifford_torus":
-        imm = _clifford(res)
-    else:   # delaunay_t3
-        k = int(params.get("k", 1))
-        neck = float(params.get("neck", 0.55))
-        prof = _profile_cached(neck)
-        imm = delaunay_torus(k, neck, res[0], res[1], profile=prof)
-    _CACHE[key] = imm
-    return imm
+        return _sphere_r3(params.get("radius", 1.0), res)
+    if name == "sphere_s3":
+        return _sphere_s3(params.get("radius", 0.9), res)
+    if name == "sphere_h3":
+        return _sphere_h3(params.get("radius", 0.8), res)
+    if name == "clifford_torus":
+        return _clifford(res)
+    # delaunay_t3
+    k = int(params.get("k", 1))
+    neck = float(params.get("neck", 0.55))
+    prof = _cached(("profile", neck), lambda: solve_profile(neck))
+    return delaunay_torus(k, neck, res[0], res[1], profile=prof)
 
 
-def _profile_cached(neck: float):
-    key = ("profile", neck)
+def _cached(key, build: Callable):
+    """``_CACHE[key]``, calling ``build`` for it at most once."""
     if key not in _CACHE:
-        _CACHE[key] = solve_profile(neck)
+        with _KEY_LOCKS_GUARD:
+            lock = _KEY_LOCKS.setdefault(key, threading.Lock())
+        with lock:
+            if key not in _CACHE:
+                _CACHE[key] = build()
     return _CACHE[key]
 
 

@@ -32,6 +32,14 @@ _C8 = np.array([4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0])
 # it the natural stiffness regularizer for the wide first-derivative stencil.
 _D4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
 STENCIL_HALF_WIDTH = 4
+# the stiffness stencils as name -> (offsets, weights, spacing multiple): the
+# 8th-order first derivative at offsets +1, -1, ..., +4, -4, and the filter
+# Delta_4 / (16 h)
+_AXIS_STENCILS = {
+    "diff": ([s * k for k in range(1, 5) for s in (1, -1)],
+             np.array([s * c for c in _C8 for s in (1, -1)]), 1),
+    "filter": (list(range(-2, 3)), _D4, 16.0),
+}
 
 
 @dataclass(frozen=True)
@@ -162,60 +170,49 @@ class ParamGrid:
         shape = (1, self.ny) + (1,) * (f.ndim - 2)
         return np.sin(self.theta).reshape(shape) * dth
 
+    # ------------------------------------------------- 1-D axis stencils
+    def axis_stencil(self, axis: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """Dense 1-D matrices (interior, flip) of one stiffness stencil along
+        one chart axis: ``"diff"`` is d/dx or the chart d/dy, ``"filter"``
+        the sawtooth penalty Delta_4 / (16 h).
+
+        On C-order flattened (nx, ny) fields the x stencil is
+        kron(interior, I) and the y stencil kron(I, interior) +
+        kron(Pi, flip), with Pi the shift of x by nx/2.  Periodic axes wrap
+        into ``interior`` and leave ``flip`` zero; on sphere charts a
+        stencil reaching past a pole lands in ``flip`` at the reflected row,
+        which Pi moves to the antipodal longitude.
+        """
+        offsets, weights, stretch = _AXIS_STENCILS[name]
+        pole = axis == 1 and self.topology == "sphere"
+        n = self.ny if axis == 1 else self.nx
+        if pole and name == "diff":
+            # Mercator d/dy = sin(theta) d/dtheta, row by row
+            vals = weights * (np.sin(self.theta) / self.dtheta)[:, None]
+        else:
+            h = self.hx if axis == 0 else (self.dtheta if pole else self.hy)
+            vals = np.broadcast_to(weights / (stretch * h), (n, len(offsets)))
+        rows = np.arange(n)
+        mats = np.zeros((2, n, n))
+        for t, off in enumerate(offsets):
+            cols = rows + off
+            if pole:
+                side = ((cols < 0) | (cols > n - 1)).astype(int)
+                cols = np.where(cols < 0, -1 - cols, cols)
+                cols = np.where(cols > n - 1, 2 * n - 1 - cols, cols)
+            else:
+                side, cols = 0, cols % n
+            mats[side, rows, cols] += vals[:, t]
+        return mats[0], mats[1]
+
     # --------------------------------------------------- sparse operator forms
     def diff_matrix_x(self):
         """Sparse matrix acting on C-order flattened (nx, ny) fields."""
-        from scipy.sparse import coo_matrix
-
-        nx, ny = self.nx, self.ny
-        ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        rows_base = (ii * ny + jj).ravel()
-        rows, cols, vals = [], [], []
-        for k, c in enumerate(_C8, start=1):
-            for sgn in (+1, -1):
-                cols_k = (((ii + sgn * k) % nx) * ny + jj).ravel()
-                rows.append(rows_base)
-                cols.append(cols_k)
-                vals.append(np.full(rows_base.size, sgn * c / self.hx))
-        return coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nx * ny, nx * ny),
-        ).tocsr()
+        return self._axis_matrix(0, "diff")
 
     def diff_matrix_y(self):
         """Sparse chart d/dy matrix (includes pole closure on spheres)."""
-        from scipy.sparse import coo_matrix
-
-        nx, ny = self.nx, self.ny
-        ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        rows_base = (ii * ny + jj).ravel()
-        rows, cols, vals = [], [], []
-        if self.topology == "torus":
-            for k, c in enumerate(_C8, start=1):
-                for sgn in (+1, -1):
-                    cols_k = (ii * ny + (jj + sgn * k) % ny).ravel()
-                    rows.append(rows_base)
-                    cols.append(cols_k)
-                    vals.append(np.full(rows_base.size, sgn * c / self.hy))
-        else:
-            sin_th = np.sin(self.theta)
-            scale = (sin_th[jj] / self.dtheta).ravel()
-            for k, c in enumerate(_C8, start=1):
-                for sgn in (+1, -1):
-                    j2 = jj + sgn * k
-                    i2 = ii.copy()
-                    flip_lo = j2 < 0
-                    flip_hi = j2 > ny - 1
-                    j2 = np.where(flip_lo, -1 - j2, j2)
-                    j2 = np.where(flip_hi, 2 * ny - 1 - j2, j2)
-                    i2 = np.where(flip_lo | flip_hi, (ii + nx // 2) % nx, ii)
-                    rows.append(rows_base)
-                    cols.append((i2 * ny + j2).ravel())
-                    vals.append(sgn * c * scale)
-        return coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nx * ny, nx * ny),
-        ).tocsr()
+        return self._axis_matrix(1, "diff")
 
     def filter_matrix(self, axis: int):
         """Sawtooth penalty C = Delta_4 / (16 h) along one axis.
@@ -225,42 +222,20 @@ class ParamGrid:
         jump to ~1/h^2) while perturbing resolved modes at O((kh)^6) relative,
         far below the stencil's own consistency error budget.
         """
-        from scipy.sparse import coo_matrix
+        return self._axis_matrix(axis, "filter")
 
-        nx, ny = self.nx, self.ny
-        ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        rows_base = (ii * ny + jj).ravel()
-        rows, cols, vals = [], [], []
+    def _axis_matrix(self, axis: int, name: str):
+        """Kronecker form of ``axis_stencil`` as a CSR matrix."""
+        from scipy.sparse import csr_matrix, identity, kron
+
+        inner, flip = (csr_matrix(a) for a in self.axis_stencil(axis, name))
         if axis == 0:
-            h = self.hx
-            for off, c in zip(range(-2, 3), _D4):
-                cols_k = (((ii + off) % nx) * ny + jj).ravel()
-                rows.append(rows_base)
-                cols.append(cols_k)
-                vals.append(np.full(rows_base.size, c / (16.0 * h)))
-        elif self.topology == "torus":
-            h = self.hy
-            for off, c in zip(range(-2, 3), _D4):
-                cols_k = (ii * ny + (jj + off) % ny).ravel()
-                rows.append(rows_base)
-                cols.append(cols_k)
-                vals.append(np.full(rows_base.size, c / (16.0 * h)))
-        else:
-            h = self.dtheta
-            for off, c in zip(range(-2, 3), _D4):
-                j2 = jj + off
-                flip_lo = j2 < 0
-                flip_hi = j2 > ny - 1
-                j2 = np.where(flip_lo, -1 - j2, j2)
-                j2 = np.where(flip_hi, 2 * ny - 1 - j2, j2)
-                i2 = np.where(flip_lo | flip_hi, (ii + nx // 2) % nx, ii)
-                rows.append(rows_base)
-                cols.append((i2 * ny + j2).ravel())
-                vals.append(np.full(rows_base.size, c / (16.0 * h)))
-        return coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(nx * ny, nx * ny),
-        ).tocsr()
+            return kron(inner, identity(self.ny), format="csr")
+        out = kron(identity(self.nx), inner, format="csr")
+        if flip.nnz:
+            antipodal = np.roll(np.eye(self.nx), self.nx // 2, axis=1)
+            out = out + kron(csr_matrix(antipodal), flip, format="csr")
+        return out
 
 
 def _pad_periodic(f: np.ndarray, axis: int) -> np.ndarray:

@@ -2,8 +2,8 @@
 eigensolves, Morse index / nullity / weak (volume-constrained) index, and
 heat-trace utilities.
 
-The weak form is assembled, as a sparse matrix, from the same 8th-order
-differentiation stencils used for variation fields:
+The weak form is built from the same 8th-order differentiation stencils used
+for variation fields (``ParamGrid.axis_stencil``):
 
     f K f = int |grad f|^2 - q f^2 dSigma,      f M f = int f^2 dSigma,
 
@@ -18,16 +18,20 @@ Two solvers share that reduction:
   weights do not vary along a periodic chart axis (x on the spheres and the
   Clifford torus, y on Delaunay tori), K commutes with chart shifts along it
   and is block circulant (on spheres the antipodal pole closure is itself a
-  shift).  A DFT over the shift index of K's first block-row gives one
-  Hermitian L x L block per wavenumber (Davis, *Circulant Matrices*, 1979);
-  wavenumbers k and -k are conjugate, so only 0 <= k <= S/2 are solved and
-  0 < k < S/2 count twice.  Eigenvectors are the real cos/sin lifts of the
-  block eigenvectors.  No n x n array is ever formed.
+  shift; Davis, *Circulant Matrices*, 1979).  Its real symmetric L x L
+  block per wavenumber k is built straight from the 1-D axis stencils:
+  their symbol |D(k)|^2 along the shift axis, and one of two cross-axis
+  matrices picked by the pole sign (-1)^k.  Only 0 <= k <= S/2 are solved
+  (0 < k < S/2 count twice, for k and -k).  Blocks and their eigenvalues
+  stay on the operator, so ``weak_index`` re-solves only the constrained
+  wavenumber-0 block.  Eigenvectors are the real cos/sin lifts of the block
+  eigenvectors.  No n x n array, dense or sparse, is formed.
 * the dense path, LAPACK's tridiagonalization / implicit-shift solver on the
   full B, for every other operator; it is also the cross-check oracle of
   the block path.  It is capped at ``MAX_UNKNOWNS``.
 
-Both are deterministic.
+The sparse ``op.K_sparse`` is assembled on first use only (dense path,
+``op.K``, ``residual_norms``).  Both solvers are deterministic.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ class DiscreteOperator:
 
     imm: Immersion
     kind: str                    # "jacobi" | "laplace" | "custom"
-    K_sparse: csr_matrix         # symmetric (n, n)
     M_diag: np.ndarray           # positive quadrature mass (n,)
     q: np.ndarray                # potential samples (nx, ny)
     resolution: tuple[int, int]
@@ -68,6 +71,19 @@ class DiscreteOperator:
     @property
     def n(self) -> int:
         return self.M_diag.size
+
+    @cached_property
+    def K_sparse(self) -> csr_matrix:
+        """Symmetric sparse K, assembled on first use: only the dense path,
+        ``op.K`` and ``residual_norms`` need it."""
+        g = self.imm.grid
+        w0 = diags(self.imm.chart_weights.ravel())
+        dx = g.diff_matrix_x()
+        dy = g.diff_matrix_y()
+        fx = g.filter_matrix(0)
+        fy = g.filter_matrix(1)
+        K = dx.T @ w0 @ dx + dy.T @ w0 @ dy + fx.T @ w0 @ fx + fy.T @ w0 @ fy
+        return (0.5 * (K + K.T) - diags(self.M_diag * self.q.ravel())).tocsr()
 
     @cached_property
     def K(self) -> np.ndarray:
@@ -88,6 +104,40 @@ class DiscreteOperator:
             if periodic and all(_constant_along(f, axis) for f in fields):
                 return axis
         return None
+
+    @cached_property
+    def _mode_blocks(self) -> tuple[list, np.ndarray]:
+        """Real symmetric reduced blocks B_k of wavenumbers k = 0..S/2 along
+        ``shift_axis``, and the M^{-1/2} of one chart line.
+
+        Each stencil D of ``grid.axis_stencil`` gives D^T W D: along the
+        shift axis it is circulant, so |DFT of its row|^2 (k) W; across the
+        line it is (P + s Q)^T W (P + s Q) for interior P and pole flip Q,
+        with s = (-1)^k from the antipodal shift by S/2 (Q = 0 on tori).
+        """
+        g, a = self.imm.grid, self.shift_axis
+        line = (0, slice(None)) if a == 0 else (slice(None), 0)
+        w = self.imm.chart_weights[line]
+        m = self.M_diag.reshape(self.resolution)[line]
+        q = np.broadcast_to(self.q, self.resolution)[line]
+        sym, across = 0.0, [0.0, 0.0]       # across[k % 2]
+        for name in ("diff", "filter"):
+            circulant, _ = g.axis_stencil(a, name)
+            sym = sym + np.abs(np.fft.rfft(circulant[0])) ** 2
+            P, Q = g.axis_stencil(1 - a, name)
+            for parity, A in enumerate((P + Q, P - Q)):
+                across[parity] = across[parity] + A.T @ (w[:, None] * A)
+        scale = 1.0 / np.sqrt(m)
+        blocks = []
+        for k in range(self.resolution[a] // 2 + 1):
+            B = scale[:, None] * (across[k % 2] + np.diag(sym[k] * w - m * q)) * scale
+            blocks.append(0.5 * (B + B.T))
+        return blocks, scale
+
+    @cached_property
+    def _mode_values(self) -> list:
+        """Ascending eigenvalues of each ``_mode_blocks`` block."""
+        return [sla.eigvalsh(B) for B in self._mode_blocks[0]]
 
     def describe(self) -> dict:
         return {
@@ -148,16 +198,8 @@ class HeatTraceValue:
 
 def assemble_operator(imm: Immersion, q: np.ndarray, kind: str = "custom") -> DiscreteOperator:
     g = imm.grid
-    w0 = diags(imm.chart_weights.ravel())
-    dx = g.diff_matrix_x()
-    dy = g.diff_matrix_y()
-    fx = g.filter_matrix(0)
-    fy = g.filter_matrix(1)
-    K = dx.T @ w0 @ dx + dy.T @ w0 @ dy + fx.T @ w0 @ fx + fy.T @ w0 @ fy
-    m = imm.area_weights.ravel()
     q = np.asarray(q, dtype=float)
-    K = (0.5 * (K + K.T) - diags(m * q.ravel())).tocsr()
-    return DiscreteOperator(imm, kind, K, m, q, (g.nx, g.ny))
+    return DiscreteOperator(imm, kind, imm.area_weights.ravel(), q, (g.nx, g.ny))
 
 
 def assemble_jacobi(imm: Immersion) -> DiscreteOperator:
@@ -178,32 +220,6 @@ def _dense_reduced(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (B + B.T), scale
 
 
-def _mode_blocks(op: DiscreteOperator) -> tuple[list, np.ndarray]:
-    """Reduced blocks B_k of wavenumbers k = 0..S/2 along ``op.shift_axis``,
-    and the M^{-1/2} of one chart line.
-
-    With shift index s, C_s = K[line 0, line s] and B_k = M^{-1/2}
-    (sum_s C_s e^{-2 pi i k s / S}) M^{-1/2}; the self-conjugate wavenumbers
-    (2k = 0 mod S) give real symmetric blocks.
-    """
-    nx, ny = op.resolution
-    if op.shift_axis == 0:
-        S, L = nx, ny
-        rows, perm = np.arange(ny), (1, 0, 2)            # [j, s, j'] -> [s, j, j']
-    else:
-        S, L = ny, nx
-        rows, perm = np.arange(nx) * ny, (2, 0, 1)       # [i, i', s] -> [s, i, i']
-    line = op.K_sparse[rows].toarray().reshape(L, nx, ny).transpose(perm)
-    F = np.fft.rfft(line, axis=0)
-    scale = 1.0 / np.sqrt(op.M_diag[rows])
-    blocks = []
-    for k in range(S // 2 + 1):
-        B = scale[:, None] * F[k] * scale[None, :]
-        B = 0.5 * (B + B.conj().T)
-        blocks.append(B.real if _multiplicity(k, S) == 1 else B)
-    return blocks, scale
-
-
 def _multiplicity(k: int, S: int) -> int:
     return 1 if (2 * k) % S == 0 else 2
 
@@ -212,29 +228,22 @@ def _block_eigen(op: DiscreteOperator, count: int,
                  want_vectors: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Full sorted spectrum and, optionally, the lowest ``count`` M-orthonormal
     eigenvectors, from the Fourier blocks."""
-    blocks, scale = _mode_blocks(op)
+    blocks, scale = op._mode_blocks
     S = op.resolution[op.shift_axis]
-    vals, pairs = [], []      # pairs[i] = (wavenumber, block column, lift part)
-    solved = []
-    for k, B in enumerate(blocks):
-        if want_vectors:
-            w, U = sla.eigh(B)
-            solved.append(U)
-        else:
-            w = sla.eigvalsh(B)
-        for part in range(_multiplicity(k, S)):
-            vals.append(w)
-            pairs.extend((k, c, part) for c in range(w.size))
-    lam = np.concatenate(vals)
+    # (wavenumber, lift part): 0 < k < S/2 carry a cos and a sin lift
+    lifts = [(k, part) for k in range(len(blocks)) for part in range(_multiplicity(k, S))]
+    solved = [sla.eigh(B) for B in blocks] if want_vectors else None
+    values = [w for w, _ in solved] if want_vectors else op._mode_values
+    lam = np.concatenate([values[k] for k, _ in lifts])
     order = np.argsort(lam, kind="stable")
     if not want_vectors:
         return lam[order], None
     # lift: phi[s, line] = Re / Im of e^{-2 pi i k s / S} M^{-1/2} u
     vecs = np.empty((op.n, count))
     for col, idx in enumerate(order[:count]):
-        k, c, part = pairs[idx]
+        (k, part), c = lifts[idx // scale.size], idx % scale.size
         phase = np.exp(-2j * np.pi * k * np.arange(S) / S)
-        v = np.outer(phase, scale * solved[k][:, c])
+        v = np.outer(phase, scale * solved[k][1][:, c])
         v = v.imag if part else v.real
         vecs[:, col] = (v if op.shift_axis == 0 else v.T).ravel()
     vecs /= np.sqrt(np.einsum("ij,i,ij->j", vecs, op.M_diag, vecs))
@@ -341,19 +350,20 @@ def weak_index(op: DiscreteOperator, count: int = 24) -> int:
     After the diagonal mass reduction the constraint becomes g perp M^{1/2} 1;
     that direction is removed by a Householder reflector and the reduced
     standard problem solved.  On the Fourier block path M^{1/2} 1 lies in
-    wavenumber 0, so only that block is reduced.  The null tolerance is taken
-    from the same low band as the unconstrained classification, so the
-    discrete interlacing i - 1 <= i_h <= i is preserved.
+    wavenumber 0, so only that block is reduced and re-solved; the other
+    blocks' eigenvalues are shared with ``eigensolve``.  The null tolerance
+    is taken from the same low band as the unconstrained classification, so
+    the discrete interlacing i - 1 <= i_h <= i is preserved.
     """
     if op.shift_axis is None:
         B, scale = _dense_reduced(op)
         w = _constrained_eigvalsh(B, 1.0 / scale)
     else:
-        blocks, scale = _mode_blocks(op)
+        blocks, scale = op._mode_blocks
         S = op.resolution[op.shift_axis]
         parts = [_constrained_eigvalsh(blocks[0], 1.0 / scale)]
-        for k, B in enumerate(blocks[1:], start=1):
-            parts.extend([sla.eigvalsh(B)] * _multiplicity(k, S))
+        for k, w in enumerate(op._mode_values[1:], start=1):
+            parts.extend([w] * _multiplicity(k, S))
         w = np.sort(np.concatenate(parts))
     eps = _null_tolerance(w[:min(count, w.size)], op.resolution, op.resolution)
     return int(np.count_nonzero(w < -eps))

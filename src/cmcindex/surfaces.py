@@ -55,9 +55,6 @@ class SecondFormData:
     mean_scalar: np.ndarray
     norm_sq: np.ndarray
 
-    def mean_vector(self, nu: np.ndarray) -> np.ndarray:
-        return self.mean_scalar[..., None] * nu
-
 
 @dataclass
 class Immersion:

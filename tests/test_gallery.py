@@ -1,4 +1,7 @@
 import json
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -29,6 +32,30 @@ def test_gallery_members_cached():
     assert a is b
     c = gal.gallery("sphere_r3", radius=1.0, resolution=(32, 16))
     assert c is not a
+
+
+def test_concurrent_builds_share_one_profile(monkeypatch):
+    monkeypatch.setattr(gal, "_CACHE", {})
+    calls = []
+    solve = gal.solve_profile
+
+    def slow_solve(neck):
+        calls.append(neck)
+        time.sleep(0.05)      # let the other threads arrive meanwhile
+        return solve(neck)
+
+    monkeypatch.setattr(gal, "solve_profile", slow_solve)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            built = list(pool.map(
+                lambda k: gal.gallery("delaunay_t3", k=k, resolution=(16, 16)),
+                [1, 2, 1, 2], timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert calls == [0.55]
+    assert built[0] is built[2] and built[1] is built[3]
 
 
 def test_reference_data_complete():

@@ -1,7 +1,8 @@
 """Bit-identity of the comparison-identity kernels against their reference
 formulas: ``(x * y).sum(-1)`` for ambient inner products, the ``np.roll``
-stencils and pole padding for chart derivatives, and the meshgrid trig sum
-for seeded torus fields.  The fast kernels must give the same floating-point
+stencils and pole padding for chart derivatives, the meshgrid trig sum for
+seeded torus fields and ``np.einsum`` for the quadratic part of seeded
+sphere fields.  The fast kernels must give the same floating-point
 result element by element, signed zeros included."""
 
 from __future__ import annotations
@@ -80,6 +81,19 @@ def _ref_random_scalar(imm, rng, degree=None, decay=0.3):
     return out
 
 
+def _ref_random_scalar_sphere(imm, rng, degree=None):
+    p = imm.u
+    deg = min(degree or 2, 2)
+    out = rng.standard_normal() * np.ones(p.shape[:2])
+    d = imm.space.dim
+    if deg >= 1:
+        out = out + p @ (0.6 * rng.standard_normal(d))
+    if deg >= 2:
+        coef2 = 0.35 * rng.standard_normal((d, d))
+        out = out + np.einsum("...a,ab,...b->...", p, coef2, p)
+    return out
+
+
 def _check_inner(space, cplx):
     rng = np.random.default_rng(11)
     for shape in ((24, 16), (5,), ()):
@@ -101,10 +115,11 @@ def _check_diff(grid, axis, cplx, vector):
 
 def _check_random_scalar(kind, params, resolution):
     imm = gal.gallery(kind, resolution=resolution, **params)
-    for seed in range(5):
+    ref = _ref_random_scalar if imm.grid.topology == "torus" else _ref_random_scalar_sphere
+    for seed in range(5 if imm.grid.topology == "torus" else 40):
         for degree in (None, 1, 3):
             new = vr.random_scalar(imm, np.random.default_rng(seed), degree=degree)
-            old = _ref_random_scalar(imm, np.random.default_rng(seed), degree=degree)
+            old = ref(imm, np.random.default_rng(seed), degree=degree)
             assert _same_bits(new, old)
 
 
@@ -119,7 +134,10 @@ CASES = (
        for axis in (0, 1) for cplx in (False, True) for vector in (False, True)]
     + [pytest.param(_check_random_scalar, (kind, params, res), id=f"random_scalar-{kind}")
        for kind, params, res in [("clifford_torus", {}, (32, 24)),
-                                 ("delaunay_t3", {"k": 2, "neck": 0.55}, (48, 24))]]
+                                 ("delaunay_t3", {"k": 2, "neck": 0.55}, (48, 24)),
+                                 ("sphere_r3", {}, (64, 48)),
+                                 ("sphere_s3", {"radius": 0.9}, (64, 48)),
+                                 ("sphere_h3", {"radius": 0.8}, (32, 24))]]
 )
 
 

@@ -2,11 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import coo_matrix, diags
 
 from cmcindex import gallery as gal
 from cmcindex import spectral as sp
 from cmcindex import variations as vr
+from cmcindex.grids import _C8, _D4, sphere_grid, torus_grid
 from conftest import jacobi_solve, laplace_solve, surface, weak_index_of
 
 
@@ -102,25 +103,50 @@ def test_block_path_matches_dense(name, kw, axis):
     assert np.abs(gram - np.eye(12)).max() < 1e-12
 
 
-def test_block_path_without_reflection_symmetry():
-    # a diagonal coupling (i, j) ~ (i + 1, j + 1) keeps the pencil shift
-    # invariant in x but not mirror symmetric, so the blocks are complex
-    op = sp.assemble_jacobi(gal.gallery("clifford_torus", resolution=(24, 24)))
+def _old_mode_blocks(op):
+    """The former blocks: a DFT over the shift index of K's first block-row."""
     nx, ny = op.resolution
-    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    T = csr_matrix((np.ones(op.n), ((i * ny + j).ravel(),
-                                    (((i + 1) % nx) * ny + (j + 1) % ny).ravel())),
-                   shape=(op.n, op.n))
-    skew = dataclasses.replace(op, K_sparse=op.K_sparse + 0.1 * (T + T.T))
-    assert skew.shift_axis == 0
-    dense = dataclasses.replace(skew)
-    dense.shift_axis = None
-    block_res = sp.eigensolve(skew, 12)
-    dense_res = sp.eigensolve(dense, 12)
-    assert (np.abs(block_res.all_eigenvalues - dense_res.all_eigenvalues).max()
-            <= 1e-12 * np.abs(dense_res.all_eigenvalues).max())
-    assert sp.residual_norms(skew, block_res).max() <= 1e-10
-    assert sp.weak_index(skew) == sp.weak_index(dense)
+    if op.shift_axis == 0:
+        S, L = nx, ny
+        rows, perm = np.arange(ny), (1, 0, 2)
+    else:
+        S, L = ny, nx
+        rows, perm = np.arange(nx) * ny, (2, 0, 1)
+    line = op.K_sparse[rows].toarray().reshape(L, nx, ny).transpose(perm)
+    F = np.fft.rfft(line, axis=0)
+    scale = 1.0 / np.sqrt(op.M_diag[rows])
+    blocks = []
+    for k in range(S // 2 + 1):
+        B = scale[:, None] * F[k] * scale[None, :]
+        blocks.append(0.5 * (B + B.conj().T))
+    return blocks
+
+
+@pytest.mark.parametrize("name,kw,axis", BLOCK_CASES,
+                         ids=[f"{c[0]}-{c[1].get('k', '')}" for c in BLOCK_CASES])
+def test_stencil_blocks_match_dft_of_sparse_row(name, kw, axis):
+    op = sp.assemble_jacobi(gal.gallery(name, **kw))
+    blocks, _ = op._mode_blocks
+    old = _old_mode_blocks(op)
+    assert len(blocks) == len(old) == op.resolution[axis] // 2 + 1
+    # both parities of the pole sign (-1)^k on the spheres
+    assert len(blocks) >= 3
+    for B, ref in zip(blocks, old):
+        assert B.dtype == float and np.array_equal(B, B.T)
+        assert np.abs(B - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_block_path_reuses_mode_values(monkeypatch):
+    op = sp.assemble_jacobi(gal.gallery("sphere_r3", resolution=(32, 16)))
+    calls = []
+    eigvalsh = sp.sla.eigvalsh
+    monkeypatch.setattr(sp.sla, "eigvalsh", lambda B: calls.append(B) or eigvalsh(B))
+    sp.eigensolve(op, 8, want_vectors=False)
+    assert len(calls) == len(op._mode_blocks[0])
+    sp.weak_index(op)
+    # only the constrained wavenumber-0 block is solved again
+    assert len(calls) == len(op._mode_blocks[0]) + 1
+    assert "K_sparse" not in vars(op)   # no sparse K was assembled
 
 
 def test_block_path_beyond_dense_cap():
@@ -131,6 +157,81 @@ def test_block_path_beyond_dense_cap():
     assert sp.index_nullity(res) == (5, 4)
     assert sp.weak_index(op) == 4
     assert "K" not in vars(op)       # no dense copy was formed
+    assert "K_sparse" not in vars(op)
+
+
+# ------------------------------------------------- Kronecker sparse forms
+
+def _coo(g, entries):
+    """CSR matrix from (row, column, value) triples over the (nx, ny) grid."""
+    n = g.nx * g.ny
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*entries))
+    return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _old_axis_matrix(g, axis, stencil):
+    """The former COO builders of diff_matrix_x/_y and filter_matrix."""
+    nx, ny = g.nx, g.ny
+    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    base = (ii * ny + jj).ravel()
+    if stencil == "diff":
+        terms = [(sgn * k, sgn * c) for k, c in enumerate(_C8, start=1) for sgn in (1, -1)]
+    else:
+        terms = list(zip(range(-2, 3), _D4))
+    entries = []
+    for off, c in terms:
+        if axis == 0:
+            cols = ((ii + off) % nx) * ny + jj
+            vals = np.full(base.size, c / g.hx if stencil == "diff" else c / (16.0 * g.hx))
+        elif g.topology == "torus":
+            cols = ii * ny + (jj + off) % ny
+            vals = np.full(base.size, c / g.hy if stencil == "diff" else c / (16.0 * g.hy))
+        else:
+            j2 = jj + off
+            lo, hi = j2 < 0, j2 > ny - 1
+            j2 = np.where(lo, -1 - j2, j2)
+            j2 = np.where(hi, 2 * ny - 1 - j2, j2)
+            i2 = np.where(lo | hi, (ii + nx // 2) % nx, ii)
+            cols = i2 * ny + j2
+            if stencil == "diff":
+                vals = c * (np.sin(g.theta)[jj] / g.dtheta).ravel()
+            else:
+                vals = np.full(base.size, c / (16.0 * g.dtheta))
+        entries.append((base, cols.ravel(), vals))
+    return _coo(g, entries)
+
+
+def _same_entries(a, b) -> bool:
+    a, b = a.toarray(), b.toarray()
+    return a.tobytes() == b.tobytes()
+
+
+GRIDS = [torus_grid(8, 8), torus_grid(16, 12, 1.3, 0.7), sphere_grid(8, 8),
+         sphere_grid(12, 10), sphere_grid(32, 16)]
+
+
+@pytest.mark.parametrize("g", GRIDS, ids=[f"{g.topology}{g.nx}x{g.ny}" for g in GRIDS])
+def test_kronecker_matrices_equal_coo_builders(g):
+    assert _same_entries(g.diff_matrix_x(), _old_axis_matrix(g, 0, "diff"))
+    assert _same_entries(g.diff_matrix_y(), _old_axis_matrix(g, 1, "diff"))
+    for axis in (0, 1):
+        assert _same_entries(g.filter_matrix(axis), _old_axis_matrix(g, axis, "filter"))
+
+
+@pytest.mark.parametrize("name", ["sphere_h3", "clifford_torus"])
+def test_sparse_K_equals_coo_assembly(name):
+    imm = gal.gallery(name, resolution=(16, 12))
+    X, Y = imm.grid.meshes()
+    op = sp.assemble_operator(imm, 2.0 + np.cos(X) * np.sin(Y))
+    assert op.shift_axis is None
+    g, w0 = imm.grid, diags(imm.chart_weights.ravel())
+    K = 0
+    for axis, stencil in ((0, "diff"), (1, "diff"), (0, "filter"), (1, "filter")):
+        D = _old_axis_matrix(g, axis, stencil)
+        K = K + D.T @ w0 @ D
+    K = 0.5 * (K + K.T) - diags(op.M_diag * op.q.ravel())
+    assert _same_entries(op.K_sparse, K)
+    assert op.K.tobytes() == K.toarray().tobytes()
 
 
 # ------------------------------------------------------------- exact spectra
