@@ -173,7 +173,7 @@ def _check_descriptor(d) -> None:
         raise ConfigError(f"'resolution' of {d['kind']!r} must be two integers")
     try:
         gal.check_params(d["kind"], params)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(exc.args[0]) from exc
 
 

@@ -1,23 +1,39 @@
 """Delaunay (unduloid) profile curves and k-lobed CMC tori in the flat T^3.
 
-The rotationally symmetric CMC profile is integrated directly in the
-conformal parameter t (arclength rescaled by 1/r), in which the immersion
+The rotationally symmetric CMC profile is parametrised by the conformal
+parameter t (arclength rescaled by 1/r), in which the immersion
 
     u(t, theta) = c * (x(t), r(t) cos theta, r(t) sin theta)
 
 is isothermal with e^lam = c r.  With phi the tangent angle of the profile
-against the rotation axis, the first-order system is
+against the rotation axis, the profile solves
 
     dx/dt = r cos phi,   dr/dt = r sin phi,   dphi/dt = cos phi - h r,
 
 whose first integral is the flux r sin(psi) + (h/2) r^2, psi = phi - pi/2.
-Neck and bulge radii (a, b) satisfy a + b = 2/h; the profile is integrated
-at h = 1 from the neck and the period located by the tangent-angle events,
-then k periods are scaled by 1/(k * x_period) so the surface closes up
-through the unit cube exactly once along the axis.
+At h = 1 the neck and bulge radii of the neck ratio nu in (0, 1) are
+a = 2 nu / (1 + nu) and b = 2 / (1 + nu) (a + b = 2/h), and the flux gives
+r cos phi = (r^2 + ab) / 2.  With m = 1 - nu^2 and w = b t / 2, the solution
+through the neck at t = 0 is Delaunay's unduloid in the isothermal form of
+Kenmotsu (Tohoku Math. J. 32, 1980):
+
+    u = r^2 = b^2 - (b^2 - a^2) cd^2(w | m),   r cos phi = (u + ab) / 2,
+    x = [(b^2 + ab) w - (b^2 - a^2)(w - E(am w | m) + m sn cd) / m] / b.
+
+As a = nu b gives b^2 - a^2 = m b^2, and dn^2 = 1 - m sn^2, these reduce to
+
+    r = a / dn,   x = a w + b (E(am w | m) - m sn cd),
+    phi = atan2(b m sn cn, a + b dn^2),
+
+which carry no cancellation as nu -> 0 or nu -> 1.  The period in t is
+T = 4 K(m) / b.  sn, cn, dn, K, E and Jacobi's epsilon E(am w | m) all come
+from one descending arithmetic-geometric mean sequence (Abramowitz & Stegun
+16.4 and 17.6), vectorised over t; no ODE is integrated.  k periods are
+scaled by 1/(k * x_period) so the surface closes up through the unit cube
+exactly once along the axis.
 
 Scaling is exact, so the k-lobed members inherit h_k = k h_1 and
-Area_k = Area_1 / k identically up to integrator tolerance.
+Area_k = Area_1 / k identically up to rounding.
 """
 
 from __future__ import annotations
@@ -25,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .ambient import FLAT_T3
 from .grids import torus_grid
@@ -37,8 +52,53 @@ __all__ = ["DelaunayProfile", "DelaunayConstructionError", "solve_profile",
 _H0 = 1.0  # unscaled profile mean curvature
 
 
-class DelaunayConstructionError(RuntimeError):
+class DelaunayConstructionError(ValueError):
     """No admissible periodic profile for the requested parameters."""
+
+
+def _agm(m1: float) -> tuple[list, list]:
+    """Descending AGM a_n, c_n of parameter m = 1 - m1 (A&S 17.6.2), from
+    a_0 = 1, b_0 = sqrt(m1), c_0 = sqrt(m), until c_N is below rounding;
+    c_{n+1} = c_n^2 / (4 a_{n+1}) avoids the cancellation in a_n - b_n."""
+    a, b, c = [1.0], np.sqrt(m1), [np.sqrt(1.0 - m1)]
+    while c[-1] > 1e-17 * a[-1]:
+        a_prev = a[-1]
+        a.append(0.5 * (a_prev + b))
+        c.append(c[-1] ** 2 / (4.0 * a[-1]))
+        b = np.sqrt(a_prev * b)
+    return a, c
+
+
+def _elliptic(w, m1: float) -> tuple:
+    """(sn, cn, dn, epsilon, K, E) of parameter m = 1 - m1: the Jacobi
+    elliptic functions and Jacobi's epsilon E(am w | m) at w, and the complete
+    integrals K(m), E(m), all from one AGM sequence (A&S 16.4.3, 17.6.4,
+    17.6.9)."""
+    a, c = _agm(m1)
+    N = len(a) - 1
+    K = np.pi / (2.0 * a[N])
+    E = K * (1.0 - 0.5 * sum(2.0 ** n * c[n] ** 2 for n in range(N + 1)))
+    w = np.asarray(w, dtype=float)
+    phi = 2.0 ** N * a[N] * w
+    zeta = 0.0        # Jacobi's zeta function, sum of c_n sin(phi_n)
+    for n in range(N, 0, -1):
+        s = np.sin(phi)
+        zeta = zeta + c[n] * s
+        phi = 0.5 * (phi + np.arcsin(c[n] / a[n] * s))
+    sn, cn = np.sin(phi), np.cos(phi)
+    # dn^2 = m1 + m cn^2 is a sum of positive terms, also near dn = sqrt(m1)
+    dn = np.sqrt(m1 + (1.0 - m1) * cn * cn)
+    return sn, cn, dn, E / K * w + zeta, K, E
+
+
+def _profile_curve(neck: float, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(x, r, phi) at t of the h = 1 profile through its neck at t = 0."""
+    a, b = 2.0 * neck / (1.0 + neck), 2.0 / (1.0 + neck)
+    m1 = neck * neck
+    w = 0.5 * b * np.asarray(t, dtype=float)
+    sn, cn, dn, eps, _, _ = _elliptic(w, m1)
+    msc = (1.0 - m1) * sn * cn
+    return a * w + b * (eps - msc / dn), a / dn, np.arctan2(b * msc, a + b * dn * dn)
 
 
 @dataclass
@@ -50,68 +110,32 @@ class DelaunayProfile:
     r_bulge: float
     t_period: float      # period in the conformal parameter
     x_period: float      # period along the rotation axis
-    sol: object          # dense ODE solution over [0, t_period]
 
     def evaluate(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(x, r, phi) at conformal parameters t in [0, t_period]."""
-        vals = self.sol(np.asarray(t, dtype=float))
-        return vals[0], vals[1], vals[2]
+        """(x, r, phi) at conformal parameters t, with t = 0 at a neck."""
+        return _profile_curve(self.neck, t)
 
 
-def _rhs(_t, state):
-    x, r, phi = state
-    return [r * np.cos(phi), r * np.sin(phi), np.cos(phi) - _H0 * r]
-
-
-def solve_profile(neck: float, rtol: float = 1e-12, atol: float = 1e-13) -> DelaunayProfile:
-    """Integrate one period of the unduloid profile with neck ratio ``neck``."""
-    if not 0.0 < neck < 1.0:
+def solve_profile(neck: float) -> DelaunayProfile:
+    """One period of the unduloid profile with neck ratio ``neck``."""
+    # neck^2 is the complementary elliptic parameter and must not underflow
+    if not 0.0 < neck < 1.0 or neck * neck == 0.0:
         raise DelaunayConstructionError(f"neck ratio must lie in (0,1), got {neck}")
     r_neck = 2.0 * neck / (1.0 + neck)
     r_bulge = 2.0 / (1.0 + neck)
-
-    def phi_zero(t, state):
-        return state[2]
-    phi_zero.terminal = True
-
-    # Two legs because phi starts at an event zero: neck -> bulge (phi
-    # crosses zero downward), then bulge -> next neck (upward crossing).
-    t_max = 200.0
-    phi_zero.direction = -1.0
-    leg_a = solve_ivp(_rhs, (0.0, t_max), [0.0, r_neck, 0.0],
-                      method="DOP853", rtol=rtol, atol=atol,
-                      dense_output=True, events=phi_zero)
-    if not leg_a.t_events[0].size:
-        raise DelaunayConstructionError(
-            f"profile with neck={neck} has no bulge before t={t_max}")
-    t_half = float(leg_a.t_events[0][0])
-    state_half = leg_a.sol(t_half)
-    bulge_r = float(state_half[1])
-    phi_zero.direction = 1.0
-    leg_b = solve_ivp(_rhs, (t_half, t_half + t_max), state_half,
-                      method="DOP853", rtol=rtol, atol=atol,
-                      dense_output=True, events=phi_zero)
-    if not leg_b.t_events[0].size:
-        raise DelaunayConstructionError(
-            f"profile with neck={neck} did not close a period before t={t_max}")
-    t_period = float(leg_b.t_events[0][0])
-    x_period, r_end, phi_end = (float(v) for v in leg_b.sol(t_period))
-    if abs(r_end - r_neck) > 1e-8 or abs(phi_end) > 1e-8:
+    *_, K, _ = _elliptic(0.0, neck * neck)
+    t_period = 4.0 * K / r_bulge
+    x, r, phi = _profile_curve(neck, [0.5 * t_period, t_period])
+    # written so that a NaN fails the checks
+    if not (abs(r[1] - r_neck) <= 1e-8 and abs(phi[1]) <= 1e-8):
         raise DelaunayConstructionError(
             f"profile with neck={neck} failed periodicity: "
-            f"|r-a|={abs(r_end - r_neck):.2e}, |phi|={abs(phi_end):.2e}")
-    if abs(bulge_r - r_bulge) > 1e-8:
+            f"|r-a|={abs(r[1] - r_neck):.2e}, |phi|={abs(phi[1]):.2e}")
+    if not abs(r[0] - r_bulge) <= 1e-8:
         raise DelaunayConstructionError(
             f"profile with neck={neck} missed the bulge radius: "
-            f"got {bulge_r:.12f}, expected {r_bulge:.12f}")
-
-    def dense(t):
-        t = np.asarray(t, dtype=float)
-        lo = leg_a.sol(np.clip(t, 0.0, t_half))
-        hi = leg_b.sol(np.clip(t, t_half, t_period))
-        return np.where(t <= t_half, lo, hi)
-
-    return DelaunayProfile(neck, r_neck, r_bulge, t_period, x_period, dense)
+            f"got {r[0]:.12f}, expected {r_bulge:.12f}")
+    return DelaunayProfile(neck, r_neck, r_bulge, float(t_period), float(x[1]))
 
 
 def flux_samples(profile: DelaunayProfile, n: int = 400) -> np.ndarray:

@@ -43,7 +43,8 @@ def gallery_names() -> list[str]:
 
 def check_params(name: str, params: dict) -> None:
     """Raise KeyError for an unknown surface or a parameter it does not take,
-    TypeError for a parameter value of the wrong type."""
+    TypeError for a parameter value of the wrong type and ValueError for a
+    Delaunay lobe count below 1 or a neck ratio outside (0, 1)."""
     if name not in _PARAMS:
         raise KeyError(f"unknown gallery surface {name!r}")
     accepted = _PARAMS[name]
@@ -56,6 +57,10 @@ def check_params(name: str, params: dict) -> None:
             raise TypeError(f"{name} parameter {key!r} must be "
                             f"{'an integer' if accepted[key] is Integral else 'a number'}, "
                             f"got {value!r}")
+    if "k" in params and params["k"] < 1:
+        raise ValueError(f"{name} lobe count k must be at least 1, got {params['k']!r}")
+    if "neck" in params and not 0 < params["neck"] < 1:
+        raise ValueError(f"{name} neck ratio must lie in (0, 1), got {params['neck']!r}")
 
 
 def default_resolution(name: str, **params) -> tuple[int, int]:

@@ -25,13 +25,20 @@ Two solvers share that reduction:
   (0 < k < S/2 count twice, for k and -k).  Blocks and their eigenvalues
   stay on the operator, so ``weak_index`` re-solves only the constrained
   wavenumber-0 block.  Eigenvectors are the real cos/sin lifts of the block
-  eigenvectors.  No n x n array, dense or sparse, is formed.
+  eigenvectors.  ``residual_norms`` applies K to them through the same
+  blocks (an rfft along the shift axis, one unscaled block per wavenumber,
+  an irfft back) and takes ||K||_2 exactly as the largest block eigenvalue
+  in magnitude.  No n x n array, dense or sparse, is formed, and the L x L
+  blocks are solved by ``numpy.linalg``.
 * the dense path, LAPACK's tridiagonalization / implicit-shift solver on the
-  full B, for every other operator; it is also the cross-check oracle of
-  the block path.  It is capped at ``MAX_UNKNOWNS``.
+  full B (formed once per operator), for every other operator; it is also
+  the cross-check oracle of the block path.  It is capped at
+  ``MAX_UNKNOWNS``.
 
-The sparse ``op.K_sparse`` is assembled on first use only (dense path,
-``op.K``, ``residual_norms``).  Both solvers are deterministic.
+scipy is imported only by the dense path: the sparse ``op.K_sparse``
+(assembled on first use, for ``op.K``), ``scipy.linalg`` for the dense
+spectrum and its lowest eigenvectors, and ``eigsh`` for ||K||_2 in the
+dense ``residual_norms``.  Both solvers are deterministic.
 """
 
 from __future__ import annotations
@@ -41,9 +48,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.sparse import csr_matrix, diags
-from scipy.sparse.linalg import eigsh
 
 from .surfaces import Immersion
 
@@ -73,9 +77,11 @@ class DiscreteOperator:
         return self.M_diag.size
 
     @cached_property
-    def K_sparse(self) -> csr_matrix:
-        """Symmetric sparse K, assembled on first use: only the dense path,
-        ``op.K`` and ``residual_norms`` need it."""
+    def K_sparse(self):
+        """Symmetric sparse K (scipy CSR), assembled on first use: only the
+        dense path and ``op.K`` need it."""
+        from scipy.sparse import diags
+
         g = self.imm.grid
         w0 = diags(self.imm.chart_weights.ravel())
         dx = g.diff_matrix_x()
@@ -92,6 +98,15 @@ class DiscreteOperator:
             raise ValueError(f"operator has {self.n} unknowns; dense eigensolver "
                              f"capped at {MAX_UNKNOWNS}")
         return self.K_sparse.toarray()
+
+    @cached_property
+    def _dense_reduced(self) -> tuple[np.ndarray, np.ndarray]:
+        """(B, M^{-1/2}) with B = M^{-1/2} K M^{-1/2}, symmetrized: the dense
+        path's reduced problem, built once for ``eigensolve`` and
+        ``weak_index``."""
+        scale = 1.0 / np.sqrt(self.M_diag)
+        B = scale[:, None] * self.K * scale[None, :]
+        return 0.5 * (B + B.T), scale
 
     @cached_property
     def shift_axis(self) -> Optional[int]:
@@ -137,7 +152,7 @@ class DiscreteOperator:
     @cached_property
     def _mode_values(self) -> list:
         """Ascending eigenvalues of each ``_mode_blocks`` block."""
-        return [sla.eigvalsh(B) for B in self._mode_blocks[0]]
+        return [np.linalg.eigvalsh(B) for B in self._mode_blocks[0]]
 
     def describe(self) -> dict:
         return {
@@ -213,13 +228,6 @@ def assemble_laplace(imm: Immersion) -> DiscreteOperator:
 
 # ------------------------------------------------------- reduced eigenproblems
 
-def _dense_reduced(op: DiscreteOperator) -> tuple[np.ndarray, np.ndarray]:
-    """(B, M^{-1/2}) with B = M^{-1/2} K M^{-1/2}, symmetrized."""
-    scale = 1.0 / np.sqrt(op.M_diag)
-    B = scale[:, None] * op.K * scale[None, :]
-    return 0.5 * (B + B.T), scale
-
-
 def _multiplicity(k: int, S: int) -> int:
     return 1 if (2 * k) % S == 0 else 2
 
@@ -232,7 +240,7 @@ def _block_eigen(op: DiscreteOperator, count: int,
     S = op.resolution[op.shift_axis]
     # (wavenumber, lift part): 0 < k < S/2 carry a cos and a sin lift
     lifts = [(k, part) for k in range(len(blocks)) for part in range(_multiplicity(k, S))]
-    solved = [sla.eigh(B) for B in blocks] if want_vectors else None
+    solved = [np.linalg.eigh(B) for B in blocks] if want_vectors else None
     values = [w for w, _ in solved] if want_vectors else op._mode_values
     lam = np.concatenate([values[k] for k, _ in lifts])
     order = np.argsort(lam, kind="stable")
@@ -252,7 +260,9 @@ def _block_eigen(op: DiscreteOperator, count: int,
 
 def _dense_eigen(op: DiscreteOperator, count: int,
                  want_vectors: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    B, scale = _dense_reduced(op)
+    import scipy.linalg as sla
+
+    B, scale = op._dense_reduced
     w = sla.eigvalsh(B)
     if not want_vectors:
         return w, None
@@ -274,7 +284,7 @@ def _constrained_eigvalsh(B: np.ndarray, a: np.ndarray) -> np.ndarray:
     u /= nu
     BH = B - 2.0 * np.outer(u, u @ B)
     BH = BH - 2.0 * np.outer(BH @ u, u)
-    return sla.eigvalsh(0.5 * (BH[1:, 1:] + BH[1:, 1:].T))
+    return np.linalg.eigvalsh(0.5 * (BH[1:, 1:] + BH[1:, 1:].T))
 
 
 # ----------------------------------------------------------------- eigensolve
@@ -320,17 +330,48 @@ def eigensolve(op: DiscreteOperator, count: int,
                           op.kind, op.imm.name)
 
 
+def _block_apply(op: DiscreteOperator, V: np.ndarray) -> tuple[np.ndarray, float]:
+    """(K V, ||K||_2) on the Fourier block path.
+
+    The DFT of V along the shift axis is multiplied, wavenumber by
+    wavenumber, by the unscaled block K_k = M^{1/2} B_k M^{1/2} and
+    transformed back.  The spectrum of K is the union of the blocks' spectra,
+    so ||K||_2 is the largest |eigenvalue| over them, exactly.
+    """
+    blocks, scale = op._mode_blocks
+    a = op.shift_axis
+    F = np.moveaxis(np.fft.rfft(V.reshape(*op.resolution, -1), axis=a), a, 0)
+    root = 1.0 / scale
+    KF, knorm = np.empty_like(F), 0.0
+    for k, B in enumerate(blocks):
+        Kk = root[:, None] * B * root
+        KF[k] = Kk @ F[k]
+        knorm = max(knorm, float(np.abs(np.linalg.eigvalsh(Kk)).max()))
+    KV = np.fft.irfft(np.moveaxis(KF, 0, a), n=op.resolution[a], axis=a)
+    return KV.reshape(op.n, -1), knorm
+
+
 def residual_norms(op: DiscreteOperator, res: SpectralResult) -> np.ndarray:
-    """||K phi - lambda M phi|| per returned pair, relative to ||K||_2."""
+    """||K phi - lambda M phi|| per returned pair, relative to ||K||_2.
+
+    On the block path K phi is applied through the Fourier blocks, so the
+    residual also checks the cos/sin lift of the block eigenvectors.
+    """
     if res.eigenvectors is None:
         raise ValueError("residuals need eigenvectors")
     V = res.eigenvectors
-    R = op.K_sparse @ V - (op.M_diag[:, None] * V) * res.eigenvalues
-    # ||K||_2 of symmetric K is its largest-magnitude eigenvalue; a fixed
-    # start vector keeps the Lanczos iteration deterministic
-    v0 = np.random.default_rng(0).standard_normal(op.n)
-    knorm = abs(float(eigsh(op.K_sparse, k=1, which="LM", v0=v0,
-                            return_eigenvectors=False)[0]))
+    if op.shift_axis is None:
+        from scipy.sparse.linalg import eigsh
+
+        KV = op.K_sparse @ V
+        # ||K||_2 of symmetric K is its largest-magnitude eigenvalue; a fixed
+        # start vector keeps the Lanczos iteration deterministic
+        v0 = np.random.default_rng(0).standard_normal(op.n)
+        knorm = abs(float(eigsh(op.K_sparse, k=1, which="LM", v0=v0,
+                                return_eigenvectors=False)[0]))
+    else:
+        KV, knorm = _block_apply(op, V)
+    R = KV - (op.M_diag[:, None] * V) * res.eigenvalues
     return np.linalg.norm(R, axis=0) / knorm
 
 
@@ -356,7 +397,7 @@ def weak_index(op: DiscreteOperator, count: int = 24) -> int:
     the discrete interlacing i - 1 <= i_h <= i is preserved.
     """
     if op.shift_axis is None:
-        B, scale = _dense_reduced(op)
+        B, scale = op._dense_reduced
         w = _constrained_eigvalsh(B, 1.0 / scale)
     else:
         blocks, scale = op._mode_blocks

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,11 +148,59 @@ def test_determinism_byte_identical(tmp_path):
                 == (tmp_path / "b" / name).read_bytes())
 
 
+def _python(args, cwd):
+    """Run ``python args`` in a fresh process that imports this cmcindex."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable] + args, capture_output=True, text=True,
+                          timeout=300, cwd=cwd, env=env)
+
+
 def test_module_entry_point(tmp_path):
-    cmd = [sys.executable, "-m", "cmcindex.cli", "identity",
-           "--config", _cfg(tmp_path, SMALL_IDENTITY), "--out", str(tmp_path / "out")]
-    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    proc = _python(["-m", "cmcindex.cli", "identity", "--config",
+                    _cfg(tmp_path, SMALL_IDENTITY), "--out", str(tmp_path / "out")], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("params", [{"k": 1, "neck": 1.5}, {"k": 0},
+                                    {"neck": 0.0}, {"k": 2, "neck": -0.3}])
+def test_bad_delaunay_params_exit_2(tmp_path, params):
+    cfg = {"surfaces": [{"kind": "delaunay_t3", "params": params}]}
+    proc = _python(["-m", "cmcindex.cli", "gallery", "--config", _cfg(tmp_path, cfg),
+                    "--out", str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and "delaunay_t3" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_paths_import_no_scipy(tmp_path):
+    # the four commands on their defaults (identity on a small config) and
+    # the README quick start, with eigenpair residuals, run on numpy alone
+    script = f"""
+import json, sys
+import cmcindex.cli as cli
+from cmcindex import build_surface, variations as vr, spectral as sp, bounds as bd
+codes = [cli.main([c, "--out", c]) for c in ("spectrum", "bounds", "gallery")]
+codes.append(cli.main(["identity", "--config", {_cfg(tmp_path, SMALL_IDENTITY)!r},
+                       "--out", "identity"]))
+imm = build_surface("delaunay_t3", k=2, neck=0.55)
+vr.comparison_identity_residual(imm, vr.seeded_variation(imm, 0))
+op = sp.assemble_jacobi(imm)
+res = sp.eigensolve(op, 12)
+i, n = sp.index_nullity(res)
+bd.bound_report(imm, i, n, sp.weak_index(op))
+worst = float(sp.residual_norms(op, res).max())
+print(json.dumps({{"codes": codes, "residual": worst, "scipy": sorted(
+    m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}}))
+"""
+    proc = _python(["-c", script], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["codes"] == [0, 0, 0, 0]
+    assert out["residual"] <= 1e-10
+    assert out["scipy"] == []
 
 
 def test_thread_cap_env(tmp_path, monkeypatch):

@@ -139,14 +139,56 @@ def test_stencil_blocks_match_dft_of_sparse_row(name, kw, axis):
 def test_block_path_reuses_mode_values(monkeypatch):
     op = sp.assemble_jacobi(gal.gallery("sphere_r3", resolution=(32, 16)))
     calls = []
-    eigvalsh = sp.sla.eigvalsh
-    monkeypatch.setattr(sp.sla, "eigvalsh", lambda B: calls.append(B) or eigvalsh(B))
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda B: calls.append(B) or eigvalsh(B))
     sp.eigensolve(op, 8, want_vectors=False)
     assert len(calls) == len(op._mode_blocks[0])
     sp.weak_index(op)
     # only the constrained wavenumber-0 block is solved again
     assert len(calls) == len(op._mode_blocks[0]) + 1
     assert "K_sparse" not in vars(op)   # no sparse K was assembled
+
+
+def _sparse_residual_norms(op, res):
+    """The sparse route: K_sparse @ V, and ||K||_2 from a seeded eigsh."""
+    from scipy.sparse.linalg import eigsh
+
+    V = res.eigenvectors
+    R = op.K_sparse @ V - (op.M_diag[:, None] * V) * res.eigenvalues
+    v0 = np.random.default_rng(0).standard_normal(op.n)
+    knorm = abs(float(eigsh(op.K_sparse, k=1, which="LM", v0=v0,
+                            return_eigenvectors=False)[0]))
+    return np.linalg.norm(R, axis=0) / knorm
+
+
+@pytest.mark.parametrize("name,kw,axis", BLOCK_CASES,
+                         ids=[f"{c[0]}-{c[1].get('k', '')}" for c in BLOCK_CASES])
+def test_block_residuals_match_sparse_route(name, kw, axis):
+    op = sp.assemble_jacobi(gal.gallery(name, **kw))
+    res = sp.eigensolve(op, 12)
+    got = sp.residual_norms(op, res)
+    assert "K_sparse" not in vars(op)
+    ref = _sparse_residual_norms(op, res)
+    assert np.abs(got - ref).max() <= 1e-12
+    # wrong eigenvalues: both routes see the same large residuals
+    off = dataclasses.replace(res, eigenvalues=res.eigenvalues + 1.0)
+    got, ref = sp.residual_norms(op, off), _sparse_residual_norms(op, off)
+    assert got.min() > 1e-6
+    assert np.abs(got - ref).max() <= 1e-12
+
+
+def test_dense_path_builds_B_once(monkeypatch):
+    imm = gal.gallery("clifford_torus", resolution=(16, 16))
+    op = sp.assemble_operator(imm, _oscillating_potential(imm))
+    assert op.shift_axis is None
+    K, reads = op.K, []
+    # every build of B = M^{-1/2} K M^{-1/2} reads op.K once
+    monkeypatch.setattr(sp.DiscreteOperator, "K",
+                        property(lambda self: reads.append(1) or K))
+    sp.eigensolve(op, 6)
+    sp.weak_index(op)
+    sp.eigensolve(op, 6, want_vectors=False)
+    assert len(reads) == 1
 
 
 def test_block_path_beyond_dense_cap():
