@@ -30,7 +30,7 @@ for name, params in MEMBERS:
 print()
 print("Second fundamental form on the unit sphere in R^3 (umbilic):")
 imm = build_surface("sphere_r3", radius=1.0)
-sec = sf.second_fundamental(imm)
+sec = imm.second_form
 print(f"  max |A(u_z,u_z)| = {np.abs(sec.azz).max():.2e}   (0 for umbilic)")
 print(f"  |A|^2 = {sec.norm_sq.mean():.12f}               (exact 2)")
 print(f"  tr A  = {sec.mean_scalar.mean():.12f}               (exact 2)")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -77,24 +77,30 @@ def delta_expression(delta: float) -> float:
                     - 2.0 * math.log(delta))
 
 
-def optimize_delta(lo: float = 1e-6, hi: float = 100.0,
-                   tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section minimizer of the delta-expression on (lo, hi)."""
+def _golden_section(f: Callable[[float], float], a: float, b: float,
+                    tol: float) -> float:
+    """Midpoint of the golden-section bracket of a minimum of f on (a, b),
+    once the bracket is no wider than tol."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = delta_expression(c), delta_expression(d)
+    fc, fd = f(c), f(d)
     while b - a > tol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
-            fc = delta_expression(c)
+            fc = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + invphi * (b - a)
-            fd = delta_expression(d)
-    x = 0.5 * (a + b)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def optimize_delta(lo: float = 1e-6, hi: float = 100.0,
+                   tol: float = 1e-10) -> tuple[float, float]:
+    """Golden-section minimizer of the delta-expression on (lo, hi)."""
+    x = _golden_section(delta_expression, lo, hi, tol)
     return x, delta_expression(x)
 
 
@@ -215,23 +221,8 @@ def energy_index_chain(imm: Immersion, lb_result: sp.SpectralResult,
 
     vals = np.array([objective(t) for t in ts])
     k = int(np.argmin(vals))
-    lo = ts[max(k - 1, 0)]
-    hi = ts[min(k + 1, ts.size - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a_, b_ = float(lo), float(hi)
-    c = b_ - invphi * (b_ - a_)
-    d = a_ + invphi * (b_ - a_)
-    fc, fd = objective(c), objective(d)
-    while b_ - a_ > 1e-8:
-        if fc < fd:
-            b_, d, fd = d, c, fc
-            c = b_ - invphi * (b_ - a_)
-            fc = objective(c)
-        else:
-            a_, c, fc = c, d, fd
-            d = a_ + invphi * (b_ - a_)
-            fd = objective(d)
-    t_star = 0.5 * (a_ + b_)
+    t_star = _golden_section(objective, float(ts[max(k - 1, 0)]),
+                             float(ts[min(k + 1, ts.size - 1)]), 1e-8)
     chain = 3.0 * objective(t_star)
     r = topological_r(g, b)
     out = {"chain": chain, "t_star": t_star, "r": r, "rate": rate,

@@ -182,6 +182,11 @@ class ParamGrid:
         into ``interior`` and leave ``flip`` zero; on sphere charts a
         stencil reaching past a pole lands in ``flip`` at the reflected row,
         which Pi moves to the antipodal longitude.
+
+        C^T W C of the filter C, added to a first-derivative stiffness, expels
+        the Nyquist-band modes annihilated by the centered stencil (their
+        Rayleigh quotients jump to ~1/h^2) while perturbing resolved modes at
+        O((kh)^6) relative, below the stencil's own consistency error.
         """
         offsets, weights, stretch = _AXIS_STENCILS[name]
         pole = axis == 1 and self.topology == "sphere"
@@ -204,38 +209,6 @@ class ParamGrid:
                 side, cols = 0, cols % n
             mats[side, rows, cols] += vals[:, t]
         return mats[0], mats[1]
-
-    # --------------------------------------------------- sparse operator forms
-    def diff_matrix_x(self):
-        """Sparse matrix acting on C-order flattened (nx, ny) fields."""
-        return self._axis_matrix(0, "diff")
-
-    def diff_matrix_y(self):
-        """Sparse chart d/dy matrix (includes pole closure on spheres)."""
-        return self._axis_matrix(1, "diff")
-
-    def filter_matrix(self, axis: int):
-        """Sawtooth penalty C = Delta_4 / (16 h) along one axis.
-
-        C^T W C added to a first-derivative stiffness expels the Nyquist-band
-        modes annihilated by the centered stencil (their Rayleigh quotients
-        jump to ~1/h^2) while perturbing resolved modes at O((kh)^6) relative,
-        far below the stencil's own consistency error budget.
-        """
-        return self._axis_matrix(axis, "filter")
-
-    def _axis_matrix(self, axis: int, name: str):
-        """Kronecker form of ``axis_stencil`` as a CSR matrix."""
-        from scipy.sparse import csr_matrix, identity, kron
-
-        inner, flip = (csr_matrix(a) for a in self.axis_stencil(axis, name))
-        if axis == 0:
-            return kron(inner, identity(self.ny), format="csr")
-        out = kron(identity(self.nx), inner, format="csr")
-        if flip.nnz:
-            antipodal = np.roll(np.eye(self.nx), self.nx // 2, axis=1)
-            out = out + kron(csr_matrix(antipodal), flip, format="csr")
-        return out
 
 
 def _pad_periodic(f: np.ndarray, axis: int) -> np.ndarray:

@@ -33,10 +33,11 @@ Two solvers share that reduction:
 * the dense path, LAPACK's tridiagonalization / implicit-shift solver on the
   full B (formed once per operator), for every other operator; it is also
   the cross-check oracle of the block path.  It is capped at
-  ``MAX_UNKNOWNS``.
+  ``MAX_UNKNOWNS``.  Its dense ``op.K`` is filled from the same 1-D axis
+  stencils, as a sum of Kronecker products (the chart weights never vary
+  along x).
 
-scipy is imported only by the dense path: the sparse ``op.K_sparse``
-(assembled on first use, for ``op.K``), ``scipy.linalg`` for the dense
+scipy is imported only by the dense path: ``scipy.linalg`` for the dense
 spectrum and its lowest eigenvectors, and ``eigsh`` for ||K||_2 in the
 dense ``residual_norms``.  Both solvers are deterministic.
 """
@@ -49,6 +50,7 @@ from typing import Optional
 
 import numpy as np
 
+from .grids import _AXIS_STENCILS
 from .surfaces import Immersion
 
 __all__ = [
@@ -77,27 +79,34 @@ class DiscreteOperator:
         return self.M_diag.size
 
     @cached_property
-    def K_sparse(self):
-        """Symmetric sparse K (scipy CSR), assembled on first use: only the
-        dense path and ``op.K`` need it."""
-        from scipy.sparse import diags
-
-        g = self.imm.grid
-        w0 = diags(self.imm.chart_weights.ravel())
-        dx = g.diff_matrix_x()
-        dy = g.diff_matrix_y()
-        fx = g.filter_matrix(0)
-        fy = g.filter_matrix(1)
-        K = dx.T @ w0 @ dx + dy.T @ w0 @ dy + fx.T @ w0 @ fx + fy.T @ w0 @ fy
-        return (0.5 * (K + K.T) - diags(self.M_diag * self.q.ravel())).tocsr()
-
-    @cached_property
     def K(self) -> np.ndarray:
-        """Dense copy of K, for the dense solver and oracles."""
+        """Dense K, for the dense solver and oracles.
+
+        The chart weights w of one y-line do not vary along x, so K is
+        kron(X, diag w) + kron(I, E) + kron(Pi, O) - diag(M q), from the same
+        1-D factors as the Fourier blocks: X = sum C^T C over the x stencils,
+        E +- O = sum (P +- Q)^T diag(w) (P +- Q) over the y stencils, and Pi
+        the shift of x by nx/2 (O = 0 on tori).  Each factor is symmetrized,
+        so K is symmetric entry for entry.
+        """
         if self.n > MAX_UNKNOWNS:
             raise ValueError(f"operator has {self.n} unknowns; dense eigensolver "
                              f"capped at {MAX_UNKNOWNS}")
-        return self.K_sparse.toarray()
+        g = self.imm.grid
+        nx, ny = self.resolution
+        w = self.imm.chart_weights[0]
+        X = _cross_axis(g, 0, np.ones(nx))[0]
+        even, odd = _cross_axis(g, 1, w)
+        E, O = 0.5 * (even + odd), 0.5 * (even - odd)
+        K = np.zeros((nx, ny, nx, ny))
+        i, j = np.arange(nx), np.arange(ny)
+        K[:, j, :, j] = 0.5 * (X + X.T) * w[:, None, None]
+        K[i, :, i, :] += 0.5 * (E + E.T)
+        if g.topology == "sphere":
+            K[i, :, (i + nx // 2) % nx, :] += 0.5 * (O + O.T)
+        K = K.reshape(self.n, self.n)
+        K.flat[::self.n + 1] -= self.M_diag * self.q.ravel()
+        return K
 
     @cached_property
     def _dense_reduced(self) -> tuple[np.ndarray, np.ndarray]:
@@ -135,13 +144,9 @@ class DiscreteOperator:
         w = self.imm.chart_weights[line]
         m = self.M_diag.reshape(self.resolution)[line]
         q = np.broadcast_to(self.q, self.resolution)[line]
-        sym, across = 0.0, [0.0, 0.0]       # across[k % 2]
-        for name in ("diff", "filter"):
-            circulant, _ = g.axis_stencil(a, name)
-            sym = sym + np.abs(np.fft.rfft(circulant[0])) ** 2
-            P, Q = g.axis_stencil(1 - a, name)
-            for parity, A in enumerate((P + Q, P - Q)):
-                across[parity] = across[parity] + A.T @ (w[:, None] * A)
+        sym = sum(np.abs(np.fft.rfft(g.axis_stencil(a, name)[0][0])) ** 2
+                  for name in _AXIS_STENCILS)
+        across = _cross_axis(g, 1 - a, w)   # across[k % 2]
         scale = 1.0 / np.sqrt(m)
         blocks = []
         for k in range(self.resolution[a] // 2 + 1):
@@ -163,6 +168,17 @@ class DiscreteOperator:
             "potential_min": float(self.q.min()),
             "potential_max": float(self.q.max()),
         }
+
+
+def _cross_axis(g, axis: int, w: np.ndarray) -> list:
+    """[sum (P + Q)^T diag(w) (P + Q), sum (P - Q)^T diag(w) (P - Q)] over
+    the stiffness stencils (interior P, pole flip Q) along one chart axis."""
+    across = [0.0, 0.0]
+    for name in _AXIS_STENCILS:
+        P, Q = g.axis_stencil(axis, name)
+        for parity, A in enumerate((P + Q, P - Q)):
+            across[parity] = across[parity] + A.T @ (w[:, None] * A)
+    return across
 
 
 def _constant_along(f: np.ndarray, axis: int) -> bool:
@@ -363,11 +379,11 @@ def residual_norms(op: DiscreteOperator, res: SpectralResult) -> np.ndarray:
     if op.shift_axis is None:
         from scipy.sparse.linalg import eigsh
 
-        KV = op.K_sparse @ V
+        KV = op.K @ V
         # ||K||_2 of symmetric K is its largest-magnitude eigenvalue; a fixed
         # start vector keeps the Lanczos iteration deterministic
         v0 = np.random.default_rng(0).standard_normal(op.n)
-        knorm = abs(float(eigsh(op.K_sparse, k=1, which="LM", v0=v0,
+        knorm = abs(float(eigsh(op.K, k=1, which="LM", v0=v0,
                                 return_eigenvectors=False)[0]))
     else:
         KV, knorm = _block_apply(op, V)

@@ -28,8 +28,7 @@ from .grids import ParamGrid
 
 __all__ = [
     "Immersion", "SecondFormData", "BranchPointError",
-    "conformal_factor", "second_fundamental", "area", "energy",
-    "cmc_residual", "conformality_residual",
+    "area", "energy", "cmc_residual", "conformality_residual",
 ]
 
 _DEGENERATE = 1e-14
@@ -198,11 +197,6 @@ class Immersion:
 
 # ------------------------------------------------------------------ operations
 
-def conformal_factor(imm: Immersion) -> np.ndarray:
-    """lam with e^{2 lam} = |u_x|^2; raises at degenerate points."""
-    return imm.lam
-
-
 def conformality_residual(imm: Immersion) -> float:
     """sup of the normalized conformality defect over the grid."""
     sp = imm.space
@@ -211,10 +205,6 @@ def conformality_residual(imm: Immersion) -> float:
     gxy = amb.inner(sp, imm.ux, imm.uy)
     scale = np.maximum(gxx, gyy)
     return float(max(np.abs(gxx - gyy).max(), np.abs(gxy).max()) / scale.max())
-
-
-def second_fundamental(imm: Immersion) -> SecondFormData:
-    return imm.second_form
 
 
 def area(imm: Immersion) -> float:

@@ -66,20 +66,22 @@ def test_matrix_paths_match_roll_paths():
     rngl = np.random.default_rng(3)
     for g in (torus_grid(16, 12), sphere_grid(12, 10)):
         f = rngl.standard_normal((g.nx, g.ny))
-        dx_mat = (g.diff_matrix_x() @ f.ravel()).reshape(g.nx, g.ny)
-        dy_mat = (g.diff_matrix_y() @ f.ravel()).reshape(g.nx, g.ny)
+        antipodal = (np.arange(g.nx) + g.nx // 2) % g.nx
+        dx_mat = g.axis_stencil(0, "diff")[0] @ f
+        P, Q = g.axis_stencil(1, "diff")
+        dy_mat = f @ P.T + f[antipodal] @ Q.T
         assert np.abs(dx_mat - g.diff_x(f)).max() < 1e-12
         assert np.abs(dy_mat - g.diff_y(f)).max() < 1e-12
 
 
 def test_filter_annihilates_constants_and_kills_sawtooth():
     g = torus_grid(16, 16)
-    c = g.filter_matrix(0)
-    ones = np.ones(g.nx * g.ny)
+    c = g.axis_stencil(0, "filter")[0]
+    ones = np.ones((g.nx, g.ny))
     assert np.abs(c @ ones).max() < 1e-14
-    saw = np.tile((-1.0) ** np.arange(g.nx)[:, None], (1, g.ny)).ravel()
+    saw = np.tile((-1.0) ** np.arange(g.nx)[:, None], (1, g.ny))
     # first-derivative stencil annihilates the sawtooth, the filter does not
-    assert np.abs(g.diff_matrix_x() @ saw).max() < 1e-12
+    assert np.abs(g.axis_stencil(0, "diff")[0] @ saw).max() < 1e-12
     assert np.abs(c @ saw).max() > 1.0
 
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix, diags
+from scipy.sparse import coo_matrix, csr_matrix, diags, identity, kron
 
 from cmcindex import gallery as gal
 from cmcindex import spectral as sp
@@ -112,7 +112,7 @@ def _old_mode_blocks(op):
     else:
         S, L = ny, nx
         rows, perm = np.arange(nx) * ny, (2, 0, 1)
-    line = op.K_sparse[rows].toarray().reshape(L, nx, ny).transpose(perm)
+    line = op.K[rows].reshape(L, nx, ny).transpose(perm)
     F = np.fft.rfft(line, axis=0)
     scale = 1.0 / np.sqrt(op.M_diag[rows])
     blocks = []
@@ -146,17 +146,17 @@ def test_block_path_reuses_mode_values(monkeypatch):
     sp.weak_index(op)
     # only the constrained wavenumber-0 block is solved again
     assert len(calls) == len(op._mode_blocks[0]) + 1
-    assert "K_sparse" not in vars(op)   # no sparse K was assembled
+    assert "K" not in vars(op)   # no dense K was assembled
 
 
-def _sparse_residual_norms(op, res):
-    """The sparse route: K_sparse @ V, and ||K||_2 from a seeded eigsh."""
+def _dense_residual_norms(op, res):
+    """The dense route: K @ V, and ||K||_2 from a seeded eigsh."""
     from scipy.sparse.linalg import eigsh
 
     V = res.eigenvectors
-    R = op.K_sparse @ V - (op.M_diag[:, None] * V) * res.eigenvalues
+    R = op.K @ V - (op.M_diag[:, None] * V) * res.eigenvalues
     v0 = np.random.default_rng(0).standard_normal(op.n)
-    knorm = abs(float(eigsh(op.K_sparse, k=1, which="LM", v0=v0,
+    knorm = abs(float(eigsh(op.K, k=1, which="LM", v0=v0,
                             return_eigenvectors=False)[0]))
     return np.linalg.norm(R, axis=0) / knorm
 
@@ -167,12 +167,12 @@ def test_block_residuals_match_sparse_route(name, kw, axis):
     op = sp.assemble_jacobi(gal.gallery(name, **kw))
     res = sp.eigensolve(op, 12)
     got = sp.residual_norms(op, res)
-    assert "K_sparse" not in vars(op)
-    ref = _sparse_residual_norms(op, res)
+    assert "K" not in vars(op)
+    ref = _dense_residual_norms(op, res)
     assert np.abs(got - ref).max() <= 1e-12
     # wrong eigenvalues: both routes see the same large residuals
     off = dataclasses.replace(res, eigenvalues=res.eigenvalues + 1.0)
-    got, ref = sp.residual_norms(op, off), _sparse_residual_norms(op, off)
+    got, ref = sp.residual_norms(op, off), _dense_residual_norms(op, off)
     assert got.min() > 1e-6
     assert np.abs(got - ref).max() <= 1e-12
 
@@ -199,10 +199,9 @@ def test_block_path_beyond_dense_cap():
     assert sp.index_nullity(res) == (5, 4)
     assert sp.weak_index(op) == 4
     assert "K" not in vars(op)       # no dense copy was formed
-    assert "K_sparse" not in vars(op)
 
 
-# ------------------------------------------------- Kronecker sparse forms
+# ------------------------------------------------- Kronecker forms of K
 
 def _coo(g, entries):
     """CSR matrix from (row, column, value) triples over the (nx, ny) grid."""
@@ -212,7 +211,7 @@ def _coo(g, entries):
 
 
 def _old_axis_matrix(g, axis, stencil):
-    """The former COO builders of diff_matrix_x/_y and filter_matrix."""
+    """The 2-D stencils assembled entry by entry from COO triples."""
     nx, ny = g.nx, g.ny
     ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
     base = (ii * ny + jj).ravel()
@@ -243,6 +242,19 @@ def _old_axis_matrix(g, axis, stencil):
     return _coo(g, entries)
 
 
+def _kron_axis_matrix(g, axis, stencil):
+    """The 2-D stencil as Kronecker products of ``axis_stencil``:
+    kron(P, I) along x, kron(I, P) + kron(Pi, Q) along y."""
+    inner, flip = (csr_matrix(a) for a in g.axis_stencil(axis, stencil))
+    if axis == 0:
+        return kron(inner, identity(g.ny), format="csr")
+    out = kron(identity(g.nx), inner, format="csr")
+    if flip.nnz:
+        antipodal = np.roll(np.eye(g.nx), g.nx // 2, axis=1)
+        out = out + kron(csr_matrix(antipodal), flip, format="csr")
+    return out
+
+
 def _same_entries(a, b) -> bool:
     a, b = a.toarray(), b.toarray()
     return a.tobytes() == b.tobytes()
@@ -254,10 +266,10 @@ GRIDS = [torus_grid(8, 8), torus_grid(16, 12, 1.3, 0.7), sphere_grid(8, 8),
 
 @pytest.mark.parametrize("g", GRIDS, ids=[f"{g.topology}{g.nx}x{g.ny}" for g in GRIDS])
 def test_kronecker_matrices_equal_coo_builders(g):
-    assert _same_entries(g.diff_matrix_x(), _old_axis_matrix(g, 0, "diff"))
-    assert _same_entries(g.diff_matrix_y(), _old_axis_matrix(g, 1, "diff"))
     for axis in (0, 1):
-        assert _same_entries(g.filter_matrix(axis), _old_axis_matrix(g, axis, "filter"))
+        for stencil in ("diff", "filter"):
+            assert _same_entries(_kron_axis_matrix(g, axis, stencil),
+                                 _old_axis_matrix(g, axis, stencil))
 
 
 @pytest.mark.parametrize("name", ["sphere_h3", "clifford_torus"])
@@ -271,9 +283,9 @@ def test_sparse_K_equals_coo_assembly(name):
     for axis, stencil in ((0, "diff"), (1, "diff"), (0, "filter"), (1, "filter")):
         D = _old_axis_matrix(g, axis, stencil)
         K = K + D.T @ w0 @ D
-    K = 0.5 * (K + K.T) - diags(op.M_diag * op.q.ravel())
-    assert _same_entries(op.K_sparse, K)
-    assert op.K.tobytes() == K.toarray().tobytes()
+    K = (0.5 * (K + K.T) - diags(op.M_diag * op.q.ravel())).toarray()
+    assert np.array_equal(op.K, op.K.T)
+    assert np.abs(op.K - K).max() <= 1e-15 * np.abs(K).max()
 
 
 # ------------------------------------------------------------- exact spectra

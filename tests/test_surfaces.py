@@ -11,7 +11,7 @@ from cmcindex.surfaces import BranchPointError, Immersion
 def test_conformal_factor_sphere_matches_direct_norm():
     imm = gal.gallery("sphere_r3", radius=1.7)
     direct = 0.5 * np.log(amb.inner(imm.space, imm.ux, imm.ux))
-    assert np.abs(sf.conformal_factor(imm) - direct).max() < 1e-14
+    assert np.abs(imm.lam - direct).max() < 1e-14
     # chart factor: e^lam = rho * sin(theta), so lam = log rho + log sin
     th = imm.grid.theta
     expect = np.log(1.7) + np.log(np.sin(th))
@@ -43,17 +43,17 @@ def test_branch_point_rejected():
 ])
 def test_second_fundamental_closed_forms(name, a2, h):
     imm = gal.gallery(name)
-    sec = sf.second_fundamental(imm)
+    sec = imm.second_form
     assert np.abs(sec.norm_sq - a2).max() < 1e-12
     assert np.abs(sec.mean_scalar - h).max() < 1e-12
 
 
 def test_sphere_umbilic_and_h3_closed_form():
     imm = gal.gallery("sphere_r3")
-    assert np.abs(sf.second_fundamental(imm).azz).max() < 1e-13
+    assert np.abs(imm.second_form.azz).max() < 1e-13
     rho = 0.8
     imm = gal.gallery("sphere_h3", radius=rho)
-    sec = sf.second_fundamental(imm)
+    sec = imm.second_form
     coth = np.cosh(rho) / np.sinh(rho)
     assert np.abs(sec.norm_sq - 2 * coth ** 2).max() < 1e-11
     assert np.abs(sec.mean_scalar - 2 * coth).max() < 1e-11
