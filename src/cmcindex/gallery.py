@@ -26,7 +26,11 @@ __all__ = ["gallery", "gallery_names", "default_resolution", "check_params",
 
 GALLERY_SCHEMA_VERSION = 1
 
+# built members and Delaunay profiles, oldest first; the cap is well above
+# the 11 keys of the largest default command (`spectrum`, refinement grids
+# included), so no default command rebuilds anything
 _CACHE: dict = {}
+_CACHE_CAP = 64
 # one lock per cache key, so that concurrent threads build each key once
 _KEY_LOCKS: dict = {}
 _KEY_LOCKS_GUARD = threading.Lock()
@@ -227,14 +231,26 @@ def _construct(name: str, res: tuple[int, int], params: dict) -> Immersion:
 
 
 def _cached(key, build: Callable):
-    """``_CACHE[key]``, calling ``build`` for it at most once."""
-    if key not in _CACHE:
+    """``_CACHE[key]``, calling ``build`` for it at most once while it is cached.
+
+    Past ``_CACHE_CAP`` entries the oldest are evicted, with their locks, in
+    place (the dict object itself is never replaced).
+    """
+    value = _CACHE.get(key)
+    if value is None:
         with _KEY_LOCKS_GUARD:
             lock = _KEY_LOCKS.setdefault(key, threading.Lock())
         with lock:
-            if key not in _CACHE:
-                _CACHE[key] = build()
-    return _CACHE[key]
+            value = _CACHE.get(key)
+            if value is None:
+                value = build()
+                with _KEY_LOCKS_GUARD:
+                    _CACHE[key] = value
+                    while len(_CACHE) > _CACHE_CAP:
+                        oldest = next(iter(_CACHE))
+                        del _CACHE[oldest]
+                        _KEY_LOCKS.pop(oldest, None)
+    return value
 
 
 # --------------------------------------------------------------- descriptors

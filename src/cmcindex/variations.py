@@ -75,7 +75,21 @@ class VariationField:
                 amb.inner(imm.space, self.sigma, imm.uy) * inv)
 
     def norm_inf(self) -> float:
+        return self._norm_inf
+
+    @cached_property
+    def _norm_inf(self) -> float:
         return float(np.sqrt(amb.inner(self.imm.space, self.v, self.v)).max())
+
+    @cached_property
+    def _chart_partials(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stencil chart derivatives (d_x v, d_y v), shared by every FD frame."""
+        return self.imm.grid.diff_x(self.v), self.imm.grid.diff_y(self.v)
+
+    @cached_property
+    def _fd_memo(self) -> dict:
+        """t -> (area, energy, volume flux) of exp_u(t v); see ``_fd_values``."""
+        return {}
 
 
 def _as_field(imm: Immersion, v) -> VariationField:
@@ -367,8 +381,7 @@ def _deformed_frame(imm: Immersion, vf: VariationField, t: float):
     """Position and chart partials of exp_u(t v), chain-ruled analytically."""
     sp = imm.space
     v = vf.v
-    dxv = imm.grid.diff_x(v)
-    dyv = imm.grid.diff_y(v)
+    dxv, dyv = vf._chart_partials
     if sp.kind == "S3" and abs(t) * vf.norm_inf() > 0.5 * np.pi:
         raise ChartExitError("geodesic deformation exceeds the S3 chart range")
     if sp.kind == "FlatT3":
@@ -380,27 +393,32 @@ def _deformed_frame(imm: Immersion, vf: VariationField, t: float):
     return p, a, b
 
 
-def _area_at(imm, vf, t):
-    p, a, b = _deformed_frame(imm, vf, t)
-    sp = imm.space
-    g11 = amb.inner(sp, a, a)
-    g22 = amb.inner(sp, b, b)
-    g12 = amb.inner(sp, a, b)
-    return float(imm.integrate_chart(np.sqrt(np.maximum(g11 * g22 - g12 ** 2, 0.0))))
+def _fd_values(imm: Immersion, vf: VariationField, t: float):
+    """(area, energy, volume flux) of the deformed immersion exp_u(t v).
 
-
-def _energy_at(imm, vf, t):
-    _, a, b = _deformed_frame(imm, vf, t)
-    sp = imm.space
-    return float(imm.integrate_chart(0.5 * (amb.inner(sp, a, a) + amb.inner(sp, b, b))))
-
-
-def _volume_flux_at(imm, vf, t, hval):
-    """d/dt of the enclosed volume at parameter t: int H dV_N(udot, u_x, u_y)."""
-    p, a, b = _deformed_frame(imm, vf, t)
-    sp = imm.space
-    vel = vf.v if sp.kind in ("R3", "FlatT3") else amb.exp_velocity(sp, imm.u, vf.v, t)
-    return float(imm.integrate_chart(hval * amb.volume_form(sp, p, vel, a, b)))
+    The frame at t is built once per field and every integral of it is taken
+    at once; the floats are memoised on the field under the exact t (the
+    difference stencils revisit t = 0, +-step/2, +-step, +-2 step), the frame
+    itself is dropped.  The volume flux d/dt V_h = int h dV_N(udot, u_x, u_y)
+    is taken on CMC immersions only and never at t = 0, where no stencil
+    samples it (None there).  A frame that fails to build stores nothing.
+    """
+    memo = vf._fd_memo
+    if t not in memo:
+        p, a, b = _deformed_frame(imm, vf, t)
+        sp = imm.space
+        g11 = amb.inner(sp, a, a)
+        g22 = amb.inner(sp, b, b)
+        g12 = amb.inner(sp, a, b)
+        area = float(imm.integrate_chart(np.sqrt(np.maximum(g11 * g22 - g12 ** 2, 0.0))))
+        energy = float(imm.integrate_chart(0.5 * (g11 + g22)))
+        flux = None
+        if t != 0.0 and not np.isnan(imm.cmc_value):
+            vel = vf.v if sp.kind in ("R3", "FlatT3") else amb.exp_velocity(sp, imm.u, vf.v, t)
+            flux = float(imm.integrate_chart(imm.cmc_value
+                                             * amb.volume_form(sp, p, vel, a, b)))
+        memo[t] = (area, energy, flux)
+    return memo[t]
 
 
 def _second_difference(fn, step):
@@ -425,6 +443,13 @@ def fd_second_variation(functional: str, imm: Immersion, v,
     difference plus one Richardson level.  The enclosed volume has no global
     primitive 2-form off R^3, so its Hessian is the matching central first
     difference of the exact first-variation flux.
+
+    Each deformed frame is built once per (field, t): its area, energy and
+    volume-flux integrals are memoised on the field, so the oracles of all
+    five functionals on one field and step share seven frames.  Every value
+    is computed by the same expressions in the same order as a frame built
+    per functional, so the result is bit for bit independent of the calls
+    made before it.
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
@@ -435,19 +460,26 @@ def fd_second_variation(functional: str, imm: Immersion, v,
     if step is None:
         inj = np.pi if imm.space.kind == "S3" else 1.0
         step = 1e-3 * max(1.0, inj) / vmax
+
+    def area(t):
+        return _fd_values(imm, vf, t)[0]
+
+    def energy(t):
+        return _fd_values(imm, vf, t)[1]
+
+    def flux(t):
+        return _fd_values(imm, vf, t)[2]
+
     if functional == "area":
-        return _second_difference(lambda t: _area_at(imm, vf, t), step)
+        return _second_difference(area, step)
     if functional == "energy":
-        return _second_difference(lambda t: _energy_at(imm, vf, t), step)
+        return _second_difference(energy, step)
     _require_cmc(imm)
-    h = imm.cmc_value
     if functional == "volume_h":
-        return _first_difference(lambda t: _volume_flux_at(imm, vf, t, h), step)
+        return _first_difference(flux, step)
     if functional == "area_h":
-        return (_second_difference(lambda t: _area_at(imm, vf, t), step)
-                + _first_difference(lambda t: _volume_flux_at(imm, vf, t, h), step))
-    return (_second_difference(lambda t: _energy_at(imm, vf, t), step)
-            + _first_difference(lambda t: _volume_flux_at(imm, vf, t, h), step))
+        return _second_difference(area, step) + _first_difference(flux, step)
+    return _second_difference(energy, step) + _first_difference(flux, step)
 
 
 def volume_primitive_r3(imm: Immersion, v, t: float) -> float:

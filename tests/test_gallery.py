@@ -34,6 +34,25 @@ def test_gallery_members_cached():
     assert c is not a
 
 
+def test_cache_bounded_in_place(monkeypatch):
+    cache, locks = {}, {}
+    monkeypatch.setattr(gal, "_CACHE", cache)
+    monkeypatch.setattr(gal, "_KEY_LOCKS", locks)
+    monkeypatch.setattr(gal, "_CACHE_CAP", 3)
+    first = gal.gallery("sphere_r3", resolution=(16, 8))
+    for nx in (18, 20, 22, 24):
+        gal.gallery("sphere_r3", resolution=(nx, 8))
+        assert len(cache) <= 3
+    assert gal._CACHE is cache and len(cache) == 3
+    assert set(locks) == set(cache)
+    # the evicted oldest member is rebuilt equal on request
+    again = gal.gallery("sphere_r3", resolution=(16, 8))
+    assert again is not first and again.name == first.name
+    for attr in ("u", "ux", "uy", "uxx", "uxy", "uyy"):
+        assert np.array_equal(getattr(again, attr), getattr(first, attr))
+    assert again.reference == first.reference and len(cache) == 3
+
+
 def test_concurrent_builds_share_one_profile(monkeypatch):
     monkeypatch.setattr(gal, "_CACHE", {})
     calls = []

@@ -124,7 +124,7 @@ def _old_mode_blocks(op):
 
 @pytest.mark.parametrize("name,kw,axis", BLOCK_CASES,
                          ids=[f"{c[0]}-{c[1].get('k', '')}" for c in BLOCK_CASES])
-def test_stencil_blocks_match_dft_of_sparse_row(name, kw, axis):
+def test_stencil_blocks_match_dft_of_dense_K_row(name, kw, axis):
     op = sp.assemble_jacobi(gal.gallery(name, **kw))
     blocks, _ = op._mode_blocks
     old = _old_mode_blocks(op)
@@ -273,7 +273,7 @@ def test_kronecker_matrices_equal_coo_builders(g):
 
 
 @pytest.mark.parametrize("name", ["sphere_h3", "clifford_torus"])
-def test_sparse_K_equals_coo_assembly(name):
+def test_dense_K_equals_coo_assembly(name):
     imm = gal.gallery(name, resolution=(16, 12))
     X, Y = imm.grid.meshes()
     op = sp.assemble_operator(imm, 2.0 + np.cos(X) * np.sin(Y))

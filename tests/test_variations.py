@@ -294,8 +294,110 @@ def test_volume_hessian_with_nonconstant_weight():
 def test_chart_exit_guard():
     imm = gal.gallery("sphere_s3")
     vf = vr.normal_variation(imm, 100.0 * _ones(imm))
-    with pytest.raises(vr.ChartExitError):
-        vr.fd_second_variation("area", imm, vf, step=0.05)
+    for _ in range(2):
+        with pytest.raises(vr.ChartExitError):
+            vr.fd_second_variation("area", imm, vf, step=0.05)
+    # only the t = 0 frame, built before the first failing one, is memoised
+    assert list(vf._fd_memo) == [0.0]
+
+
+# The per-call route: one deformed frame for every functional and every
+# difference term, each frame with its own stencils of v.  The memoised
+# oracle must return exactly its values.
+
+def _frame_per_call(imm, vf, t):
+    sp, v = imm.space, vf.v
+    dxv = imm.grid.diff_x(v)
+    dyv = imm.grid.diff_y(v)
+    if sp.kind == "S3" and abs(t) * vf.norm_inf() > 0.5 * np.pi:
+        raise vr.ChartExitError("geodesic deformation exceeds the S3 chart range")
+    if sp.kind == "FlatT3":
+        return imm.u + t * v, imm.ux + t * dxv, imm.uy + t * dyv
+    p = amb.exp_map(sp, imm.u, v, t)
+    a = amb.exp_directional(sp, imm.u, v, t, imm.ux, dxv)
+    b = amb.exp_directional(sp, imm.u, v, t, imm.uy, dyv)
+    return p, a, b
+
+
+def _area_per_call(imm, vf, t):
+    p, a, b = _frame_per_call(imm, vf, t)
+    sp = imm.space
+    g11 = amb.inner(sp, a, a)
+    g22 = amb.inner(sp, b, b)
+    g12 = amb.inner(sp, a, b)
+    return float(imm.integrate_chart(np.sqrt(np.maximum(g11 * g22 - g12 ** 2, 0.0))))
+
+
+def _energy_per_call(imm, vf, t):
+    _, a, b = _frame_per_call(imm, vf, t)
+    sp = imm.space
+    return float(imm.integrate_chart(0.5 * (amb.inner(sp, a, a) + amb.inner(sp, b, b))))
+
+
+def _flux_per_call(imm, vf, t, hval):
+    p, a, b = _frame_per_call(imm, vf, t)
+    sp = imm.space
+    vel = vf.v if sp.kind in ("R3", "FlatT3") else amb.exp_velocity(sp, imm.u, vf.v, t)
+    return float(imm.integrate_chart(hval * amb.volume_form(sp, p, vel, a, b)))
+
+
+def _fd_per_call(functional, imm, vf, step=None):
+    vmax = float(np.sqrt(amb.inner(imm.space, vf.v, vf.v)).max())
+    if step is None:
+        inj = np.pi if imm.space.kind == "S3" else 1.0
+        step = 1e-3 * max(1.0, inj) / vmax
+    second = {"area": _area_per_call, "energy": _energy_per_call}
+
+    def d2(kind):
+        return vr._second_difference(lambda t: second[kind](imm, vf, t), step)
+
+    def flux():
+        return vr._first_difference(
+            lambda t: _flux_per_call(imm, vf, t, imm.cmc_value), step)
+
+    if functional in second:
+        return d2(functional)
+    if functional == "volume_h":
+        return flux()
+    return d2(functional[:-2]) + flux()
+
+
+SMALL_GALLERY = [("sphere_r3", {"resolution": (32, 16)}),
+                 ("sphere_s3", {"resolution": (32, 16)}),
+                 ("sphere_h3", {"resolution": (32, 16)}),
+                 ("clifford_torus", {"resolution": (24, 24)}),
+                 ("delaunay_t3", {"k": 2, "resolution": (32, 16)})]
+
+
+@pytest.mark.parametrize("name,kw", SMALL_GALLERY, ids=[c[0] for c in SMALL_GALLERY])
+def test_fd_memo_equals_per_call_route(name, kw):
+    imm = gal.gallery(name, **kw)
+    shared = vr.seeded_variation(imm, 61)
+    for step in (None, 2e-3):
+        for fn in vr.FUNCTIONALS:
+            ref = _fd_per_call(fn, imm, vr.seeded_variation(imm, 61), step)
+            # a field whose frames are already memoised by earlier oracles,
+            # and a fresh one
+            assert vr.fd_second_variation(fn, imm, shared, step=step) == ref, (fn, step)
+            fresh = vr.seeded_variation(imm, 61)
+            assert vr.fd_second_variation(fn, imm, fresh, step=step) == ref, (fn, step)
+
+
+def test_fd_oracles_share_frames(monkeypatch):
+    imm = gal.gallery("sphere_s3", resolution=(32, 16))
+    vf = vr.seeded_variation(imm, 62)
+    ts = []
+    exp_map = amb.exp_map
+    monkeypatch.setattr(amb, "exp_map", lambda sp, p, w, t: ts.append(t) or exp_map(sp, p, w, t))
+    for fn in ("area", "energy", "volume_h"):
+        vr.fd_second_variation(fn, imm, vf)
+    # one frame per distinct t: 0, +-step/2, +-step, +-2 step
+    assert len(ts) == len(set(ts)) == 7
+    ts.clear()
+    for fn in ("area", "energy", "volume_h"):
+        _fd_per_call(fn, imm, vf)
+    # 9 + 9 + 8 frames built one per difference term
+    assert len(ts) == 26
 
 
 def test_fd_unknown_functional_rejected():
