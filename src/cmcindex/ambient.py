@@ -317,14 +317,16 @@ def exp_directional(space: AmbientSpace, p, w, t: float, dp, dw) -> np.ndarray:
     wdw = inner(space, w, dw)
     th = t * norm(space, w)
     if space.kind == "S3":
+        s = _sinc(th)
         return (np.cos(th)[..., None] * dp
-                + (t * _sinc(th))[..., None] * dw
-                - (t * t * _sinc(th) * wdw)[..., None] * p
+                + (t * s)[..., None] * dw
+                - (t * t * s * wdw)[..., None] * p
                 + (t ** 3 * _g2_sphere(th) * wdw)[..., None] * w)
     if space.kind == "H3":
+        s = _sinhc(th)
         return (np.cosh(th)[..., None] * dp
-                + (t * _sinhc(th))[..., None] * dw
-                + (t * t * _sinhc(th) * wdw)[..., None] * p
+                + (t * s)[..., None] * dw
+                + (t * t * s * wdw)[..., None] * p
                 + (t ** 3 * _g2_hyper(th) * wdw)[..., None] * w)
     raise UnsupportedOperation("no exponential derivative for generic space")
 

@@ -10,16 +10,21 @@ Two chart types are supported:
   poles: stencils reaching past a pole pick up the antipodal-longitude rows,
   so no one-sided differences are ever needed.
 
-Sampled fields are differentiated with 8th-order centered stencils.  Closed
-surface data is always evaluated analytically; the fixed-order stencils only
-touch sampled variation fields, which keeps their discretization error visible
-and convergent under refinement instead of collapsing to roundoff.
+One stencil engine serves the whole package: ``ParamGrid.axis_stencil``
+holds each stencil (the 8th-order centered first derivative and the sawtooth
+filter) as a pair of dense 1-D matrices per chart axis, built once per grid.
+The pole closure and the Mercator factor sin(theta) live only there.
+``diff_x`` and ``diff_y`` apply the derivative pair to sampled fields, and
+``spectral`` assembles its stiffness from the same pairs.  Closed surface data
+is always evaluated analytically; the fixed-order stencils only touch sampled
+variation fields, which keeps their discretization error visible and
+convergent under refinement instead of collapsing to roundoff.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,7 +36,6 @@ _C8 = np.array([4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0])
 # vanishes like t^4 on resolved modes but is 16 at the sawtooth, which makes
 # it the natural stiffness regularizer for the wide first-derivative stencil.
 _D4 = np.array([1.0, -4.0, 6.0, -4.0, 1.0])
-STENCIL_HALF_WIDTH = 4
 # the stiffness stencils as name -> (offsets, weights, spacing multiple): the
 # 8th-order first derivative at offsets +1, -1, ..., +4, -4, and the filter
 # Delta_4 / (16 h)
@@ -137,38 +141,35 @@ class ParamGrid:
         return self.hx * np.broadcast_to(wy, (self.nx, self.ny)).copy()
 
     # ---------------------------------------------------------- differentiation
-    def _pad_theta(self, f: np.ndarray) -> np.ndarray:
-        """Extend a sampled field across both poles by the antipodal rule.
-
-        A smooth field F on the sphere satisfies F(-theta, x) = F(theta, x+pi)
-        and F(pi + t, x) = F(pi - t, x + pi); with even nx the antipodal
-        longitude is a grid column.
-        """
-        m = STENCIL_HALF_WIDTH
-        nx, ny = self.nx, self.ny
-        out = np.empty((nx, ny + 2 * m) + f.shape[2:], dtype=f.dtype)
-        out[:, m:ny + m] = f
-        antipodal = (np.arange(nx) + nx // 2) % nx
-        out[:, :m] = f[antipodal, m - 1::-1]
-        out[:, ny + m:] = f[antipodal, :ny - m - 1:-1]
-        return out
-
     def diff_x(self, f: np.ndarray) -> np.ndarray:
-        """d/dx of a sampled field, 8th order, periodic."""
-        return _diff_padded(_pad_periodic(f, 0), 0, self.nx, self.hx)
-
-    def diff_theta(self, f: np.ndarray) -> np.ndarray:
-        if self.topology != "sphere":
-            raise ValueError("diff_theta is only defined on sphere grids")
-        return _diff_padded(self._pad_theta(f), 1, self.ny, self.dtheta)
+        """d/dx of a sampled field (nx, ny, ...), 8th order, periodic."""
+        return self._apply_diff(0, f)
 
     def diff_y(self, f: np.ndarray) -> np.ndarray:
         """d/dy in chart coordinates (Mercator y on spheres)."""
-        if self.topology == "torus":
-            return _diff_padded(_pad_periodic(f, 1), 1, self.ny, self.hy)
-        dth = self.diff_theta(f)
-        shape = (1, self.ny) + (1,) * (f.ndim - 2)
-        return np.sin(self.theta).reshape(shape) * dth
+        return self._apply_diff(1, f)
+
+    def _apply_diff(self, axis: int, f: np.ndarray) -> np.ndarray:
+        """The ``"diff"`` factors of ``axis_stencil`` applied along one axis.
+
+        One small product per chart line, batched by ``np.matmul`` over the
+        other axis; one product over the whole grid would cross BLAS's
+        threading threshold.  Complex fields go through as (re, im) pairs.
+        """
+        f = np.asarray(f)
+        f = np.ascontiguousarray(f, dtype=np.result_type(f.dtype, np.float64))
+        g = f.reshape(self.nx, self.ny, -1)
+        if np.iscomplexobj(g):
+            g = g.view(np.float64)
+        out = np.empty_like(g)
+        P, Q = self.axis_stencil(axis, "diff")
+        if axis == 0:
+            np.matmul(P, g.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+        else:
+            np.matmul(P, g, out=out)
+            if self.topology == "sphere":
+                out += np.roll(np.matmul(Q, g), self.nx // 2, axis=0)
+        return out.view(f.dtype).reshape(f.shape)
 
     # ------------------------------------------------- 1-D axis stencils
     def axis_stencil(self, axis: int, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -181,65 +182,46 @@ class ParamGrid:
         kron(Pi, flip), with Pi the shift of x by nx/2.  Periodic axes wrap
         into ``interior`` and leave ``flip`` zero; on sphere charts a
         stencil reaching past a pole lands in ``flip`` at the reflected row,
-        which Pi moves to the antipodal longitude.
+        which Pi moves to the antipodal longitude: a smooth field satisfies
+        F(-theta, x) = F(theta, x + pi) and F(pi + t, x) = F(pi - t, x + pi),
+        and with even nx the antipodal longitude is a grid column.
 
         C^T W C of the filter C, added to a first-derivative stiffness, expels
         the Nyquist-band modes annihilated by the centered stencil (their
         Rayleigh quotients jump to ~1/h^2) while perturbing resolved modes at
         O((kh)^6) relative, below the stencil's own consistency error.
+
+        The matrices are read-only and built once per grid: equal grids
+        share them, and those of the last 32 (grid, axis, name) are kept.
         """
-        offsets, weights, stretch = _AXIS_STENCILS[name]
-        pole = axis == 1 and self.topology == "sphere"
-        n = self.ny if axis == 1 else self.nx
-        if pole and name == "diff":
-            # Mercator d/dy = sin(theta) d/dtheta, row by row
-            vals = weights * (np.sin(self.theta) / self.dtheta)[:, None]
+        return _axis_stencil(self, axis, name)
+
+
+@lru_cache(maxsize=32)
+def _axis_stencil(g: ParamGrid, axis: int, name: str) -> tuple[np.ndarray, np.ndarray]:
+    offsets, weights, stretch = _AXIS_STENCILS[name]
+    pole = axis == 1 and g.topology == "sphere"
+    n = g.ny if axis == 1 else g.nx
+    if pole and name == "diff":
+        # Mercator d/dy = sin(theta) d/dtheta, row by row
+        vals = weights * (np.sin(g.theta) / g.dtheta)[:, None]
+    else:
+        h = g.hx if axis == 0 else (g.dtheta if pole else g.hy)
+        vals = np.broadcast_to(weights / (stretch * h), (n, len(offsets)))
+    rows = np.arange(n)
+    mats = np.zeros((2 if pole else 1, n, n))
+    for t, off in enumerate(offsets):
+        cols = rows + off
+        if pole:
+            side = ((cols < 0) | (cols > n - 1)).astype(int)
+            cols = np.where(cols < 0, -1 - cols, cols)
+            cols = np.where(cols > n - 1, 2 * n - 1 - cols, cols)
         else:
-            h = self.hx if axis == 0 else (self.dtheta if pole else self.hy)
-            vals = np.broadcast_to(weights / (stretch * h), (n, len(offsets)))
-        rows = np.arange(n)
-        mats = np.zeros((2, n, n))
-        for t, off in enumerate(offsets):
-            cols = rows + off
-            if pole:
-                side = ((cols < 0) | (cols > n - 1)).astype(int)
-                cols = np.where(cols < 0, -1 - cols, cols)
-                cols = np.where(cols > n - 1, 2 * n - 1 - cols, cols)
-            else:
-                side, cols = 0, cols % n
-            mats[side, rows, cols] += vals[:, t]
-        return mats[0], mats[1]
-
-
-def _pad_periodic(f: np.ndarray, axis: int) -> np.ndarray:
-    """Copy of a periodic field extended by the stencil half width on both
-    ends of one axis."""
-    n = f.shape[axis]
-    m = STENCIL_HALF_WIDTH
-    return np.take(f, np.arange(-m, n + m) % n, axis=axis)
-
-
-def _diff_padded(g: np.ndarray, axis: int, n: int, h: float) -> np.ndarray:
-    """8th-order centered first derivative along one axis of a padded field.
-
-    ``g`` holds the n nodes of that axis plus STENCIL_HALF_WIDTH padding
-    nodes on each end; every shift is a slice of it.  The terms
-    c * (f[i + k] - f[i - k]) are summed from zero in the order of ``_C8``,
-    through one scratch array.
-    """
-    m = STENCIL_HALF_WIDTH
-
-    def shifted(k):
-        return g[(slice(None),) * axis + (slice(m + k, m + k + n),)]
-
-    out = np.zeros(shifted(0).shape, dtype=np.result_type(g.dtype, float))
-    term = np.empty_like(out)
-    for k, c in enumerate(_C8, start=1):
-        np.subtract(shifted(k), shifted(-k), out=term)
-        term *= c
-        out += term
-    out /= h
-    return out
+            side, cols = 0, cols % n
+        mats[side, rows, cols] += vals[:, t]
+    mats.setflags(write=False)
+    # a periodic axis has no flip: a zero view that holds no memory
+    return mats[0], mats[1] if pole else np.broadcast_to(0.0, (n, n))
 
 
 def torus_grid(nx: int, ny: int, lx: float = TWO_PI, ly: float = TWO_PI) -> ParamGrid:

@@ -317,15 +317,12 @@ def _normalize_signs(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _null_tolerance(eigs: np.ndarray, resolution, reference_resolution) -> float:
+def _null_tolerance(eigs: np.ndarray) -> float:
     lam_range = float(eigs.max() - eigs.min()) if eigs.size else 1.0
-    res = float(np.sqrt(resolution[0] * resolution[1]))
-    ref = float(np.sqrt(reference_resolution[0] * reference_resolution[1]))
-    return 1e-3 * max(1.0, lam_range) * (ref / res) ** 2
+    return 1e-3 * max(1.0, lam_range)
 
 
 def eigensolve(op: DiscreteOperator, count: int,
-               reference_resolution: Optional[tuple[int, int]] = None,
                want_vectors: bool = True) -> SpectralResult:
     """Lowest ``count`` eigenpairs of K phi = lambda M phi, with the full
     spectrum.
@@ -340,8 +337,7 @@ def eigensolve(op: DiscreteOperator, count: int,
     w, vecs = solve(op, count, want_vectors)
     if vecs is not None:
         vecs = _normalize_signs(vecs)
-    ref = reference_resolution or op.resolution
-    eps = _null_tolerance(w[:count], op.resolution, ref)
+    eps = _null_tolerance(w[:count])
     return SpectralResult(w[:count].copy(), vecs, w, eps, op.resolution,
                           op.kind, op.imm.name)
 
@@ -422,7 +418,7 @@ def weak_index(op: DiscreteOperator, count: int = 24) -> int:
         for k, w in enumerate(op._mode_values[1:], start=1):
             parts.extend([w] * _multiplicity(k, S))
         w = np.sort(np.concatenate(parts))
-    eps = _null_tolerance(w[:min(count, w.size)], op.resolution, op.resolution)
+    eps = _null_tolerance(w[:min(count, w.size)])
     return int(np.count_nonzero(w < -eps))
 
 

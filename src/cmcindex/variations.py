@@ -196,8 +196,8 @@ def _cov(imm: Immersion, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dy = g.diff_y(w)
     if sp.kind in ("S3", "H3") or (sp.kind == "EmbeddedGeneric"
                                    and sp.connection_fn is not None):
-        dx = dx + amb.covariant_correction(sp, imm.u, imm.ux, w)
-        dy = dy + amb.covariant_correction(sp, imm.u, imm.uy, w)
+        dx += amb.covariant_correction(sp, imm.u, imm.ux, w)
+        dy += amb.covariant_correction(sp, imm.u, imm.uy, w)
     return dx, dy
 
 

@@ -1,9 +1,11 @@
-"""Bit-identity of the comparison-identity kernels against their reference
-formulas: ``(x * y).sum(-1)`` for ambient inner products, the ``np.roll``
-stencils and pole padding for chart derivatives, the meshgrid trig sum for
+"""The comparison-identity kernels against their reference formulas:
+``(x * y).sum(-1)`` for ambient inner products, the meshgrid trig sum for
 seeded torus fields and ``np.einsum`` for the quadratic part of seeded
-sphere fields.  The fast kernels must give the same floating-point
-result element by element, signed zeros included."""
+sphere fields must give the same floating-point result element by element,
+signed zeros included.  Chart derivatives apply the ``axis_stencil``
+matrices, whose summation order is BLAS's, so they are held to the
+``np.roll`` stencils and pole padding within 1e-13 max|f| / h, with exact
+zeros kept exact."""
 
 from __future__ import annotations
 
@@ -13,7 +15,10 @@ import pytest
 from cmcindex import ambient as amb
 from cmcindex import gallery as gal
 from cmcindex import variations as vr
-from cmcindex.grids import _C8, STENCIL_HALF_WIDTH, sphere_grid, torus_grid
+from cmcindex.grids import _C8, sphere_grid, torus_grid
+
+STENCIL_HALF_WIDTH = 4
+DIFF_RTOL = 1e-13
 
 
 def _same_bits(new, old) -> bool:
@@ -105,12 +110,19 @@ def _check_inner(space, cplx):
             assert _same_bits(amb.inner(space, x, other), _ref_inner(space, x, other))
 
 
-def _check_diff(grid, axis, cplx, vector):
+def _check_diff(grid, axis, cplx, trailing, strided=False):
     rng = np.random.default_rng(12)
-    shape = (grid.nx, grid.ny) + ((4,) if vector else ())
-    f = _field(rng, shape, cplx)
+    shape = (grid.nx, grid.ny) + trailing
+    if strided:
+        f = _field(rng, shape[:-1] + (2 * shape[-1],), cplx)[..., ::2]
+    else:
+        f = _field(rng, shape, cplx)
     new = grid.diff_x(f) if axis == 0 else grid.diff_y(f)
-    assert _same_bits(new, _ref_diff(grid, f, axis))
+    ref = _ref_diff(grid, f, axis)
+    h = grid.hx if axis == 0 else (grid.dtheta if grid.topology == "sphere" else grid.hy)
+    assert new.dtype == ref.dtype and new.shape == ref.shape
+    assert np.abs(new - ref).max() <= DIFF_RTOL * np.abs(f).max() / h
+    assert not new[ref == 0].any()
 
 
 def _check_random_scalar(kind, params, resolution):
@@ -123,15 +135,21 @@ def _check_random_scalar(kind, params, resolution):
             assert _same_bits(new, old)
 
 
+DIFF_GRIDS = (torus_grid(24, 16, 1.3, 0.7), sphere_grid(16, 12))
+
 CASES = (
     [pytest.param(_check_inner, (space, cplx),
                   id=f"inner-{space.kind}-{'complex' if cplx else 'real'}")
      for space in (amb.R3, amb.S3, amb.H3) for cplx in (False, True)]
-    + [pytest.param(_check_diff, (grid, axis, cplx, vector),
+    + [pytest.param(_check_diff, (grid, axis, cplx, (4,) if vector else ()),
                     id=f"diff_{'xy'[axis]}-{grid.topology}-"
                        f"{'complex' if cplx else 'real'}-{'vector' if vector else 'scalar'}")
-       for grid in (torus_grid(24, 16, 1.3, 0.7), sphere_grid(16, 12))
+       for grid in DIFF_GRIDS
        for axis in (0, 1) for cplx in (False, True) for vector in (False, True)]
+    + [pytest.param(_check_diff, (grid, axis, True, trailing, strided),
+                    id=f"diff_{'xy'[axis]}-{grid.topology}-complex-{name}")
+       for grid in DIFF_GRIDS for axis in (0, 1)
+       for name, trailing, strided in (("matrix", (3, 2), False), ("strided", (4,), True))]
     + [pytest.param(_check_random_scalar, (kind, params, res), id=f"random_scalar-{kind}")
        for kind, params, res in [("clifford_torus", {}, (32, 24)),
                                  ("delaunay_t3", {"k": 2, "neck": 0.55}, (48, 24)),
