@@ -2,7 +2,7 @@
 
 Modules:
 
-* ``ambient``    -- model ambient 3-manifolds (R3, S3, H3, flat T3, generic);
+* ``ambient``    -- model ambient 3-manifolds (R3, S3, H3, flat T3);
 * ``grids``      -- conformal chart grids, quadrature, differentiation stencils;
 * ``surfaces``   -- sampled conformal immersions and induced geometry;
 * ``delaunay``   -- unduloid profiles and k-lobed CMC tori in the flat 3-torus;

@@ -7,8 +7,13 @@ The four model spaces are carried in concrete representations:
 * ``H3``      -- hyperboloid <p,p> = -1, p3 > 0, in Minkowski R^{3,1};
 * ``FlatT3``  -- [0,1)^3 with the quotient metric; points are usually kept as
   unwrapped lifts in R^3 (all local geometry is translation invariant), and
-  wrapped only when a fundamental-domain representative is wanted;
-* ``EmbeddedGeneric`` -- user-supplied callables behind the same interface.
+  wrapped only when a fundamental-domain representative is wanted.
+
+S3 and H3 are the quadrics <p, p> = 1/kappa of curvature kappa = +1 and -1
+in R^4 with the Euclidean and the Minkowski inner product.  Their tangent
+projection, connection and geodesics share one formula each, in which kappa
+enters as a sign and the geodesic coefficients (C, S) are (cos, sinc) on S3
+and (cosh, sinhc) on H3.
 
 All operations are pure and vectorized over leading axes: points and vectors
 have shape (..., dim).
@@ -21,13 +26,13 @@ Hessians (pinned by the round-sphere oracle test).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
-    "AmbientSpace", "R3", "S3", "H3", "FLAT_T3", "embedded_generic",
+    "AmbientSpace", "R3", "S3", "H3", "FLAT_T3",
     "inner", "norm", "metric_at", "riemann", "ricci_normal", "volume_form",
     "exp_map", "exp_velocity", "exp_directional", "wrap_t3", "check_point",
     "DomainError", "UnsupportedOperation",
@@ -57,14 +62,6 @@ class AmbientSpace:
     dim: int
     curvature: float
     extrinsic_bound: Optional[float]
-    metric_fn: Optional[Callable] = field(default=None, compare=False)
-    riemann_fn: Optional[Callable] = field(default=None, compare=False)
-    volume_fn: Optional[Callable] = field(default=None, compare=False)
-    exp_fn: Optional[Callable] = field(default=None, compare=False)
-    # correction C(p, X, v) with nabla_X v = d_X v + C, and tangent projection
-    # P(p, w); both optional, needed only to host immersions generically
-    connection_fn: Optional[Callable] = field(default=None, compare=False)
-    projection_fn: Optional[Callable] = field(default=None, compare=False)
 
     @property
     def signature(self) -> np.ndarray:
@@ -82,37 +79,14 @@ H3 = AmbientSpace("H3", 4, -1.0, None)
 FLAT_T3 = AmbientSpace("FlatT3", 3, 0.0, 2.0 * np.pi)
 
 
-def embedded_generic(dim: int, extrinsic_bound: float,
-                     metric_fn: Callable,
-                     riemann_fn: Callable,
-                     volume_fn: Optional[Callable] = None,
-                     exp_fn: Optional[Callable] = None,
-                     connection_fn: Optional[Callable] = None,
-                     projection_fn: Optional[Callable] = None) -> AmbientSpace:
-    """Generic N isometrically embedded in R^d, described by user callables.
-
-    Points and tangent vectors are carried in the R^d coordinates of the
-    embedding, so the representation inner product is the Euclidean one;
-    ``metric_fn(p, X, Y)`` and ``riemann_fn(p, X, Y, Z, W)`` must be
-    vectorized over leading axes.  ``exp_fn``, ``connection_fn`` and
-    ``projection_fn`` are optional: without them only pointwise queries are
-    available, with them the space can host immersions and variation fields.
-    """
-    return AmbientSpace("EmbeddedGeneric", dim, np.nan, extrinsic_bound,
-                        metric_fn=metric_fn, riemann_fn=riemann_fn,
-                        volume_fn=volume_fn, exp_fn=exp_fn,
-                        connection_fn=connection_fn, projection_fn=projection_fn)
-
-
 # --------------------------------------------------------------------- metric
 
 def inner(space: AmbientSpace, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Ambient inner product in the representation coordinates.
 
     Constant-coefficient everywhere: Minkowski for H3 and Euclidean
-    otherwise (generic spaces carry isometric R^d coordinates, whose induced
-    metric is the Euclidean restriction).  The complex-bilinear extension is
-    obtained by passing complex arrays.
+    otherwise.  The complex-bilinear extension is obtained by passing
+    complex arrays.
 
     The component sums are unrolled in the order ``(x * y).sum(-1)`` uses,
     so the result is bit-identical to it without the slow reduction over a
@@ -163,8 +137,6 @@ def check_point(space: AmbientSpace, p: np.ndarray, tol: float = 1e-9) -> None:
 
 def metric_at(space: AmbientSpace, p: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """g_p(X, Y); validates the base point."""
-    if space.kind == "EmbeddedGeneric":
-        return np.asarray(space.metric_fn(p, x, y))
     check_point(space, p)
     return inner(space, x, y)
 
@@ -173,8 +145,6 @@ def metric_at(space: AmbientSpace, p: np.ndarray, x: np.ndarray, y: np.ndarray) 
 
 def riemann(space: AmbientSpace, p, x, y, z, w) -> np.ndarray:
     """Rm(X,Y,Z,W) with sec(X,Y) = Rm(X,Y,Y,X)/(|X|^2|Y|^2 - <X,Y>^2)."""
-    if space.kind == "EmbeddedGeneric":
-        return np.asarray(space.riemann_fn(p, x, y, z, w))
     k = space.curvature
     if k == 0.0:
         base = inner(space, x, w)
@@ -183,43 +153,19 @@ def riemann(space: AmbientSpace, p, x, y, z, w) -> np.ndarray:
                 - inner(space, x, z) * inner(space, y, w))
 
 
-def ricci_normal(space: AmbientSpace, p, nu, rng=None) -> np.ndarray:
+def ricci_normal(space: AmbientSpace, p, nu) -> np.ndarray:
     """Ric(nu, nu) for a unit vector nu; equals 2*kappa on space forms."""
-    if space.kind != "EmbeddedGeneric":
-        check_point(space, p)
-        n2 = inner(space, nu, nu)
-        if not np.allclose(n2, 1.0, atol=1e-8):
-            raise DomainError("ricci_normal requires a unit normal")
-        return 2.0 * space.curvature * np.ones(np.shape(n2))
-    e1, e2 = _complete_frame_generic(space, p, nu, rng)
-    return (riemann(space, p, nu, e1, e1, nu) + riemann(space, p, nu, e2, e2, nu))
-
-
-def _complete_frame_generic(space, p, nu, rng=None):
-    rng = rng or np.random.default_rng(0)
-    basis = [nu]
-    tries = 0
-    while len(basis) < 3 and tries < 50:
-        tries += 1
-        cand = np.broadcast_to(rng.standard_normal(space.dim), nu.shape).copy()
-        for b in basis:
-            cand = cand - (space.metric_fn(p, cand, b))[..., None] * b
-        n2 = np.asarray(space.metric_fn(p, cand, cand))
-        if np.all(n2 > 1e-12):
-            basis.append(cand / np.sqrt(n2)[..., None])
-    if len(basis) < 3:
-        raise RuntimeError("failed to complete orthonormal frame")
-    return basis[1], basis[2]
+    check_point(space, p)
+    n2 = inner(space, nu, nu)
+    if not np.allclose(n2, 1.0, atol=1e-8):
+        raise DomainError("ricci_normal requires a unit normal")
+    return 2.0 * space.curvature * np.ones(np.shape(n2))
 
 
 # ---------------------------------------------------------------- volume form
 
 def volume_form(space: AmbientSpace, p, x, y, z) -> np.ndarray:
     """dV_N(X, Y, Z): alternating, +1 on positively oriented orthonormal frames."""
-    if space.kind == "EmbeddedGeneric":
-        if space.volume_fn is None:
-            raise UnsupportedOperation("no volume form supplied for generic space")
-        return np.asarray(space.volume_fn(p, x, y, z))
     x, y, z = np.asarray(x), np.asarray(y), np.asarray(z)
     if space.kind in ("R3", "FlatT3"):
         m = np.stack([x, y, z], axis=-2)
@@ -246,20 +192,19 @@ def _sinhc(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _g2_sphere(t: np.ndarray) -> np.ndarray:
-    """(cos t - sinc t) / t^2, stable near 0 (limit -1/3)."""
-    small = np.abs(t) < 1e-3
-    ts = np.where(small, 1.0, t)
-    return np.where(small, -1.0 / 3.0 + t * t / 30.0,
-                    (np.cos(ts) - _sinc(ts)) / (ts * ts))
+def _coefficients(space: AmbientSpace):
+    """(C, S) of exp_p(w) = C(|w|) p + S(|w|) w: (cos, sinc) on S3, else
+    (cosh, sinhc)."""
+    return (np.cos, _sinc) if space.curvature > 0 else (np.cosh, _sinhc)
 
 
-def _g2_hyper(t: np.ndarray) -> np.ndarray:
-    """(cosh t - sinhc t) / t^2, stable near 0 (limit +1/3)."""
+def _g2(space: AmbientSpace, t: np.ndarray, ct: np.ndarray, st: np.ndarray) -> np.ndarray:
+    """(C(t) - S(t)) / t^2 from ct = C(t) and st = S(t), stable near 0
+    (limit -kappa/3)."""
     small = np.abs(t) < 1e-3
     ts = np.where(small, 1.0, t)
-    return np.where(small, 1.0 / 3.0 + t * t / 30.0,
-                    (np.cosh(ts) - _sinhc(ts)) / (ts * ts))
+    return np.where(small, -space.curvature / 3.0 + t * t / 30.0,
+                    (ct - st) / (ts * ts))
 
 
 def wrap_t3(p: np.ndarray) -> np.ndarray:
@@ -275,15 +220,9 @@ def exp_map(space: AmbientSpace, p: np.ndarray, w: np.ndarray, t: float = 1.0) -
         return p + t * w
     if space.kind == "FlatT3":
         return wrap_t3(p + t * w)
-    if space.kind == "S3":
-        th = t * norm(space, w)
-        return np.cos(th)[..., None] * p + (t * _sinc(th))[..., None] * w
-    if space.kind == "H3":
-        th = t * norm(space, w)
-        return np.cosh(th)[..., None] * p + (t * _sinhc(th))[..., None] * w
-    if space.exp_fn is not None:
-        return np.asarray(space.exp_fn(p, w, t))
-    raise UnsupportedOperation("no exponential map supplied for generic space")
+    c, s = _coefficients(space)
+    th = t * norm(space, w)
+    return c(th)[..., None] * p + (t * s(th))[..., None] * w
 
 
 def exp_velocity(space: AmbientSpace, p, w, t: float) -> np.ndarray:
@@ -292,13 +231,10 @@ def exp_velocity(space: AmbientSpace, p, w, t: float) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if space.kind in ("R3", "FlatT3"):
         return np.broadcast_to(w, w.shape).copy()
+    c, s = _coefficients(space)
     th = t * norm(space, w)
     w2 = inner(space, w, w)
-    if space.kind == "S3":
-        return (-t * w2 * _sinc(th))[..., None] * p + np.cos(th)[..., None] * w
-    if space.kind == "H3":
-        return (t * w2 * _sinhc(th))[..., None] * p + np.cosh(th)[..., None] * w
-    raise UnsupportedOperation("no geodesic velocity for generic space")
+    return (-space.curvature * t * w2 * s(th))[..., None] * p + c(th)[..., None] * w
 
 
 def exp_directional(space: AmbientSpace, p, w, t: float, dp, dw) -> np.ndarray:
@@ -314,21 +250,14 @@ def exp_directional(space: AmbientSpace, p, w, t: float, dp, dw) -> np.ndarray:
     dw = np.asarray(dw, dtype=float)
     if space.kind in ("R3", "FlatT3"):
         return dp + t * dw
+    c, s = _coefficients(space)
     wdw = inner(space, w, dw)
     th = t * norm(space, w)
-    if space.kind == "S3":
-        s = _sinc(th)
-        return (np.cos(th)[..., None] * dp
-                + (t * s)[..., None] * dw
-                - (t * t * s * wdw)[..., None] * p
-                + (t ** 3 * _g2_sphere(th) * wdw)[..., None] * w)
-    if space.kind == "H3":
-        s = _sinhc(th)
-        return (np.cosh(th)[..., None] * dp
-                + (t * s)[..., None] * dw
-                + (t * t * s * wdw)[..., None] * p
-                + (t ** 3 * _g2_hyper(th) * wdw)[..., None] * w)
-    raise UnsupportedOperation("no exponential derivative for generic space")
+    ct, st = c(th), s(th)
+    return (ct[..., None] * dp
+            + (t * st)[..., None] * dw
+            - (space.curvature * t * t * st * wdw)[..., None] * p
+            + (t ** 3 * _g2(space, th, ct, st) * wdw)[..., None] * w)
 
 
 # ---------------------------------------------------- connection along fields
@@ -337,29 +266,20 @@ def covariant_correction(space: AmbientSpace, p, direction, v) -> np.ndarray:
     """Connection term C with nabla_X v = (componentwise d_X v) + C.
 
     The model spaces are realized as umbilic hypersurfaces of flat (pseudo-)
-    Euclidean spaces, so the correction is algebraic:
-    S3: +<X, v> p;  H3: -<X, v>_M p;  flat spaces: 0.
+    Euclidean spaces, so the correction is algebraic: kappa <X, v> p on S3
+    and H3 (Minkowski <.,.> on H3), 0 on the flat spaces.  The sign is
+    applied by negation, so complex data keep their signed zeros.
     """
-    if space.kind in ("R3", "FlatT3"):
+    if space.curvature == 0.0:
         return np.zeros(np.broadcast_shapes(np.shape(v), np.shape(direction)),
                         dtype=np.result_type(v, direction))
-    if space.kind == "S3":
-        return inner(space, direction, v)[..., None] * p
-    if space.kind == "H3":
-        return -inner(space, direction, v)[..., None] * p
-    if space.connection_fn is not None:
-        return np.asarray(space.connection_fn(p, direction, v))
-    raise UnsupportedOperation("generic space lacks a connection callable")
+    c = inner(space, direction, v)[..., None]
+    return (c if space.curvature > 0 else -c) * p
 
 
 def project_tangent(space: AmbientSpace, p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Project an ambient-representation vector onto T_p N."""
-    if space.kind in ("R3", "FlatT3"):
+    """Project an ambient-representation vector onto T_p N: w - kappa <w, p> p."""
+    if space.curvature == 0.0:
         return w
-    if space.kind == "S3":
-        return w - inner(space, w, p)[..., None] * p
-    if space.kind == "H3":
-        return w + inner(space, w, p)[..., None] * p
-    if space.projection_fn is not None:
-        return np.asarray(space.projection_fn(p, w))
-    raise UnsupportedOperation("generic space lacks a tangent projection callable")
+    c = inner(space, w, p)[..., None] * p
+    return w - c if space.curvature > 0 else w + c

@@ -207,7 +207,8 @@ def energy_index_chain(imm: Immersion, lb_result: sp.SpectralResult,
     index transfer i + n <= (chain value) + r.
 
     The infimum is taken over a log grid refined by golden section around
-    the discrete minimizer.
+    the discrete minimizer, of the logarithm rate t + log h(t), so that the
+    large rates of tori in T^3 (J = 2 pi) do not overflow.
     """
     j = _require_extrinsic(imm)
     h = imm.cmc_value
@@ -217,13 +218,13 @@ def energy_index_chain(imm: Immersion, lb_result: sp.SpectralResult,
     ts = np.asarray(t_grid if t_grid is not None else default_t_grid(), dtype=float)
 
     def objective(t: float) -> float:
-        return math.exp(rate * t) * sp.heat_trace(lb_result, t).value
+        return rate * t + math.log(sp.heat_trace(lb_result, t).value)
 
     vals = np.array([objective(t) for t in ts])
     k = int(np.argmin(vals))
     t_star = _golden_section(objective, float(ts[max(k - 1, 0)]),
                              float(ts[min(k + 1, ts.size - 1)]), 1e-8)
-    chain = 3.0 * objective(t_star)
+    chain = 3.0 * math.exp(objective(t_star))
     r = topological_r(g, b)
     out = {"chain": chain, "t_star": t_star, "r": r, "rate": rate,
            "bound_with_transfer": chain + r}

@@ -229,7 +229,7 @@ def _spectrum_svg(results: list[dict]) -> str:
                  f'y2="{height - 20}" stroke="#999" stroke-dasharray="4 3"/>')
     parts.append(f'<text x="{zero_x - 4:.1f}" y="24">0</text>')
     colors = {"negative": "#c03030", "null": "#808080", "positive": "#3050c0"}
-    for i, r in enumerate(sorted(results, key=lambda d: d["surface"])):
+    for i, r in enumerate(results):
         y = pad + i * row_h
         parts.append(f'<text x="6" y="{y - 12}">{r["surface"]} '
                      f'(i={r["index"]}, n={r["nullity"]})</text>')
@@ -245,6 +245,8 @@ def _spectrum_svg(results: list[dict]) -> str:
 # ------------------------------------------------------------------ commands
 
 def _map_surfaces(cfg: RunConfig, worker):
+    """worker(desc) for every configured surface, results in surface-key
+    order, which every report writes as is."""
     keyed = sorted(cfg.surfaces, key=_surface_key)
     with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
         return list(pool.map(worker, keyed))
@@ -323,7 +325,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     results = _map_surfaces(cfg, lambda d: _spectrum_for(d, cfg))
     cfg.out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for r in sorted(results, key=lambda d: d["surface"]):
+    for r in results:
         for k, (lam, cls) in enumerate(zip(r["eigenvalues"], r["classification"])):
             rows.append([r["surface"], k, lam, cls])
     _write_csv(cfg.out / "spectrum.csv",
@@ -333,11 +335,10 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                 "sandwich_ok", "index_lower_bound", "index_lb_ok"],
                [[r["surface"], r["index"], r["nullity"], r["weak_index"],
                  r["stable"], r["sandwich_ok"], r["index_lower_bound"],
-                 r["index_lb_ok"]]
-                for r in sorted(results, key=lambda d: d["surface"])])
+                 r["index_lb_ok"]] for r in results])
     _write_json(cfg.out / "report.json", {
         "schema_version": SCHEMA_VERSION, "command": "spectrum",
-        "results": sorted(results, key=lambda d: d["surface"]),
+        "results": results,
     })
     if cfg.svg:
         (cfg.out / "spectrum.svg").write_text(_spectrum_svg(results))
@@ -364,13 +365,13 @@ def cmd_bounds(cfg: RunConfig) -> int:
             "bound_tight", "margin", "passed", "conjecture_gap", "dichotomy",
             "index_lower_bound", "index_lb_ok", "sandwich_ok"]
     _write_csv(cfg.out / "bounds.csv", cols,
-               [[r[c] for c in cols] for r in sorted(results, key=lambda d: d["surface"])])
+               [[r[c] for c in cols] for r in results])
     if cfg.r_table:
         _write_csv(cfg.out / "r_table.csv", ["g", "b", "r"],
                    [list(row) for row in bd.r_table(10, 40)])
     _write_json(cfg.out / "report.json", {
         "schema_version": SCHEMA_VERSION, "command": "bounds",
-        "results": sorted(results, key=lambda d: d["surface"]),
+        "results": results,
     })
     ok = all((r["passed"] in (None, True)) and r["sandwich_ok"]
              and (r["index_lb_ok"] in (None, True)) for r in results)
@@ -399,7 +400,7 @@ def cmd_gallery(cfg: RunConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out / "report.json", {
         "schema_version": SCHEMA_VERSION, "command": "gallery",
-        "results": sorted(results, key=lambda d: d["surface"]),
+        "results": results,
     })
     return 0 if all(r["pass"] for r in results) else 1
 

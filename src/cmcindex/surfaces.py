@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -73,22 +72,6 @@ class Immersion:
     name: str = "immersion"
     reference: dict = field(default_factory=dict)
 
-    # ------------------------------------------------------------ constructors
-    @classmethod
-    def from_callables(cls, space, grid, fn, fn_x, fn_y, fn_xx, fn_xy, fn_yy,
-                       genus, cmc_value=np.nan, name="immersion",
-                       branch_count=0, reference=None):
-        X, Y = grid.meshes()
-        return cls(space, grid,
-                   np.ascontiguousarray(fn(X, Y), dtype=float),
-                   np.ascontiguousarray(fn_x(X, Y), dtype=float),
-                   np.ascontiguousarray(fn_y(X, Y), dtype=float),
-                   np.ascontiguousarray(fn_xx(X, Y), dtype=float),
-                   np.ascontiguousarray(fn_xy(X, Y), dtype=float),
-                   np.ascontiguousarray(fn_yy(X, Y), dtype=float),
-                   genus, branch_count, cmc_value, name,
-                   dict(reference or {}))
-
     # --------------------------------------------------------- first order data
     @cached_property
     def e2lam(self) -> np.ndarray:
@@ -105,10 +88,7 @@ class Immersion:
     def nu(self) -> np.ndarray:
         """Oriented unit normal: dV_N(nu, u_x, u_y) = e^{2 lam}."""
         sp = self.space
-        if sp.kind == "EmbeddedGeneric" and sp.dim != 3:
-            raise amb.UnsupportedOperation(
-                "generic immersion hosting needs a 3-dim flat representation")
-        if sp.kind in ("R3", "FlatT3", "EmbeddedGeneric"):
+        if sp.kind in ("R3", "FlatT3"):
             n = np.cross(self.ux, self.uy)
         else:
             # Generalized cross product in the 4-dim representation: the
@@ -136,8 +116,7 @@ class Immersion:
         sp = self.space
 
         def corr(d1, d2, u2):
-            if sp.kind in ("S3", "H3") or (sp.kind == "EmbeddedGeneric"
-                                           and sp.connection_fn is not None):
+            if sp.kind in ("S3", "H3"):
                 return u2 + amb.covariant_correction(sp, self.u, d1, d2)
             return u2
 
@@ -157,10 +136,7 @@ class Immersion:
     @cached_property
     def ricci_nu(self) -> np.ndarray:
         """Ric_N(nu, nu) along the surface."""
-        sp = self.space
-        if sp.kind == "EmbeddedGeneric":
-            return amb.ricci_normal(sp, self.u, self.nu)
-        return 2.0 * sp.curvature * np.ones(self.u.shape[:2])
+        return 2.0 * self.space.curvature * np.ones(self.u.shape[:2])
 
     @cached_property
     def jacobi_potential(self) -> np.ndarray:

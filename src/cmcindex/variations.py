@@ -87,6 +87,19 @@ class VariationField:
         return self.imm.grid.diff_x(self.v), self.imm.grid.diff_y(self.v)
 
     @cached_property
+    def _normal_jet(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(<nabla_x s, nu>, <nabla_y s, nu>, A(sigma, sigma)) in the chart,
+        shared by the area and volume Hessians."""
+        imm = self.imm
+        sp, sf = imm.space, imm.second_form
+        dxs, dys = _cov(imm, self.s)
+        px = amb.inner(sp, dxs, imm.nu)
+        py = amb.inner(sp, dys, imm.nu)
+        al, be = self.sigma_chart
+        a_sigma = al * al * sf.a_xx + 2.0 * al * be * sf.a_xy + be * be * sf.a_yy
+        return px, py, a_sigma
+
+    @cached_property
     def _fd_memo(self) -> dict:
         """t -> (area, energy, volume flux) of exp_u(t v); see ``_fd_values``."""
         return {}
@@ -194,8 +207,7 @@ def _cov(imm: Immersion, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g, sp = imm.grid, imm.space
     dx = g.diff_x(w)
     dy = g.diff_y(w)
-    if sp.kind in ("S3", "H3") or (sp.kind == "EmbeddedGeneric"
-                                   and sp.connection_fn is not None):
+    if sp.kind in ("S3", "H3"):
         dx += amb.covariant_correction(sp, imm.u, imm.ux, w)
         dy += amb.covariant_correction(sp, imm.u, imm.uy, w)
     return dx, dy
@@ -263,14 +275,11 @@ def second_variation_area(imm: Immersion, v) -> float:
     sp = imm.space
     sf = imm.second_form
     e2i = 1.0 / imm.e2lam
-    dxs, dys = _cov(imm, vf.s)
-    px = amb.inner(sp, dxs, imm.nu)
-    py = amb.inner(sp, dys, imm.nu)
+    px, py, a_sigma = vf._normal_jet
     grad_perp = e2i * (px ** 2 + py ** 2)
     rm = e2i * (amb.riemann(sp, imm.u, vf.s, imm.ux, imm.ux, vf.s)
                 + amb.riemann(sp, imm.u, vf.s, imm.uy, imm.uy, vf.s))
     al, be = vf.sigma_chart
-    a_sigma = al * al * sf.a_xx + 2.0 * al * be * sf.a_xy + be * be * sf.a_yy
     integrand = (grad_perp
                  - sf.norm_sq * vf.f ** 2
                  - rm
@@ -314,11 +323,8 @@ def second_variation_volume(imm: Immersion, v, h_fn: Union[float, Callable],
     sf = imm.second_form
     sp = imm.space
     hvals = h_fn(imm.u) if callable(h_fn) else float(h_fn)
-    dxs, dys = _cov(imm, vf.s)
-    px = amb.inner(sp, dxs, imm.nu)
-    py = amb.inner(sp, dys, imm.nu)
+    px, py, a_sigma = vf._normal_jet
     al, be = vf.sigma_chart
-    a_sigma = al * al * sf.a_xx + 2.0 * al * be * sf.a_xy + be * be * sf.a_yy
     integrand = (-hvals * vf.f * (sf.mean_scalar * vf.f)
                  - 2.0 * hvals * (al * px + be * py)
                  - hvals * a_sigma)

@@ -97,19 +97,6 @@ def test_ricci_normal_space_forms(rng):
         amb.ricci_normal(amb.S3, p, 2.0 * nu)
 
 
-def test_ricci_generic_completion_independent(rng):
-    generic = amb.embedded_generic(
-        3, 0.0,
-        metric_fn=lambda p, x, y: (np.asarray(x) * np.asarray(y)).sum(-1),
-        riemann_fn=lambda p, x, y, z, w: np.zeros(np.shape(p)[:-1]))
-    p = rng.standard_normal(3)
-    nu = rng.standard_normal(3)
-    nu /= np.linalg.norm(nu)
-    v1 = amb.ricci_normal(generic, p, nu, rng=np.random.default_rng(1))
-    v2 = amb.ricci_normal(generic, p, nu, rng=np.random.default_rng(2))
-    assert abs(v1 - v2) < 1e-12
-
-
 def test_volume_form_orientation_and_alternating(rng):
     e = np.eye(3)
     assert abs(amb.volume_form(amb.R3, np.zeros(3), e[0], e[1], e[2]) - 1.0) < 1e-14
@@ -202,53 +189,3 @@ def test_exp_directional_stable_at_zero_vector():
     out = amb.exp_directional(amb.S3, p, w, 0.3, np.array([0.0, 1, 0, 0]),
                               np.array([0.0, 0, 1, 0]))
     assert np.all(np.isfinite(out))
-
-
-def test_generic_space_wraps_r3(rng):
-    generic = amb.embedded_generic(
-        3, 0.0,
-        metric_fn=lambda p, x, y: (np.asarray(x) * np.asarray(y)).sum(-1),
-        riemann_fn=lambda p, x, y, z, w: np.zeros(np.shape(np.asarray(x))[:-1]))
-    p = rng.standard_normal(3)
-    x, y = rng.standard_normal(3), rng.standard_normal(3)
-    assert abs(amb.metric_at(generic, p, x, y) - x @ y) < 1e-14
-    assert amb.riemann(generic, p, x, y, x, y) == 0.0
-    with pytest.raises(amb.UnsupportedOperation):
-        amb.exp_map(generic, p, x, 1.0)
-    with pytest.raises(amb.UnsupportedOperation):
-        amb.volume_form(generic, p, x, y, x)
-    with pytest.raises(amb.UnsupportedOperation):
-        amb.covariant_correction(generic, p, x, y)
-    with pytest.raises(amb.UnsupportedOperation):
-        amb.project_tangent(generic, p, x)
-
-
-def test_generic_flat_space_hosts_immersion():
-    # a flat isometric copy of R3 with all hooks supplied hosts the round
-    # sphere and reproduces its geometry, spectrum and bound data
-    import dataclasses
-
-    from cmcindex import bounds as bd
-    from cmcindex import gallery as gal
-    from cmcindex import spectral as spc
-    from cmcindex import surfaces as sf
-    from cmcindex import variations as vr
-
-    generic = amb.embedded_generic(
-        3, 0.0,
-        metric_fn=lambda p, x, y: (np.asarray(x) * np.asarray(y)).sum(-1),
-        riemann_fn=lambda p, x, y, z, w: np.zeros(np.shape(np.asarray(x))[:-1]),
-        volume_fn=lambda p, x, y, z: np.linalg.det(np.stack([x, y, z], axis=-2)),
-        connection_fn=lambda p, d, v: np.zeros(np.broadcast_shapes(np.shape(v),
-                                                                   np.shape(d))),
-        projection_fn=lambda p, w: w)
-    native = gal.gallery("sphere_r3", resolution=(32, 16))
-    imm = dataclasses.replace(native, space=generic, name="sphere_generic")
-    assert abs(sf.area(imm) - 4 * np.pi) < 1e-6
-    assert sf.cmc_residual(imm) < 1e-10
-    nu = vr.normal_variation(imm, np.ones(imm.u.shape[:2]))
-    assert abs(vr.second_variation_area(imm, nu) - 8 * np.pi) < 1e-6
-    res = spc.eigensolve(spc.assemble_jacobi(imm), 8, want_vectors=False)
-    assert spc.index_nullity(res) == (1, 3)
-    margin = bd.mss_check(imm, np.ones(imm.u.shape[:2]))
-    assert abs(margin - (4 * np.sqrt(2) - 2) * np.sqrt(np.pi)) < 1e-5

@@ -169,7 +169,9 @@ def test_heat_trace_bound_rejects_degenerate():
         bd.heat_trace_bound_check(fake, lb, delta=2.3)
 
 
-@pytest.mark.parametrize("label,g", [("sphere_r3", 0), ("clifford_torus", 1)])
+@pytest.mark.parametrize("label,g", [("sphere_r3", 0), ("clifford_torus", 1),
+                                     ("delaunay_k1", 1), ("delaunay_k2", 1),
+                                     ("delaunay_k3", 1)])
 def test_energy_index_chain(label, g):
     imm = surface(label)
     _, lb = laplace_solve(label)

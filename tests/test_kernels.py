@@ -1,8 +1,9 @@
 """The comparison-identity kernels against their reference formulas:
 ``(x * y).sum(-1)`` for ambient inner products, the meshgrid trig sum for
-seeded torus fields and ``np.einsum`` for the quadratic part of seeded
-sphere fields must give the same floating-point result element by element,
-signed zeros included.  Chart derivatives apply the ``axis_stencil``
+seeded torus fields, ``np.einsum`` for the quadratic part of seeded
+sphere fields and the per-space S3 and H3 formulas for the tangent
+projection, connection and geodesics must give the same floating-point
+result element by element, signed zeros included.  Chart derivatives apply the ``axis_stencil``
 matrices, whose summation order is BLAS's, so they are held to the
 ``np.roll`` stencils and pole padding within 1e-13 max|f| / h, with exact
 zeros kept exact."""
@@ -44,6 +45,63 @@ def _ref_inner(space, x, y):
     if space.kind == "H3":
         return (x[..., :3] * y[..., :3]).sum(-1) - x[..., 3] * y[..., 3]
     return (x * y).sum(-1)
+
+
+def _ref_sinhc(t):
+    small = np.abs(t) < 1e-4
+    ts = np.where(small, 1.0, t)
+    return np.where(small, 1.0 + t * t / 6.0, np.sinh(ts) / ts)
+
+
+def _ref_g2(space, t):
+    small = np.abs(t) < 1e-3
+    ts = np.where(small, 1.0, t)
+    if space.kind == "S3":
+        return np.where(small, -1.0 / 3.0 + t * t / 30.0,
+                        (np.cos(ts) - np.sinc(ts / np.pi)) / (ts * ts))
+    return np.where(small, 1.0 / 3.0 + t * t / 30.0,
+                    (np.cosh(ts) - _ref_sinhc(ts)) / (ts * ts))
+
+
+def _ref_project_tangent(space, p, w):
+    if space.kind == "S3":
+        return w - _ref_inner(space, w, p)[..., None] * p
+    return w + _ref_inner(space, w, p)[..., None] * p
+
+
+def _ref_covariant_correction(space, p, direction, v):
+    if space.kind == "S3":
+        return _ref_inner(space, direction, v)[..., None] * p
+    return -_ref_inner(space, direction, v)[..., None] * p
+
+
+def _ref_exp_map(space, p, w, t):
+    th = t * np.sqrt(_ref_inner(space, w, w))
+    if space.kind == "S3":
+        return np.cos(th)[..., None] * p + (t * np.sinc(th / np.pi))[..., None] * w
+    return np.cosh(th)[..., None] * p + (t * _ref_sinhc(th))[..., None] * w
+
+
+def _ref_exp_velocity(space, p, w, t):
+    th = t * np.sqrt(_ref_inner(space, w, w))
+    w2 = _ref_inner(space, w, w)
+    if space.kind == "S3":
+        return (-t * w2 * np.sinc(th / np.pi))[..., None] * p + np.cos(th)[..., None] * w
+    return (t * w2 * _ref_sinhc(th))[..., None] * p + np.cosh(th)[..., None] * w
+
+
+def _ref_exp_directional(space, p, w, t, dp, dw):
+    wdw = _ref_inner(space, w, dw)
+    th = t * np.sqrt(_ref_inner(space, w, w))
+    if space.kind == "S3":
+        s = np.sinc(th / np.pi)
+        return (np.cos(th)[..., None] * dp + (t * s)[..., None] * dw
+                - (t * t * s * wdw)[..., None] * p
+                + (t ** 3 * _ref_g2(space, th) * wdw)[..., None] * w)
+    s = _ref_sinhc(th)
+    return (np.cosh(th)[..., None] * dp + (t * s)[..., None] * dw
+            + (t * t * s * wdw)[..., None] * p
+            + (t ** 3 * _ref_g2(space, th) * wdw)[..., None] * w)
 
 
 def _ref_roll_diff(f, axis, h):
@@ -110,6 +168,49 @@ def _check_inner(space, cplx):
             assert _same_bits(amb.inner(space, x, other), _ref_inner(space, x, other))
 
 
+def _points(space, rng, n):
+    p = 0.6 * rng.standard_normal((n, 4))
+    if space.kind == "S3":
+        return p / np.sqrt((p * p).sum(-1))[:, None]
+    p[:, 3] = np.sqrt(1.0 + (p[:, :3] ** 2).sum(-1))
+    return p
+
+
+def _check_connection(space, cplx):
+    rng = np.random.default_rng(13)
+    p = _points(space, rng, 40)
+    w = _field(rng, p.shape, cplx)
+    assert _same_bits(amb.project_tangent(space, p, w), _ref_project_tangent(space, p, w))
+    real = _field(rng, p.shape, False)
+    for direction in (real, -real, w.conj()):
+        assert _same_bits(amb.covariant_correction(space, p, direction, w),
+                          _ref_covariant_correction(space, p, direction, w))
+
+
+# |w| of unit tangent vectors: zero, below the 1e-4 (sinhc) and 1e-3 (g2)
+# small-angle switches, between and above them
+W_SCALES = (0.0, -0.0, 3e-5, 2e-4, 8e-4, 2e-3, 0.4, 1.7)
+
+
+def _check_geodesics(space):
+    rng = np.random.default_rng(14)
+    n = 8 * len(W_SCALES)
+    p = _points(space, rng, n)
+    w = _ref_project_tangent(space, p, rng.standard_normal((n, 4)))
+    w /= np.sqrt(_ref_inner(space, w, w))[:, None]
+    w *= np.resize(W_SCALES, n)[:, None]
+    dp = _ref_project_tangent(space, p, rng.standard_normal((n, 4)))
+    dw = rng.standard_normal((n, 4))
+    for t in (1.0, 0.7, -1.3):
+        for new, old in ((amb.exp_map(space, p, w, t), _ref_exp_map(space, p, w, t)),
+                         (amb.exp_velocity(space, p, w, t),
+                          _ref_exp_velocity(space, p, w, t)),
+                         (amb.exp_directional(space, p, w, t, dp, dw),
+                          _ref_exp_directional(space, p, w, t, dp, dw))):
+            assert np.isfinite(old).all()
+            assert _same_bits(new, old)
+
+
 def _check_diff(grid, axis, cplx, trailing, strided=False):
     rng = np.random.default_rng(12)
     shape = (grid.nx, grid.ny) + trailing
@@ -141,6 +242,11 @@ CASES = (
     [pytest.param(_check_inner, (space, cplx),
                   id=f"inner-{space.kind}-{'complex' if cplx else 'real'}")
      for space in (amb.R3, amb.S3, amb.H3) for cplx in (False, True)]
+    + [pytest.param(_check_connection, (space, cplx),
+                    id=f"connection-{space.kind}-{'complex' if cplx else 'real'}")
+       for space in (amb.S3, amb.H3) for cplx in (False, True)]
+    + [pytest.param(_check_geodesics, (space,), id=f"geodesics-{space.kind}")
+       for space in (amb.S3, amb.H3)]
     + [pytest.param(_check_diff, (grid, axis, cplx, (4,) if vector else ()),
                     id=f"diff_{'xy'[axis]}-{grid.topology}-"
                        f"{'complex' if cplx else 'real'}-{'vector' if vector else 'scalar'}")
