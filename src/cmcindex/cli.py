@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``identity`` -- comparison-identity residuals over seeded random variations;
+* ``identity`` -- comparison-identity residuals over seeded random variations,
+  each row c^T G c from the span Gram matrices of its surface (below);
 * ``spectrum`` -- Jacobi eigenvalue tables with index/nullity/weak index and
   refinement-stability flags (optional SVG strip plot);
 * ``bounds``   -- full index-bound reports per surface (plus ``--r-table``);
@@ -15,6 +16,15 @@ are written in sorted order.  ``spectrum``, ``bounds`` and ``gallery``
 process their surfaces concurrently, capped by CMCINDEX_THREADS.
 ``identity`` maps its surfaces on one thread: its work is short numpy calls
 that hold the GIL, and a second thread only adds CPU time.
+
+Every seeded variation of a surface lies in one span of N fields (N = 30 to
+100 on the default surfaces), so ``identity`` assembles, once per surface,
+the N x N Gram matrices of d2A, d2E and the chart defect 8 int |eta|^2 dx dy
+(``span.grams``, streamed over slabs of chart columns) and writes each
+variation's row from its coefficient vector c as c^T G c.  The rows agree
+with ``variations.comparison_identity_residual`` of the same fields up to
+roundoff, and every BLAS product stays below OpenBLAS's threading
+threshold, so the outputs do not depend on OPENBLAS_NUM_THREADS either.
 """
 
 from __future__ import annotations
@@ -34,7 +44,6 @@ from . import bounds as bd
 from . import gallery as gal
 from . import spectral as sp
 from . import surfaces as sf
-from . import variations as vr
 
 SCHEMA_VERSION = 1
 
@@ -253,14 +262,16 @@ def _map_surfaces(cfg: RunConfig, worker):
 
 
 def cmd_identity(cfg: RunConfig) -> int:
+    # on demand: no other command compiles the span module
+    from . import span
+
     def worker(desc):
         imm = _build(desc)
+        seeds = [cfg.seed * 100003 + i for i in range(cfg.variations)]
         rows, worst = [], 0.0
-        for i in range(cfg.variations):
-            vfield = vr.seeded_variation(imm, cfg.seed * 100003 + i)
-            rep = vr.comparison_identity_residual(imm, vfield)
+        for seed, rep in zip(seeds, span.identity_residuals(imm, seeds)):
             worst = max(worst, rep["residual_rel"])
-            rows.append([_surface_key(desc), cfg.seed * 100003 + i,
+            rows.append([_surface_key(desc), seed,
                          rep["d2_area"], rep["d2_energy"], rep["defect_chart"],
                          rep["residual_abs"], rep["residual_rel"]])
         return {"surface": _surface_key(desc), "max_residual": worst,

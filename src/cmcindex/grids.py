@@ -14,11 +14,12 @@ One stencil engine serves the whole package: ``ParamGrid.axis_stencil``
 holds each stencil (the 8th-order centered first derivative and the sawtooth
 filter) as a pair of dense 1-D matrices per chart axis, built once per grid.
 The pole closure and the Mercator factor sin(theta) live only there.
-``diff_x`` and ``diff_y`` apply the derivative pair to sampled fields, and
-``spectral`` assembles its stiffness from the same pairs.  Closed surface data
-is always evaluated analytically; the fixed-order stencils only touch sampled
-variation fields, which keeps their discretization error visible and
-convergent under refinement instead of collapsing to roundoff.
+``diff_x`` and ``diff_y`` apply the derivative pair to sampled fields,
+``diff_slab`` to a run of chart columns sampled on the window its stencil
+reads, and ``spectral`` assembles its stiffness from the same pairs.  Closed
+surface data is always evaluated analytically; the fixed-order stencils only
+touch sampled variation fields, which keeps their discretization error
+visible and convergent under refinement instead of collapsing to roundoff.
 """
 
 from __future__ import annotations
@@ -162,14 +163,53 @@ class ParamGrid:
         if np.iscomplexobj(g):
             g = g.view(np.float64)
         out = np.empty_like(g)
-        P, Q = self.axis_stencil(axis, "diff")
         if axis == 0:
+            P = self.axis_stencil(0, "diff")[0]
             np.matmul(P, g.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
+        elif self.topology == "torus":
+            np.matmul(self.axis_stencil(1, "diff")[0], g, out=out)
         else:
-            np.matmul(P, g, out=out)
-            if self.topology == "sphere":
-                out += np.roll(np.matmul(Q, g), self.nx // 2, axis=0)
+            # the flip factor enters through its nonzero columns only, which
+            # are appended to the field at the antipodal longitude
+            _, runs, joined = _pole_closure(self)
+            half = self.nx // 2
+            ext = np.empty((self.nx, joined.shape[1], g.shape[2]))
+            ext[:, :self.ny] = g
+            j = self.ny
+            for run in runs:
+                k = j + run.stop - run.start
+                ext[:half, j:k] = g[half:, run]
+                ext[half:, j:k] = g[:half, run]
+                j = k
+            np.matmul(joined, ext, out=out)
         return out.view(f.dtype).reshape(f.shape)
+
+    def slabs(self, width: int) -> tuple["Slab", ...]:
+        """The chart columns in runs of ``width`` (the last may be shorter),
+        each with the y stencil restricted to the columns it reads; see
+        ``diff_slab``.  Built once per (grid, width)."""
+        return _slabs(self, width)
+
+    def diff_slab(self, slab: "Slab", f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(d/dx, d/dy) on the columns of ``slab`` of a real field sampled on
+        its window only.
+
+        ``f`` is held x last, (len(slab.window), ..., nx), and so are the
+        results, (slab width, ..., nx).  They equal ``diff_x`` and ``diff_y``
+        of any full field that agrees with ``f`` on the window, up to the
+        summation order: d/dx applies the x factor of ``axis_stencil`` to
+        the slab's own columns, d/dy the slab's rows of the y factors.
+        """
+        f = np.ascontiguousarray(f, dtype=float)
+        flat = f.reshape(len(f), -1)
+        own = f[slab.inner]
+        P = self.axis_stencil(0, "diff")[0]
+        dx = serial_matmul(own.reshape(-1, self.nx), P.T).reshape(own.shape)
+        dy = serial_matmul(slab.interior, flat).reshape(own.shape)
+        if len(slab.flip_rows):
+            flip = serial_matmul(slab.flip, flat).reshape((-1,) + f.shape[1:])
+            dy[slab.flip_rows] += np.roll(flip, self.nx // 2, axis=-1)
+        return dx, dy
 
     # ------------------------------------------------- 1-D axis stencils
     def axis_stencil(self, axis: int, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -222,6 +262,75 @@ def _axis_stencil(g: ParamGrid, axis: int, name: str) -> tuple[np.ndarray, np.nd
     mats.setflags(write=False)
     # a periodic axis has no flip: a zero view that holds no memory
     return mats[0], mats[1] if pole else np.broadcast_to(0.0, (n, n))
+
+
+# OpenBLAS runs a product of m n k <= 2^18 multiply-adds on one thread (its
+# threshold is 65536 times GEMM_MULTITHREAD_THRESHOLD = 4) and splits larger
+# ones between its threads, which changes the bits of the result with the
+# thread count
+SERIAL_PRODUCT = 1 << 18
+
+
+def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for 2-D a and b, in blocks of rows of a and columns of b that
+    are each below ``SERIAL_PRODUCT``: the same bits whatever the number of
+    BLAS threads."""
+    (m, k), n = a.shape, b.shape[1]
+    cols = max(1, min(n, SERIAL_PRODUCT // k))
+    rows = max(1, min(m, SERIAL_PRODUCT // (k * cols)))
+    if rows == m and cols == n:
+        return a @ b
+    return np.block([[a[i:i + rows] @ b[:, j:j + cols] for j in range(0, n, cols)]
+                     for i in range(0, m, rows)])
+
+
+@lru_cache(maxsize=32)
+def _pole_closure(g: ParamGrid) -> tuple[np.ndarray, tuple[slice, ...], np.ndarray]:
+    """The nonzero part of the sphere y flip factor of ``"diff"``: its rows,
+    its columns as runs (the stencil half-width at each pole), and the
+    interior factor with those flip columns appended."""
+    P, Q = g.axis_stencil(1, "diff")
+    rows = np.flatnonzero(Q.any(axis=1))
+    cols = np.flatnonzero(Q.any(axis=0))
+    cuts = np.flatnonzero(np.diff(cols) > 1) + 1
+    runs = tuple(slice(int(c[0]), int(c[-1]) + 1) for c in np.split(cols, cuts))
+    joined = np.hstack([P, Q[:, cols]])
+    joined.setflags(write=False)
+    return rows, runs, joined
+
+
+@dataclass(frozen=True, eq=False)
+class Slab:
+    """A run of chart columns with the y factors of ``"diff"`` restricted to
+    the columns its rows reach (see ``ParamGrid.diff_slab``)."""
+
+    cols: slice            # the chart columns of the slab
+    window: np.ndarray     # the columns its y stencil reads, ascending
+    inner: slice           # where ``cols`` sit inside ``window``
+    interior: np.ndarray   # interior factor, rows ``cols`` x columns ``window``
+    flip_rows: np.ndarray  # slab rows, counted from the slab's first, the flip reaches
+    flip: np.ndarray       # flip factor, rows ``flip_rows`` x columns ``window``
+
+
+@lru_cache(maxsize=32)
+def _slabs(g: ParamGrid, width: int) -> tuple[Slab, ...]:
+    if width < 1:
+        raise ValueError("slab width must be at least 1")
+    P, Q = g.axis_stencil(1, "diff")
+    flip_rows = _pole_closure(g)[0] if g.topology == "sphere" else np.arange(0)
+    out = []
+    for j0 in range(0, g.ny, width):
+        cols = slice(j0, min(j0 + width, g.ny))
+        frows = flip_rows[(flip_rows >= cols.start) & (flip_rows < cols.stop)]
+        # the centered stencil skips its own row, so the slab's columns are
+        # added; they are a contiguous run of the ascending window
+        reach = P[cols].any(axis=0) | Q[frows].any(axis=0)
+        reach[cols] = True
+        window = np.flatnonzero(reach)
+        start = int(np.searchsorted(window, cols.start))
+        out.append(Slab(cols, window, slice(start, start + cols.stop - cols.start),
+                        P[cols][:, window], frows - cols.start, Q[frows][:, window]))
+    return tuple(out)
 
 
 def torus_grid(nx: int, ny: int, lx: float = TWO_PI, ly: float = TWO_PI) -> ParamGrid:

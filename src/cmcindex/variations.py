@@ -120,6 +120,43 @@ def normal_variation(imm: Immersion, f: np.ndarray) -> VariationField:
 
 # ----------------------------------------------------- random fields (seeded)
 
+def _torus_degree(g, degree: int | None) -> int:
+    # degree 2 keeps mode-product aliasing of the 8th-order stencils near,
+    # not safely below, the 1e-6 identity-residual budget: over 200
+    # variations at 64x64 the Clifford torus peaks at 1.01e-6 and 1.04e-6
+    # (CLI seeds 697501 and 601682), the Delaunay torus k=2 at 9.9e-7
+    # (828851)
+    return min(degree or 2, g.nx // 4, g.ny // 4)
+
+
+def _scalar_draws(imm: Immersion, rng: np.random.Generator,
+                  degree: int | None, decay: float):
+    """The rng draws of one seeded scalar field, in the order they are made.
+
+    Torus charts: (j, k, amplitude, x phase, y phase) of each term
+    amplitude cos(j xi + x phase) cos(k eta + y phase), j, k <= m.  Sphere
+    charts: (constant, linear coefficients, quadratic coefficients) of a
+    polynomial in the ambient coordinates, None above the degree.
+    """
+    g = imm.grid
+    if g.topology == "torus":
+        m = _torus_degree(g, degree)
+        return [(j, k, decay ** (j + k) * rng.standard_normal(),
+                 rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
+                for j in range(m + 1) for k in range(m + 1)]
+    deg = min(degree or 2, 2)
+    d = imm.space.dim
+    c0 = rng.standard_normal()
+    c1 = 0.6 * rng.standard_normal(d) if deg >= 1 else None
+    c2 = 0.35 * rng.standard_normal((d, d)) if deg >= 2 else None
+    return c0, c1, c2
+
+
+def _chart_angles(g) -> tuple[np.ndarray, np.ndarray]:
+    return (2.0 * np.pi * (g.x - g.x_range[0]) / (g.x_range[1] - g.x_range[0]),
+            2.0 * np.pi * (g.y - g.y_range[0]) / (g.y_range[1] - g.y_range[0]))
+
+
 def random_scalar(imm: Immersion, rng: np.random.Generator,
                   degree: int | None = None, decay: float = 0.3) -> np.ndarray:
     """Seeded smooth random scalar field, resolved by the grid.
@@ -130,47 +167,42 @@ def random_scalar(imm: Immersion, rng: np.random.Generator,
     analogue there (chart trig polynomials are not smooth across the poles).
     """
     g = imm.grid
+    draws = _scalar_draws(imm, rng, degree, decay)
     if g.topology == "torus":
-        # degree 2 keeps mode-product aliasing of the 8th-order stencils near,
-        # not safely below, the 1e-6 identity-residual budget: over 200
-        # variations at 64x64 the Clifford torus peaks at 1.01e-6 and 1.04e-6
-        # (CLI seeds 697501 and 601682), the Delaunay torus k=2 at 9.9e-7
-        # (828851)
-        m = min(degree or 2, g.nx // 4, g.ny // 4)
         # each cosine factor depends on one chart axis: evaluate it there and
-        # combine by broadcasting (same values and rng draws as on the mesh)
-        xi = 2.0 * np.pi * (g.x - g.x_range[0]) / (g.x_range[1] - g.x_range[0])
-        eta = 2.0 * np.pi * (g.y - g.y_range[0]) / (g.y_range[1] - g.y_range[0])
+        # combine by broadcasting (same values as on the mesh)
+        xi, eta = _chart_angles(g)
         out = np.zeros((g.nx, g.ny))
-        for j in range(m + 1):
-            for k in range(m + 1):
-                amp = decay ** (j + k)
-                fx = amp * rng.standard_normal() * np.cos(j * xi + rng.uniform(0, 2 * np.pi))
-                out += fx[:, None] * np.cos(k * eta + rng.uniform(0, 2 * np.pi))
+        for j, k, amp, phx, phy in draws:
+            fx = amp * np.cos(j * xi + phx)
+            out += fx[:, None] * np.cos(k * eta + phy)
         return out
     p = imm.u
-    deg = min(degree or 2, 2)
-    out = rng.standard_normal() * np.ones(p.shape[:2])
-    d = imm.space.dim
-    if deg >= 1:
-        coef = 0.6 * rng.standard_normal(d)
-        out = out + p @ coef
-    if deg >= 2:
-        coef2 = 0.35 * rng.standard_normal((d, d))
+    c0, c1, c2 = draws
+    out = c0 * np.ones(p.shape[:2])
+    if c1 is not None:
+        out = out + p @ c1
+    if c2 is not None:
         # sum_ab (p_a c_ab) p_b from zero in row-major (a, b) order, over
-        # contiguous components: np.einsum("...a,ab,...b->...", p, coef2, p)
+        # contiguous components: np.einsum("...a,ab,...b->...", p, c2, p)
         # bit for bit, in a third to a half of its time
+        d = imm.space.dim
         comps = [np.ascontiguousarray(p[..., a]) for a in range(d)]
         quad = np.zeros(p.shape[:2])
         for a in range(d):
             for b in range(d):
-                quad += (comps[a] * coef2[a, b]) * comps[b]
+                quad += (comps[a] * c2[a, b]) * comps[b]
         out = out + quad
     return out
 
 
+# amplitude decay of the seeded variations' torus modes
+_VARIATION_DECAY = 0.35
+
+
 def random_variation(imm: Immersion, rng: np.random.Generator,
-                     degree: int | None = None, decay: float = 0.35) -> VariationField:
+                     degree: int | None = None,
+                     decay: float = _VARIATION_DECAY) -> VariationField:
     """Seeded smooth random section of u^* TN (tangency enforced)."""
     comps = [random_scalar(imm, rng, degree=degree, decay=decay)
              for _ in range(imm.space.dim)]

@@ -148,10 +148,11 @@ def test_determinism_byte_identical(tmp_path):
                 == (tmp_path / "b" / name).read_bytes())
 
 
-def _python(args, cwd):
-    """Run ``python args`` in a fresh process that imports this cmcindex."""
+def _python(args, cwd, **env):
+    """Run ``python args`` in a fresh process that imports this cmcindex,
+    with the environment variables ``env`` set."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     return subprocess.run([sys.executable] + args, capture_output=True, text=True,
                           timeout=300, cwd=cwd, env=env)
@@ -161,6 +162,19 @@ def test_module_entry_point(tmp_path):
     proc = _python(["-m", "cmcindex.cli", "identity", "--config",
                     _cfg(tmp_path, SMALL_IDENTITY), "--out", str(tmp_path / "out")], tmp_path)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_identity_independent_of_blas_threads(tmp_path):
+    config = _cfg(tmp_path, SMALL_IDENTITY)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = _python(["-m", "cmcindex.cli", "identity", "--config", config, "--out", str(out)],
+                       tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("report.json", "identity.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 @pytest.mark.parametrize("params", [{"k": 1, "neck": 1.5}, {"k": 0},

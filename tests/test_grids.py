@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmcindex.grids import ParamGrid, refine, sphere_grid, torus_grid
+from cmcindex.grids import ParamGrid, refine, serial_matmul, sphere_grid, torus_grid
 
 
 def test_resolution_floor_enforced():
@@ -98,3 +98,27 @@ def test_theta_weights_positive():
         assert np.all(g.theta_weights > 0)
         # integrates sin(theta) exactly: total 2
         assert abs((g.theta_weights * np.sin(g.theta)).sum() - 2.0) < 1e-13
+
+
+@pytest.mark.parametrize("grid", [torus_grid(24, 16, 1.3, 0.7), torus_grid(8, 8),
+                                  sphere_grid(16, 12), sphere_grid(12, 8)],
+                         ids=["torus", "torus-small", "sphere", "sphere-small"])
+def test_slab_stencils_match_full_stencils(grid):
+    rng = np.random.default_rng(5)
+    f = rng.standard_normal((grid.nx, grid.ny, 3))
+    full = [np.moveaxis(d, 0, -1) for d in (grid.diff_x(f), grid.diff_y(f))]
+    for width in (1, 2, 3, 5):
+        slabs = grid.slabs(width)
+        assert [j for s in slabs for j in range(grid.ny)[s.cols]] == list(range(grid.ny))
+        for slab in slabs:
+            part = grid.diff_slab(slab, np.moveaxis(f[:, slab.window], 0, -1))
+            for new, ref in zip(part, full):
+                assert np.abs(new - ref[slab.cols]).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_serial_matmul_blocks_equal_product():
+    rng = np.random.default_rng(6)
+    for m, k, n in ((3, 5, 7), (300, 64, 400), (2, 70000, 8)):
+        a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+        ref = a @ b
+        assert np.abs(serial_matmul(a, b) - ref).max() <= 1e-12 * np.abs(ref).max()

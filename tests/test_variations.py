@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from cmcindex import ambient as amb
 from cmcindex import gallery as gal
+from cmcindex import span
 from cmcindex import variations as vr
 
 SEEDS = (11, 12, 13)
@@ -419,3 +426,81 @@ def test_peter_paul_pointwise(name, kw):
         for eps in (0.5, 1.0):
             marg = vr.peter_paul_margin(imm, vf, eps)
             assert marg.min() > -1e-12 * max(1.0, np.abs(marg).max())
+
+
+# ------------------------------------------------------------- the seeded span
+
+# the five default identity surfaces, on coarse grids
+SPAN_CASES = [("sphere_r3", {"radius": 1.0}, (32, 24)),
+              ("sphere_s3", {"radius": 0.9}, (32, 24)),
+              ("sphere_h3", {"radius": 0.8}, (32, 24)),
+              ("clifford_torus", {}, (32, 32)),
+              ("delaunay_t3", {"k": 2, "neck": 0.55}, (32, 32))]
+
+
+@pytest.mark.parametrize("name,kw,res", SPAN_CASES, ids=[c[0] for c in SPAN_CASES])
+def test_span_coefficients_reproduce_seeded_variations(name, kw, res):
+    imm = gal.gallery(name, resolution=res, **kw)
+    basis = span.basis(imm)
+    for seed, coef in zip(SEEDS, span.coefficients(imm, SEEDS)):
+        v = vr.seeded_variation(imm, seed).v
+        field = np.einsum("xyid,i->xyd", basis, coef)
+        assert np.abs(field - v).max() <= 1e-13 * np.abs(v).max()
+
+
+@pytest.mark.parametrize("name,kw,res", SPAN_CASES, ids=[c[0] for c in SPAN_CASES])
+def test_span_rows_match_per_variation_identity(name, kw, res):
+    """Rows from the span Grams against ``comparison_identity_residual`` of
+    the same seeded fields, relative to the row's scale max(|d2A|, |d2E|, 1)
+    (the scale of residual_rel): a form that nearly vanishes on one field
+    carries no relative precision of its own."""
+    imm = gal.gallery(name, resolution=res, **kw)
+    seeds = range(4)
+    rows = span.identity_residuals(imm, seeds)
+    assert len(rows) == len(seeds)
+    for seed, row in zip(seeds, rows):
+        ref = vr.comparison_identity_residual(imm, vr.seeded_variation(imm, seed))
+        scale = max(abs(ref["d2_area"]), abs(ref["d2_energy"]), 1.0)
+        for key in ("d2_area", "d2_energy", "defect_chart", "residual_abs"):
+            assert abs(row[key] - ref[key]) <= 1e-12 * scale, key
+        assert abs(row["residual_rel"] - ref["residual_rel"]) <= 1e-12
+
+
+def test_span_grams_stream_within_memory_budget():
+    """The Grams are streamed over slabs of the chart: one field per basis
+    element over the whole grid, (nx, ny, N) doubles, would already take
+    3.1 MiB for the Clifford torus at 64x64."""
+    imm = gal.gallery("clifford_torus", resolution=(64, 64))
+    span.grams(imm)  # the immersion's geometry and the stencil tables stay cached
+    tracemalloc.start()
+    try:
+        span.grams(imm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2 ** 20
+
+
+GRAM_DIGEST = """
+import hashlib
+from cmcindex import gallery, span
+for kind in ("clifford_torus", "delaunay_t3", "sphere_s3"):
+    imm = gallery.gallery(kind, resolution=(64, 64) if kind != "sphere_s3" else (64, 48))
+    print(kind, hashlib.sha256(b"".join(g.tobytes() for g in span.grams(imm))).hexdigest())
+"""
+
+
+def test_span_grams_independent_of_blas_threads():
+    """Bit for bit the same Grams with one and with two OpenBLAS threads, at
+    the default identity sizes (N = 100, 75 and 60 over 64-point columns),
+    where unsplit products do change bits with the thread count."""
+    src = str(Path(vr.__file__).resolve().parents[1])
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run([sys.executable, "-c", GRAM_DIGEST], capture_output=True,
+                              text=True, timeout=300, env=env)
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout)
+    assert out[0] == out[1]
