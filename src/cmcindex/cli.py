@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``identity`` -- comparison-identity residuals over seeded random variations,
-  each row c^T G c from the span Gram matrices of its surface (below);
+* ``identity`` -- comparison-identity residuals over seeded random variations
+  (per variation, or from the span Gram matrices of the surface: below);
 * ``spectrum`` -- Jacobi eigenvalue tables with index/nullity/weak index and
   refinement-stability flags (optional SVG strip plot);
 * ``bounds``   -- full index-bound reports per surface (plus ``--r-table``);
@@ -18,13 +18,17 @@ process their surfaces concurrently, capped by CMCINDEX_THREADS.
 that hold the GIL, and a second thread only adds CPU time.
 
 Every seeded variation of a surface lies in one span of N fields (N = 30 to
-100 on the default surfaces), so ``identity`` assembles, once per surface,
-the N x N Gram matrices of d2A, d2E and the chart defect 8 int |eta|^2 dx dy
+100 on the default surfaces).  With at least N/2 variations on a surface,
+where the route pays off, ``identity`` assembles once the N x N Gram
+matrices of d2A, d2E and the chart defect 8 int |eta|^2 dx dy
 (``span.grams``, streamed over slabs of chart columns) and writes each
-variation's row from its coefficient vector c as c^T G c.  The rows agree
-with ``variations.comparison_identity_residual`` of the same fields up to
-roundoff, and every BLAS product stays below OpenBLAS's threading
-threshold, so the outputs do not depend on OPENBLAS_NUM_THREADS either.
+variation's row from its coefficient vector c as c^T G c; with fewer it
+evaluates ``variations.comparison_identity_residual`` per variation.  The
+two routes agree up to roundoff, so a row's last digits can depend on the
+number of variations.  The span route keeps every BLAS product below
+OpenBLAS's threading threshold (``grids.serial_matmul``); the outputs of
+both routes were checked byte-identical at OPENBLAS_NUM_THREADS 1 and 2
+with the OpenBLAS bundled with numpy.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from . import bounds as bd
 from . import gallery as gal
 from . import spectral as sp
 from . import surfaces as sf
+from . import variations as vr
 
 SCHEMA_VERSION = 1
 
@@ -268,8 +273,13 @@ def cmd_identity(cfg: RunConfig) -> int:
     def worker(desc):
         imm = _build(desc)
         seeds = [cfg.seed * 100003 + i for i in range(cfg.variations)]
+        if span.pays_off(imm, len(seeds)):
+            reps = span.identity_residuals(imm, seeds)
+        else:
+            reps = [vr.comparison_identity_residual(imm, vr.seeded_variation(imm, s))
+                    for s in seeds]
         rows, worst = [], 0.0
-        for seed, rep in zip(seeds, span.identity_residuals(imm, seeds)):
+        for seed, rep in zip(seeds, reps):
             worst = max(worst, rep["residual_rel"])
             rows.append([_surface_key(desc), seed,
                          rep["d2_area"], rep["d2_energy"], rep["defect_chart"],

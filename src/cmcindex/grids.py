@@ -163,25 +163,15 @@ class ParamGrid:
         if np.iscomplexobj(g):
             g = g.view(np.float64)
         out = np.empty_like(g)
+        P = self.axis_stencil(axis, "diff")[0]
         if axis == 0:
-            P = self.axis_stencil(0, "diff")[0]
             np.matmul(P, g.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
-        elif self.topology == "torus":
-            np.matmul(self.axis_stencil(1, "diff")[0], g, out=out)
         else:
-            # the flip factor enters through its nonzero columns only, which
-            # are appended to the field at the antipodal longitude
-            _, runs, joined = _pole_closure(self)
-            half = self.nx // 2
-            ext = np.empty((self.nx, joined.shape[1], g.shape[2]))
-            ext[:, :self.ny] = g
-            j = self.ny
-            for run in runs:
-                k = j + run.stop - run.start
-                ext[:half, j:k] = g[half:, run]
-                ext[half:, j:k] = g[:half, run]
-                j = k
-            np.matmul(joined, ext, out=out)
+            np.matmul(P, g, out=out)
+            if self.topology == "sphere":
+                # the flip factor enters through its nonzero rows only
+                rows, flip = _pole_flip(self)
+                out[:, rows] += np.roll(np.matmul(flip, g), self.nx // 2, axis=0)
         return out.view(f.dtype).reshape(f.shape)
 
     def slabs(self, width: int) -> tuple["Slab", ...]:
@@ -264,10 +254,12 @@ def _axis_stencil(g: ParamGrid, axis: int, name: str) -> tuple[np.ndarray, np.nd
     return mats[0], mats[1] if pole else np.broadcast_to(0.0, (n, n))
 
 
-# OpenBLAS runs a product of m n k <= 2^18 multiply-adds on one thread (its
-# threshold is 65536 times GEMM_MULTITHREAD_THRESHOLD = 4) and splits larger
-# ones between its threads, which changes the bits of the result with the
-# thread count
+# OpenBLAS runs a product of m n k <= 2^18 multiply-adds on one thread and
+# splits larger ones between its threads, which changes the bits of the
+# result with the thread count.  The threshold is 65536 times the build-time
+# GEMM_MULTITHREAD_THRESHOLD, assumed at its default of 4 (as in the OpenBLAS
+# 0.3.31 bundled with numpy, where outputs were checked at 1 and 2 threads);
+# a build with a smaller setting threads smaller products
 SERIAL_PRODUCT = 1 << 18
 
 
@@ -285,18 +277,15 @@ def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _pole_closure(g: ParamGrid) -> tuple[np.ndarray, tuple[slice, ...], np.ndarray]:
-    """The nonzero part of the sphere y flip factor of ``"diff"``: its rows,
-    its columns as runs (the stencil half-width at each pole), and the
-    interior factor with those flip columns appended."""
-    P, Q = g.axis_stencil(1, "diff")
+def _pole_flip(g: ParamGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero rows of the sphere y flip factor of ``"diff"`` (the
+    stencil half-width at each pole) and the factor restricted to them."""
+    Q = g.axis_stencil(1, "diff")[1]
     rows = np.flatnonzero(Q.any(axis=1))
-    cols = np.flatnonzero(Q.any(axis=0))
-    cuts = np.flatnonzero(np.diff(cols) > 1) + 1
-    runs = tuple(slice(int(c[0]), int(c[-1]) + 1) for c in np.split(cols, cuts))
-    joined = np.hstack([P, Q[:, cols]])
-    joined.setflags(write=False)
-    return rows, runs, joined
+    flip = Q[rows]
+    for x in (rows, flip):
+        x.setflags(write=False)
+    return rows, flip
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +306,7 @@ def _slabs(g: ParamGrid, width: int) -> tuple[Slab, ...]:
     if width < 1:
         raise ValueError("slab width must be at least 1")
     P, Q = g.axis_stencil(1, "diff")
-    flip_rows = _pole_closure(g)[0] if g.topology == "sphere" else np.arange(0)
+    flip_rows = _pole_flip(g)[0] if g.topology == "sphere" else np.arange(0)
     out = []
     for j0 in range(0, g.ny, width):
         cols = slice(j0, min(j0 + width, g.ny))

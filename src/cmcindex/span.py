@@ -13,8 +13,10 @@ a M + m, and its coefficients there are its rng draws (``coefficients``).
 ``grams`` assembles the N x N Gram matrices of ``second_variation_area``,
 ``second_variation_energy`` and the chart defect 8 int |eta|^2 dx dy, so
 that the comparison identity of any seeded variation is three quadratic
-forms c^T G c (``identity_residuals``).  The ``cmcindex identity`` command
-imports this module on demand; the other commands never compile it.
+forms c^T G c (``identity_residuals``).  The Grams cost about as much as
+N/2 per-variation rows, so ``cmcindex identity`` takes this route only for a
+surface with at least that many variations (``pays_off``); it imports this
+module on demand, and the other commands never compile it.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .surfaces import Immersion
 # ``variations.random_scalar``
 from .variations import _VARIATION_DECAY, _chart_angles, _scalar_draws, _torus_degree
 
-__all__ = ["coefficients", "basis", "grams", "identity_residuals"]
+__all__ = ["size", "pays_off", "coefficients", "basis", "grams", "identity_residuals"]
 
 # chart columns per slab: on the default identity surfaces 3 took 0.87 s
 # for the five Grams against 1.01 s for 2 and 0.73 s for 4, with a
@@ -56,6 +58,18 @@ def _span_scalars(imm: Immersion, cols) -> np.ndarray:
     p = np.moveaxis(imm.u[:, cols], 0, -1)
     a, b = np.triu_indices(imm.space.dim)
     return np.concatenate([np.ones((len(p), 1, g.nx)), p, p[:, a] * p[:, b]], axis=1)
+
+
+def size(imm: Immersion) -> int:
+    """N, the number of span fields of the surface."""
+    return imm.space.dim * _span_scalars(imm, slice(0, 1)).shape[1]
+
+
+def pays_off(imm: Immersion, variations: int) -> bool:
+    """Whether the span Grams are cheaper than ``variations`` per-variation
+    rows: on the default identity surfaces the two break even at 0.4-0.7 N
+    rows (0.05-0.46 s of Grams against 3-9 ms per row, in-process)."""
+    return 2 * variations >= size(imm)
 
 
 def _waves(j: int, phase: np.ndarray) -> list:

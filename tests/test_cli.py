@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -164,8 +165,31 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_identity_independent_of_blas_threads(tmp_path):
-    config = _cfg(tmp_path, SMALL_IDENTITY)
+def test_identity_rows_from_span_once_it_pays_off(tmp_path, monkeypatch):
+    """sphere_r3 has a span of 30 fields: 14 variations take the
+    per-variation route, 15 the span Grams, and the rows agree."""
+    from cmcindex import span
+    built = []
+    grams = span.grams
+    monkeypatch.setattr(span, "grams", lambda imm: built.append(imm) or grams(imm))
+    rows = {}
+    for n in (14, 15):
+        cfg = dict(SMALL_IDENTITY, variations=n, surfaces=SMALL_IDENTITY["surfaces"][:1])
+        out = tmp_path / str(n)
+        assert cli.main(["identity", "--config", _cfg(tmp_path, cfg), "--out", str(out)]) == 0
+        assert len(built) == n - 14
+        with open(out / "identity.csv", newline="") as fh:
+            rows[n] = list(csv.reader(fh))[1:]
+    assert len(rows[14]) == 14 and len(rows[15]) == 15
+    for per, sp_row in zip(rows[14], rows[15]):
+        assert per[:2] == sp_row[:2]
+        for a, b in zip(per[2:5], sp_row[2:5]):
+            assert abs(float(a) - float(b)) <= 1e-12 * abs(float(a))
+
+
+@pytest.mark.parametrize("variations", [4, 50], ids=["per-variation", "span"])
+def test_identity_independent_of_blas_threads(tmp_path, variations):
+    config = _cfg(tmp_path, dict(SMALL_IDENTITY, variations=variations))
     outs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"

@@ -451,19 +451,26 @@ def test_span_coefficients_reproduce_seeded_variations(name, kw, res):
 @pytest.mark.parametrize("name,kw,res", SPAN_CASES, ids=[c[0] for c in SPAN_CASES])
 def test_span_rows_match_per_variation_identity(name, kw, res):
     """Rows from the span Grams against ``comparison_identity_residual`` of
-    the same seeded fields, relative to the row's scale max(|d2A|, |d2E|, 1)
-    (the scale of residual_rel): a form that nearly vanishes on one field
-    carries no relative precision of its own."""
+    the same seeded fields: each form within 1e-12 of its own value, and
+    the residual, a cancellation of the three, within 1e-12 of the row's
+    scale max(|d2A|, |d2E|, 1)."""
     imm = gal.gallery(name, resolution=res, **kw)
     seeds = range(4)
     rows = span.identity_residuals(imm, seeds)
     assert len(rows) == len(seeds)
     for seed, row in zip(seeds, rows):
         ref = vr.comparison_identity_residual(imm, vr.seeded_variation(imm, seed))
+        for key in ("d2_area", "d2_energy", "defect_chart"):
+            assert abs(row[key] - ref[key]) <= 1e-12 * abs(ref[key]), key
         scale = max(abs(ref["d2_area"]), abs(ref["d2_energy"]), 1.0)
-        for key in ("d2_area", "d2_energy", "defect_chart", "residual_abs"):
-            assert abs(row[key] - ref[key]) <= 1e-12 * scale, key
+        assert abs(row["residual_abs"] - ref["residual_abs"]) <= 1e-12 * scale
         assert abs(row["residual_rel"] - ref["residual_rel"]) <= 1e-12
+
+
+def test_span_pays_off_from_half_its_size():
+    imm = gal.gallery("sphere_r3", resolution=(32, 24))
+    assert span.size(imm) == 30 == span.basis(imm).shape[2]
+    assert not span.pays_off(imm, 14) and span.pays_off(imm, 15)
 
 
 def test_span_grams_stream_within_memory_budget():
