@@ -27,6 +27,7 @@ Hessians (pinned by the round-sphere oracle test).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -165,18 +166,40 @@ def ricci_normal(space: AmbientSpace, p, nu) -> np.ndarray:
 # ---------------------------------------------------------------- volume form
 
 def volume_form(space: AmbientSpace, p, x, y, z) -> np.ndarray:
-    """dV_N(X, Y, Z): alternating, +1 on positively oriented orthonormal frames."""
+    """dV_N(X, Y, Z): alternating, +1 on positively oriented orthonormal frames.
+
+    The determinant of the rows (x, y, z) on R3 and FlatT3, (p, x, y, z) on
+    S3 and (x, y, z, p) on H3 (so the standard spatial frame at (0,0,0,1) is
+    +1), in closed form: the triple product x . (y x z) in R^3, and in R^4
+    the Laplace expansion along the first two rows in 2x2 minors.  Inputs
+    broadcast against each other.
+    """
     x, y, z = np.asarray(x), np.asarray(y), np.asarray(z)
     if space.kind in ("R3", "FlatT3"):
-        m = np.stack([x, y, z], axis=-2)
-        return np.linalg.det(m)
+        return _det3(x, y, z)
     p = np.asarray(p)
     if space.kind == "S3":
-        m = np.stack([np.broadcast_to(p, x.shape), x, y, z], axis=-2)
-        return np.linalg.det(m)
-    # H3: orientation fixed so the standard spatial frame at (0,0,0,1) is +1.
-    m = np.stack([x, y, z, np.broadcast_to(p, x.shape)], axis=-2)
-    return np.linalg.det(m)
+        return _det4(p, x, y, z)
+    return _det4(x, y, z, p)
+
+
+def _det3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """x . (y x z) over the last axis."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    y0, y1, y2 = y[..., 0], y[..., 1], y[..., 2]
+    z0, z1, z2 = z[..., 0], z[..., 1], z[..., 2]
+    return x0 * (y1 * z2 - y2 * z1) + x1 * (y2 * z0 - y0 * z2) + x2 * (y0 * z1 - y1 * z0)
+
+
+def _det4(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """det of the rows (a, b, c, d) over the last axis: sum over column pairs
+    i < j of +-(2x2 minor of a, b in i, j)(complementary minor of c, d)."""
+    def minors(r, s):
+        return {(i, j): r[..., i] * s[..., j] - r[..., j] * s[..., i]
+                for i in range(4) for j in range(i + 1, 4)}
+    m, n = minors(a, b), minors(c, d)
+    return (m[0, 1] * n[2, 3] - m[0, 2] * n[1, 3] + m[0, 3] * n[1, 2]
+            + m[1, 2] * n[0, 3] - m[1, 3] * n[0, 2] + m[2, 3] * n[0, 1])
 
 
 # ----------------------------------------------------------------- geodesics
@@ -212,6 +235,48 @@ def wrap_t3(p: np.ndarray) -> np.ndarray:
     return np.mod(p, 1.0)
 
 
+class _Geodesic:
+    """exp_p(t w) on S3 or H3 at one t, batched over (p, w), with its
+    t-derivative and its derivatives along (dp, dw).
+
+    th = t |w|, C(th) and S(th) are evaluated once, g2(th) on first use, and
+    shared by the position, the velocity and any number of directional
+    derivatives, so a deformed frame needs one evaluation of them.  ``w2`` =
+    <w, w> and ``wn`` = |w| may be passed in by a caller that holds them; they
+    are the same values as computed here.
+    """
+
+    def __init__(self, space: AmbientSpace, p: np.ndarray, w: np.ndarray, t: float,
+                 w2: Optional[np.ndarray] = None, wn: Optional[np.ndarray] = None):
+        self.space, self.p, self.w, self.t = space, p, w, t
+        self.w2 = inner(space, w, w) if w2 is None else w2
+        self.th = t * (np.sqrt(self.w2) if wn is None else wn)
+        c, s = _coefficients(space)
+        self.ct, self.st = c(self.th), s(self.th)
+
+    def point(self) -> np.ndarray:
+        """exp_p(t w)."""
+        return self.ct[..., None] * self.p + (self.t * self.st)[..., None] * self.w
+
+    def velocity(self) -> np.ndarray:
+        """d/dt exp_p(t w)."""
+        k, t = self.space.curvature, self.t
+        return (-k * t * self.w2 * self.st)[..., None] * self.p + self.ct[..., None] * self.w
+
+    @cached_property
+    def g2(self) -> np.ndarray:
+        return _g2(self.space, self.th, self.ct, self.st)
+
+    def directional(self, dp: np.ndarray, dw: np.ndarray) -> np.ndarray:
+        """Derivative of exp_p(t w) along (dp, dw)."""
+        k, t, st = self.space.curvature, self.t, self.st
+        wdw = inner(self.space, self.w, dw)
+        return (self.ct[..., None] * dp
+                + (t * st)[..., None] * dw
+                - (k * t * t * st * wdw)[..., None] * self.p
+                + (t ** 3 * self.g2 * wdw)[..., None] * self.w)
+
+
 def exp_map(space: AmbientSpace, p: np.ndarray, w: np.ndarray, t: float = 1.0) -> np.ndarray:
     """exp_p(t w) in closed form; FlatT3 results are wrapped into [0,1)^3."""
     p = np.asarray(p, dtype=float)
@@ -220,9 +285,7 @@ def exp_map(space: AmbientSpace, p: np.ndarray, w: np.ndarray, t: float = 1.0) -
         return p + t * w
     if space.kind == "FlatT3":
         return wrap_t3(p + t * w)
-    c, s = _coefficients(space)
-    th = t * norm(space, w)
-    return c(th)[..., None] * p + (t * s(th))[..., None] * w
+    return _Geodesic(space, p, w, t).point()
 
 
 def exp_velocity(space: AmbientSpace, p, w, t: float) -> np.ndarray:
@@ -231,10 +294,7 @@ def exp_velocity(space: AmbientSpace, p, w, t: float) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if space.kind in ("R3", "FlatT3"):
         return np.broadcast_to(w, w.shape).copy()
-    c, s = _coefficients(space)
-    th = t * norm(space, w)
-    w2 = inner(space, w, w)
-    return (-space.curvature * t * w2 * s(th))[..., None] * p + c(th)[..., None] * w
+    return _Geodesic(space, p, w, t).velocity()
 
 
 def exp_directional(space: AmbientSpace, p, w, t: float, dp, dw) -> np.ndarray:
@@ -250,14 +310,7 @@ def exp_directional(space: AmbientSpace, p, w, t: float, dp, dw) -> np.ndarray:
     dw = np.asarray(dw, dtype=float)
     if space.kind in ("R3", "FlatT3"):
         return dp + t * dw
-    c, s = _coefficients(space)
-    wdw = inner(space, w, dw)
-    th = t * norm(space, w)
-    ct, st = c(th), s(th)
-    return (ct[..., None] * dp
-            + (t * st)[..., None] * dw
-            - (space.curvature * t * t * st * wdw)[..., None] * p
-            + (t ** 3 * _g2(space, th, ct, st) * wdw)[..., None] * w)
+    return _Geodesic(space, p, w, t).directional(dp, dw)
 
 
 # ---------------------------------------------------- connection along fields

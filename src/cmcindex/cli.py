@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -143,8 +144,11 @@ def _load_config(args, defaults: list) -> RunConfig:
         surfaces = [d for d in surfaces if d["kind"] == args.surface]
         if not surfaces:
             raise ConfigError(f"unknown or unconfigured surface {args.surface!r}")
-    if args.resolution:
+    if args.resolution is not None:
         n = args.resolution
+        # checked here: the Delaunay rule below clamps n // 2 up to 8
+        if n < 8:
+            raise ConfigError(f"--resolution must be at least 8 per direction, got {n}")
         for d in surfaces:
             if d["kind"].startswith("sphere"):
                 d["resolution"] = [n, max(8, n // 2)]
@@ -170,6 +174,9 @@ def _setting(key: str, value, kind: type, least):
     # JSON true/false are Python ints; accept them only where a bool is meant
     if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
         raise ConfigError(f"{key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    # json reads NaN, Infinity and 1e999 as floats
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key!r} must be finite, got {value!r}")
     if least is not None and value < least:
         raise ConfigError(f"{key!r} must be at least {least}, got {value!r}")
     return value

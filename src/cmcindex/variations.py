@@ -78,8 +78,17 @@ class VariationField:
         return self._norm_inf
 
     @cached_property
+    def _sq_norm(self) -> np.ndarray:
+        """<v, v> pointwise, shared by every FD frame."""
+        return amb.inner(self.imm.space, self.v, self.v)
+
+    @cached_property
+    def _norm(self) -> np.ndarray:
+        return np.sqrt(self._sq_norm)
+
+    @cached_property
     def _norm_inf(self) -> float:
-        return float(np.sqrt(amb.inner(self.imm.space, self.v, self.v)).max())
+        return float(self._norm.max())
 
     @cached_property
     def _chart_partials(self) -> tuple[np.ndarray, np.ndarray]:
@@ -415,20 +424,27 @@ class ChartExitError(RuntimeError):
     """Deformation left the valid chart region of the ambient space."""
 
 
-def _deformed_frame(imm: Immersion, vf: VariationField, t: float):
-    """Position and chart partials of exp_u(t v), chain-ruled analytically."""
+def _deformed_frame(imm: Immersion, vf: VariationField, t: float,
+                    velocity: bool = False):
+    """Position and chart partials of exp_u(t v), chain-ruled analytically;
+    with ``velocity`` also d/dt exp_u(t v), as a fourth entry.
+
+    On S3 and H3 the geodesic coefficients are evaluated once for the whole
+    frame, from the field's cached <v, v> and |v|; every array is bit for bit
+    what ``exp_map``, ``exp_directional`` and ``exp_velocity`` return.
+    """
     sp = imm.space
     v = vf.v
     dxv, dyv = vf._chart_partials
     if sp.kind == "S3" and abs(t) * vf.norm_inf() > 0.5 * np.pi:
         raise ChartExitError("geodesic deformation exceeds the S3 chart range")
-    if sp.kind == "FlatT3":
-        # lift semantics: local integrands never need wrapping
-        return imm.u + t * v, imm.ux + t * dxv, imm.uy + t * dyv
-    p = amb.exp_map(sp, imm.u, v, t)
-    a = amb.exp_directional(sp, imm.u, v, t, imm.ux, dxv)
-    b = amb.exp_directional(sp, imm.u, v, t, imm.uy, dyv)
-    return p, a, b
+    if sp.curvature == 0.0:
+        # lift semantics on FlatT3: local integrands never need wrapping
+        frame = imm.u + t * v, imm.ux + t * dxv, imm.uy + t * dyv
+        return frame + (v,) if velocity else frame
+    geo = amb._Geodesic(sp, imm.u, v, t, vf._sq_norm, vf._norm)
+    frame = geo.point(), geo.directional(imm.ux, dxv), geo.directional(imm.uy, dyv)
+    return frame + (geo.velocity(),) if velocity else frame
 
 
 def _fd_values(imm: Immersion, vf: VariationField, t: float):
@@ -443,7 +459,8 @@ def _fd_values(imm: Immersion, vf: VariationField, t: float):
     """
     memo = vf._fd_memo
     if t not in memo:
-        p, a, b = _deformed_frame(imm, vf, t)
+        want_flux = t != 0.0 and not np.isnan(imm.cmc_value)
+        p, a, b, *vel = _deformed_frame(imm, vf, t, velocity=want_flux)
         sp = imm.space
         g11 = amb.inner(sp, a, a)
         g22 = amb.inner(sp, b, b)
@@ -451,10 +468,9 @@ def _fd_values(imm: Immersion, vf: VariationField, t: float):
         area = float(imm.integrate_chart(np.sqrt(np.maximum(g11 * g22 - g12 ** 2, 0.0))))
         energy = float(imm.integrate_chart(0.5 * (g11 + g22)))
         flux = None
-        if t != 0.0 and not np.isnan(imm.cmc_value):
-            vel = vf.v if sp.kind in ("R3", "FlatT3") else amb.exp_velocity(sp, imm.u, vf.v, t)
+        if want_flux:
             flux = float(imm.integrate_chart(imm.cmc_value
-                                             * amb.volume_form(sp, p, vel, a, b)))
+                                             * amb.volume_form(sp, p, vel[0], a, b)))
         memo[t] = (area, energy, flux)
     return memo[t]
 
@@ -531,7 +547,7 @@ def volume_primitive_r3(imm: Immersion, v, t: float) -> float:
     _require_cmc(imm)
     vf = _as_field(imm, v)
     p, a, b = _deformed_frame(imm, vf, t)
-    det = np.linalg.det(np.stack([p, a, b], axis=-2))
+    det = amb.volume_form(amb.R3, None, p, a, b)
     return float(imm.integrate_chart(imm.cmc_value / 3.0 * det))
 
 

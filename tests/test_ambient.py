@@ -115,6 +115,34 @@ def test_volume_form_orientation_and_alternating(rng):
     assert abs(amb.volume_form(amb.R3, np.zeros(3), q[:, 0], q[:, 1], q[:, 2]) - 1) < 1e-12
 
 
+def _check_volume_form_against_det(space, p, x, y, z):
+    # the rows of volume_form: (x, y, z) in R^3, (p, x, y, z) on S3 and
+    # (x, y, z, p) on H3
+    bp, bx, by, bz = np.broadcast_arrays(p, x, y, z)
+    rows = {"R3": [bx, by, bz], "S3": [bp, bx, by, bz], "H3": [bx, by, bz, bp]}[space.kind]
+    ref = np.linalg.det(np.stack(rows, axis=-2))
+    got = amb.volume_form(space, p, x, y, z)
+    assert np.shape(got) == ref.shape
+    # Hadamard: |det| is at most the product of the row norms
+    scale = np.prod([np.linalg.norm(r, axis=-1) for r in rows], axis=0)
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("space", [amb.R3, amb.S3, amb.H3], ids=lambda s: s.kind)
+def test_volume_form_matches_stacked_det(space, rng):
+    d = space.dim
+    p, x, y, z = (rng.standard_normal((7, 5, d)) for _ in range(4))
+    _check_volume_form_against_det(space, p, x, y, z)
+    # one base point for the whole batch, and single frames
+    _check_volume_form_against_det(space, p[0, 0], x, y, z)
+    _check_volume_form_against_det(space, p[0, 0], x[0, 0], y[0, 0], z[0, 0])
+    # near-degenerate and degenerate frames
+    _check_volume_form_against_det(space, p, x, y, 0.3 * x - y + 1e-12 * z)
+    _check_volume_form_against_det(space, p, x, y, x)
+    if d == 4:
+        _check_volume_form_against_det(space, p, x, 2.0 * p + 1e-12 * y, z)
+
+
 def test_exp_map_examples():
     p = np.array([0.3, -0.2, 1.0])
     w = np.array([1.0, 2.0, 3.0])

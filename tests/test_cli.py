@@ -67,6 +67,8 @@ def test_unknown_surface_is_config_error(tmp_path):
     {"surfaces": [{"kind": "sphere_r3", "params": {"bogus": 3}}]},
     {"surfaces": [{"kind": "sphere_r3", "params": {"radius": "one"}}]},
     {"surfaces": [{"kind": "clifford_torus", "resolution": [32]}]},
+    # json writes and reads these as the non-standard NaN and Infinity
+    {"tolerance": float("nan")}, {"tolerance": float("inf")},
 ])
 def test_invalid_config_is_config_error(tmp_path, capsys, change):
     cfg = dict(SMALL_IDENTITY, **change)
@@ -286,3 +288,13 @@ def test_resolution_override_does_not_leak(tmp_path):
     assert rc == 0
     rep = json.loads((tmp_path / "b" / "report.json").read_text())
     assert rep["results"][0]["descriptor"]["resolution"] == [64, 32]
+
+
+@pytest.mark.parametrize("argv", [["identity", "--resolution", "0"],
+                                  ["gallery", "--surface", "delaunay_t3", "--resolution", "0"],
+                                  ["gallery", "--surface", "delaunay_t3", "--resolution", "-5"]])
+def test_resolution_below_8_is_config_error(tmp_path, capsys, argv):
+    rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "at least 8 per direction" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -163,7 +163,7 @@ def _dense_residual_norms(op, res):
 
 @pytest.mark.parametrize("name,kw,axis", BLOCK_CASES,
                          ids=[f"{c[0]}-{c[1].get('k', '')}" for c in BLOCK_CASES])
-def test_block_residuals_match_sparse_route(name, kw, axis):
+def test_block_residuals_match_dense_route(name, kw, axis):
     op = sp.assemble_jacobi(gal.gallery(name, **kw))
     res = sp.eigensolve(op, 12)
     got = sp.residual_norms(op, res)

@@ -393,18 +393,24 @@ def test_fd_memo_equals_per_call_route(name, kw):
 def test_fd_oracles_share_frames(monkeypatch):
     imm = gal.gallery("sphere_s3", resolution=(32, 16))
     vf = vr.seeded_variation(imm, 62)
-    ts = []
-    exp_map = amb.exp_map
+    ts, sincs = [], []
+    exp_map, sinc = amb.exp_map, amb._sinc
     monkeypatch.setattr(amb, "exp_map", lambda sp, p, w, t: ts.append(t) or exp_map(sp, p, w, t))
+    monkeypatch.setattr(amb, "_sinc", lambda th: sincs.append(th) or sinc(th))
     for fn in ("area", "energy", "volume_h"):
         vr.fd_second_variation(fn, imm, vf)
-    # one frame per distinct t: 0, +-step/2, +-step, +-2 step
-    assert len(ts) == len(set(ts)) == 7
-    ts.clear()
+    # one frame per distinct t: 0, +-step/2, +-step, +-2 step, each with one
+    # evaluation of the geodesic coefficients
+    assert len(vf._fd_memo) == 7
+    assert len(sincs) == 7
+    sincs.clear()
     for fn in ("area", "energy", "volume_h"):
         _fd_per_call(fn, imm, vf)
-    # 9 + 9 + 8 frames built one per difference term
+    # 9 + 9 + 8 frames built one per difference term, with one evaluation in
+    # exp_map and in each exp_directional, and one more in exp_velocity on
+    # the 8 flux frames
     assert len(ts) == 26
+    assert len(sincs) == 3 * 26 + 8
 
 
 def test_fd_unknown_functional_rejected():
