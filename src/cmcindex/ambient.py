@@ -5,9 +5,9 @@ The four model spaces are carried in concrete representations:
 * ``R3``      -- Euclidean 3-space;
 * ``S3``      -- unit sphere in R^4;
 * ``H3``      -- hyperboloid <p,p> = -1, p3 > 0, in Minkowski R^{3,1};
-* ``FlatT3``  -- [0,1)^3 with the quotient metric; points are usually kept as
+* ``FlatT3``  -- [0,1)^3 with the quotient metric; points are kept as
   unwrapped lifts in R^3 (all local geometry is translation invariant), and
-  wrapped only when a fundamental-domain representative is wanted.
+  only ``exp_map`` wraps its result into the fundamental domain.
 
 S3 and H3 are the quadrics <p, p> = 1/kappa of curvature kappa = +1 and -1
 in R^4 with the Euclidean and the Minkowski inner product.  Their tangent
@@ -34,14 +34,10 @@ import numpy as np
 
 __all__ = [
     "AmbientSpace", "R3", "S3", "H3", "FLAT_T3",
-    "inner", "norm", "metric_at", "riemann", "ricci_normal", "volume_form",
-    "exp_map", "exp_velocity", "exp_directional", "wrap_t3", "check_point",
-    "DomainError", "UnsupportedOperation",
+    "inner", "riemann", "volume_form", "exp_map", "exp_velocity",
+    "exp_directional", "covariant_correction", "project_tangent",
+    "UnsupportedOperation",
 ]
-
-
-class DomainError(ValueError):
-    """Point or vector outside the space's domain."""
 
 
 class UnsupportedOperation(RuntimeError):
@@ -118,30 +114,6 @@ def _component_sum(x: np.ndarray, y: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def norm(space: AmbientSpace, x: np.ndarray) -> np.ndarray:
-    return np.sqrt(inner(space, x, x))
-
-
-def check_point(space: AmbientSpace, p: np.ndarray, tol: float = 1e-9) -> None:
-    """Raise DomainError if p is not a valid point of the space."""
-    p = np.asarray(p, dtype=float)
-    if p.shape[-1] != space.dim:
-        raise DomainError(f"{space.kind} points have dimension {space.dim}")
-    if space.kind == "S3":
-        if not np.allclose((p * p).sum(-1), 1.0, atol=tol):
-            raise DomainError("S3 points must have unit norm")
-    elif space.kind == "H3":
-        q = (p[..., :3] ** 2).sum(-1) - p[..., 3] ** 2
-        if not np.allclose(q, -1.0, atol=tol) or np.any(p[..., 3] <= 0):
-            raise DomainError("H3 points must lie on the upper hyperboloid")
-
-
-def metric_at(space: AmbientSpace, p: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """g_p(X, Y); validates the base point."""
-    check_point(space, p)
-    return inner(space, x, y)
-
-
 # ------------------------------------------------------------------ curvature
 
 def riemann(space: AmbientSpace, p, x, y, z, w) -> np.ndarray:
@@ -152,15 +124,6 @@ def riemann(space: AmbientSpace, p, x, y, z, w) -> np.ndarray:
         return np.zeros_like(base)
     return k * (inner(space, x, w) * inner(space, y, z)
                 - inner(space, x, z) * inner(space, y, w))
-
-
-def ricci_normal(space: AmbientSpace, p, nu) -> np.ndarray:
-    """Ric(nu, nu) for a unit vector nu; equals 2*kappa on space forms."""
-    check_point(space, p)
-    n2 = inner(space, nu, nu)
-    if not np.allclose(n2, 1.0, atol=1e-8):
-        raise DomainError("ricci_normal requires a unit normal")
-    return 2.0 * space.curvature * np.ones(np.shape(n2))
 
 
 # ---------------------------------------------------------------- volume form
@@ -230,11 +193,6 @@ def _g2(space: AmbientSpace, t: np.ndarray, ct: np.ndarray, st: np.ndarray) -> n
                     (ct - st) / (ts * ts))
 
 
-def wrap_t3(p: np.ndarray) -> np.ndarray:
-    """Fundamental-domain representative in [0,1)^3."""
-    return np.mod(p, 1.0)
-
-
 class _Geodesic:
     """exp_p(t w) on S3 or H3 at one t, batched over (p, w), with its
     t-derivative and its derivatives along (dp, dw).
@@ -284,7 +242,7 @@ def exp_map(space: AmbientSpace, p: np.ndarray, w: np.ndarray, t: float = 1.0) -
     if space.kind == "R3":
         return p + t * w
     if space.kind == "FlatT3":
-        return wrap_t3(p + t * w)
+        return np.mod(p + t * w, 1.0)
     return _Geodesic(space, p, w, t).point()
 
 

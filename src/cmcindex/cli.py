@@ -319,6 +319,7 @@ def _analyse(desc: dict, count: int, stability: bool = False) -> tuple:
     imm = _build(desc)
     op = sp.assemble_jacobi(imm)
     res = sp.eigensolve(op, min(count, op.n), want_vectors=False)
+    i, n = sp.index_nullity(res)
     stable = None
     if stability:
         nx, ny = desc["resolution"]
@@ -327,9 +328,7 @@ def _analyse(desc: dict, count: int, stability: bool = False) -> tuple:
                                            int(ny * 1.25)])
         fine = sp.eigensolve(sp.assemble_jacobi(_build(fine_desc)),
                              min(count, op.n), want_vectors=False)
-        sp.index_nullity(res, fine)
-        stable = res.stable
-    i, n = sp.index_nullity(res)
+        stable = (i, n) == sp.index_nullity(fine)
     iw = sp.weak_index(op)
     lb = imm.reference.get("index_lower_bound")
     return imm, op, res, {

@@ -9,7 +9,7 @@ center, matching h = 2/rho (R^3), 2*cot(rho) (S^3) and 2*coth(rho) (H^3).
 
 from __future__ import annotations
 
-import json
+import math
 import threading
 from numbers import Integral, Real
 from typing import Callable
@@ -22,9 +22,7 @@ from .grids import sphere_grid, torus_grid
 from .surfaces import Immersion
 
 __all__ = ["gallery", "gallery_names", "default_resolution", "check_params",
-           "descriptor", "from_descriptor", "GALLERY_SCHEMA_VERSION"]
-
-GALLERY_SCHEMA_VERSION = 1
+           "from_descriptor"]
 
 # built members and Delaunay profiles, oldest first; the cap is well above
 # the 11 keys of the largest default command (`spectrum`, refinement grids
@@ -48,7 +46,8 @@ def gallery_names() -> list[str]:
 def check_params(name: str, params: dict) -> None:
     """Raise KeyError for an unknown surface or a parameter it does not take,
     TypeError for a parameter value of the wrong type and ValueError for a
-    Delaunay lobe count below 1 or a neck ratio outside (0, 1)."""
+    value that is not finite, a Delaunay lobe count below 1 or a neck ratio
+    outside (0, 1)."""
     if name not in _PARAMS:
         raise KeyError(f"unknown gallery surface {name!r}")
     accepted = _PARAMS[name]
@@ -61,6 +60,9 @@ def check_params(name: str, params: dict) -> None:
             raise TypeError(f"{name} parameter {key!r} must be "
                             f"{'an integer' if accepted[key] is Integral else 'a number'}, "
                             f"got {value!r}")
+        # false for NaN too; exact for integers of any size
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} parameter {key!r} must be finite, got {value!r}")
     if "k" in params and params["k"] < 1:
         raise ValueError(f"{name} lobe count k must be at least 1, got {params['k']!r}")
     if "neck" in params and not 0 < params["neck"] < 1:
@@ -130,34 +132,16 @@ def _sphere_r3(radius: float, resolution) -> Immersion:
                         resolution, ref, 2.0 / radius)
 
 
-def _sphere_s3(rho_geo: float, resolution) -> Immersion:
-    if not 0.0 < rho_geo < np.pi:
+def _sphere_curved(space, radius: float, resolution) -> Immersion:
+    """Geodesic sphere of radius rho about (0, 0, 0, 1) in S3 or H3:
+    u = (S n, C) with (S, C) = (sin, cos)(rho) on S3, (sinh, cosh)(rho) on H3."""
+    on_s3 = space.curvature > 0
+    if on_s3 and not 0.0 < radius < np.pi:
         raise ValueError("geodesic radius must lie in (0, pi)")
-    sr, cr = np.sin(rho_geo), np.cos(rho_geo)
-
-    def u(n):
-        return np.concatenate([sr * n, np.full(n.shape[:-1] + (1,), cr)], axis=-1)
-
-    def du(dn):
-        return np.concatenate([sr * dn, np.zeros(dn.shape[:-1] + (1,))], axis=-1)
-
-    ref = {
-        "area_exact": float(4.0 * np.pi * sr ** 2),
-        "h_exact": float(2.0 * cr / sr),
-        "A2_exact": float(2.0 * (cr / sr) ** 2),
-        "jacobi_index": 1, "jacobi_nullity": 3,
-    }
-    # The standard longitude orientation makes the oriented normal point away
-    # from the center pole here (extra ambient dimension flips parity), so
-    # reverse x to keep h = +2 cot(rho).
-    return _make_sphere(amb.S3, (u, du), f"sphere_s3(rho={rho_geo})", True,
-                        resolution, ref, float(2.0 * cr / sr))
-
-
-def _sphere_h3(radius: float, resolution) -> Immersion:
-    if radius <= 0:
+    if not on_s3 and radius <= 0:
         raise ValueError("sphere radius must be positive")
-    sr, cr = np.sinh(radius), np.cosh(radius)
+    sin, cos = (np.sin, np.cos) if on_s3 else (np.sinh, np.cosh)
+    sr, cr = sin(radius), cos(radius)
 
     def u(n):
         return np.concatenate([sr * n, np.full(n.shape[:-1] + (1,), cr)], axis=-1)
@@ -170,10 +154,14 @@ def _sphere_h3(radius: float, resolution) -> Immersion:
         "h_exact": float(2.0 * cr / sr),
         "A2_exact": float(2.0 * (cr / sr) ** 2),
         "jacobi_index": 1, "jacobi_nullity": 3,
-        "index_plus_nullity": 4,
     }
-    return _make_sphere(amb.H3, (u, du), f"sphere_h3(rho={radius})", False,
-                        resolution, ref, float(2.0 * cr / sr))
+    if not on_s3:
+        ref["index_plus_nullity"] = 4
+    # On S3 the standard longitude orientation makes the oriented normal point
+    # away from the center pole (extra ambient dimension flips parity), so
+    # reverse x there to keep h = +2 cot(rho).
+    return _make_sphere(space, (u, du), f"sphere_{space.kind.lower()}(rho={radius})",
+                        on_s3, resolution, ref, float(2.0 * cr / sr))
 
 
 def _clifford(resolution) -> Immersion:
@@ -218,9 +206,9 @@ def _construct(name: str, res: tuple[int, int], params: dict) -> Immersion:
     if name == "sphere_r3":
         return _sphere_r3(params.get("radius", 1.0), res)
     if name == "sphere_s3":
-        return _sphere_s3(params.get("radius", 0.9), res)
+        return _sphere_curved(amb.S3, params.get("radius", 0.9), res)
     if name == "sphere_h3":
-        return _sphere_h3(params.get("radius", 0.8), res)
+        return _sphere_curved(amb.H3, params.get("radius", 0.8), res)
     if name == "clifford_torus":
         return _clifford(res)
     # delaunay_t3
@@ -255,15 +243,7 @@ def _cached(key, build: Callable):
 
 # --------------------------------------------------------------- descriptors
 
-def descriptor(name: str, resolution=None, **params) -> dict:
-    """JSON-serializable descriptor for reproducible runs."""
-    res = tuple(resolution) if resolution is not None else default_resolution(name, **params)
-    return {"schema_version": GALLERY_SCHEMA_VERSION, "kind": name,
-            "params": dict(sorted(params.items())), "resolution": list(res)}
-
-
-def from_descriptor(desc: dict | str) -> Immersion:
-    if isinstance(desc, str):
-        desc = json.loads(desc)
+def from_descriptor(desc: dict) -> Immersion:
+    """The member a ``{"kind", "params", "resolution"}`` descriptor names."""
     return gallery(desc["kind"], resolution=tuple(desc["resolution"]),
                    **desc.get("params", {}))

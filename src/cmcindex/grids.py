@@ -49,28 +49,22 @@ _AXIS_STENCILS = {
 
 @dataclass(frozen=True)
 class ParamGrid:
-    """Tensor grid on a conformal chart of a closed surface."""
+    """Tensor grid on a conformal chart of a closed surface: periodic in x,
+    and in y on tori only."""
 
     topology: str                 # "torus" | "sphere"
     nx: int
     ny: int
     x_range: tuple[float, float]  # x period is x_range[1] - x_range[0]
     y_range: tuple[float, float]  # informational for sphere (Mercator span)
-    periodic_x: bool
-    periodic_y: bool
 
     def __post_init__(self):
         if self.topology not in ("torus", "sphere"):
             raise ValueError(f"unknown topology {self.topology!r}")
         if self.nx < 8 or self.ny < 8:
             raise ValueError("grid resolution must be at least 8 per direction")
-        if self.topology == "sphere":
-            if self.nx % 2:
-                raise ValueError("sphere grids need even nx for pole closure")
-            if self.periodic_y:
-                raise ValueError("sphere grids are periodic in longitude only")
-        if self.topology == "torus" and not (self.periodic_x and self.periodic_y):
-            raise ValueError("torus grids are periodic in both directions")
+        if self.topology == "sphere" and self.nx % 2:
+            raise ValueError("sphere grids need even nx for pole closure")
 
     # ------------------------------------------------------------------ nodes
     @cached_property
@@ -323,18 +317,10 @@ def _slabs(g: ParamGrid, width: int) -> tuple[Slab, ...]:
 
 
 def torus_grid(nx: int, ny: int, lx: float = TWO_PI, ly: float = TWO_PI) -> ParamGrid:
-    return ParamGrid("torus", nx, ny, (0.0, lx), (0.0, ly), True, True)
+    return ParamGrid("torus", nx, ny, (0.0, lx), (0.0, ly))
 
 
 def sphere_grid(nx: int, ny: int) -> ParamGrid:
     dth = np.pi / ny
     ymax = float(np.log(np.tan(0.5 * (np.pi - 0.5 * dth))))
-    return ParamGrid("sphere", nx, ny, (0.0, TWO_PI), (-ymax, ymax), True, False)
-
-
-def refine(grid: ParamGrid, factor: int = 2) -> ParamGrid:
-    if grid.topology == "torus":
-        return torus_grid(grid.nx * factor, grid.ny * factor,
-                          grid.x_range[1] - grid.x_range[0],
-                          grid.y_range[1] - grid.y_range[0])
-    return sphere_grid(grid.nx * factor, grid.ny * factor)
+    return ParamGrid("sphere", nx, ny, (0.0, TWO_PI), (-ymax, ymax))

@@ -9,6 +9,8 @@ M = (2m + 1)^2; on spheres the polynomials of degree <= 2 in the ambient
 coordinates, M = 1 + d + d(d + 1)/2.  P is pointwise linear, so every seeded
 variation lies in the span of the N = d M fields phi_m P(e_a), numbered
 a M + m, and its coefficients there are its rng draws (``coefficients``).
+``seeded_variation`` takes the seed alone, so the degree and decay read
+back here are the only ones any seeded field is drawn with.
 
 ``grams`` assembles the N x N Gram matrices of ``second_variation_area``,
 ``second_variation_energy`` and the chart defect 8 int |eta|^2 dx dy, so

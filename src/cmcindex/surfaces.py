@@ -27,7 +27,7 @@ from .grids import ParamGrid
 
 __all__ = [
     "Immersion", "SecondFormData", "BranchPointError",
-    "area", "energy", "cmc_residual", "conformality_residual",
+    "area", "energy", "gauss_curvature", "cmc_residual", "conformality_residual",
 ]
 
 _DEGENERATE = 1e-14

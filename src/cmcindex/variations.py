@@ -16,7 +16,7 @@ Sign conventions (pinned by the round-sphere oracle tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
 
@@ -26,14 +26,14 @@ from . import ambient as amb
 from .surfaces import Immersion
 
 __all__ = [
-    "VariationField", "DefectField", "normal_variation", "random_variation",
-    "random_scalar", "variation_from_spec", "conformal_defect",
+    "VariationField", "DefectField", "normal_variation", "seeded_variation",
+    "random_scalar", "conformal_defect",
     "first_variation_area", "first_variation_volume",
     "second_variation_area", "second_variation_energy",
     "second_variation_volume", "second_variation_area_h",
     "second_variation_energy_h", "jacobi_form", "comparison_identity_residual",
     "fd_second_variation", "volume_primitive_r3", "peter_paul_margin",
-    "energy_curvature_split", "FUNCTIONALS",
+    "energy_curvature_split", "ChartExitError", "FUNCTIONALS",
 ]
 
 FUNCTIONALS = ("area", "energy", "volume_h", "area_h", "energy_h")
@@ -47,7 +47,6 @@ class VariationField:
 
     imm: Immersion
     v: np.ndarray  # (nx, ny, d), tangent to N along u
-    spec: Optional[dict] = field(default=None, repr=False)
 
     def __post_init__(self):
         self.v = amb.project_tangent(self.imm.space, self.imm.u,
@@ -209,36 +208,17 @@ def random_scalar(imm: Immersion, rng: np.random.Generator,
 _VARIATION_DECAY = 0.35
 
 
-def random_variation(imm: Immersion, rng: np.random.Generator,
-                     degree: int | None = None,
-                     decay: float = _VARIATION_DECAY) -> VariationField:
-    """Seeded smooth random section of u^* TN (tangency enforced)."""
-    comps = [random_scalar(imm, rng, degree=degree, decay=decay)
-             for _ in range(imm.space.dim)]
-    w = np.stack(comps, axis=-1)
-    vf = VariationField(imm, w)
-    vf.spec = {"type": "random", "note": "regenerate via seed", "degree": degree}
-    return vf
+def seeded_variation(imm: Immersion, seed: int) -> VariationField:
+    """Seeded smooth random section of u^* TN (tangency enforced): one
+    ``random_scalar`` per ambient axis, drawn in turn from one generator.
 
-
-def variation_from_spec(imm: Immersion, spec: dict) -> VariationField:
-    """Rebuild a variation field from a serialized coefficient recipe."""
-    if spec["type"] == "seeded":
-        rng = np.random.default_rng(spec["seed"])
-        vf = random_variation(imm, rng, degree=spec.get("degree"))
-        vf.spec = dict(spec)
-        return vf
-    if spec["type"] == "samples":
-        return VariationField(imm, np.asarray(spec["values"], dtype=float))
-    raise ValueError(f"unknown variation spec type {spec.get('type')!r}")
-
-
-def seeded_variation(imm: Immersion, seed: int, degree: int | None = None) -> VariationField:
-    """Reproducible random variation carrying its JSON-serializable recipe."""
+    The seed is the whole recipe: the same seed gives the same field bit for
+    bit, which is how ``span`` reads the seeded fields back.
+    """
     rng = np.random.default_rng(seed)
-    vf = random_variation(imm, rng, degree=degree)
-    vf.spec = {"type": "seeded", "seed": int(seed), "degree": degree}
-    return vf
+    comps = [random_scalar(imm, rng, decay=_VARIATION_DECAY)
+             for _ in range(imm.space.dim)]
+    return VariationField(imm, np.stack(comps, axis=-1))
 
 
 # ------------------------------------------------------ covariant derivatives

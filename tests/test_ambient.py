@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cmcindex import ambient as amb
+from cmcindex import gallery as gal
 
 
 def _random_tangent(space, p, rng):
@@ -23,12 +24,10 @@ SPACES = [amb.R3, amb.S3, amb.H3, amb.FLAT_T3]
 
 
 def test_metric_examples():
-    assert amb.metric_at(amb.R3, np.zeros(3), np.array([1.0, 0, 0]),
-                         np.array([1.0, 0, 0])) == 1.0
-    p = np.array([1.0, 0, 0, 0])
+    assert amb.inner(amb.R3, np.array([1.0, 0, 0]), np.array([1.0, 0, 0])) == 1.0
     x = np.array([0.0, 1, 0, 0])
     y = np.array([0.0, 0, 1, 0])
-    assert amb.metric_at(amb.S3, p, x, y) == 0.0
+    assert amb.inner(amb.S3, x, y) == 0.0
 
 
 def test_h3_metric_matches_minkowski_oracle(rng):
@@ -38,14 +37,7 @@ def test_h3_metric_matches_minkowski_oracle(rng):
         x = _random_tangent(amb.H3, p, rng)
         y = _random_tangent(amb.H3, p, rng)
         oracle = sum(x[i] * y[i] for i in range(3)) - x[3] * y[3]
-        assert abs(amb.metric_at(amb.H3, p, x, y) - oracle) < 1e-12
-
-
-def test_metric_domain_error():
-    with pytest.raises(amb.DomainError):
-        amb.metric_at(amb.S3, np.zeros(4), np.ones(4), np.ones(4))
-    with pytest.raises(amb.DomainError):
-        amb.metric_at(amb.H3, np.array([0.0, 0, 0, -1.0]), np.ones(4), np.ones(4))
+        assert abs(amb.inner(amb.H3, x, y) - oracle) < 1e-12
 
 
 @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.kind)
@@ -84,17 +76,12 @@ def test_sectional_curvature_normalization(rng):
         assert abs(sec - expect) < 1e-12
 
 
-def test_ricci_normal_space_forms(rng):
-    p = np.array([1.0, 0, 0, 0])
-    nu = np.array([0.0, 1, 0, 0])
-    assert abs(amb.ricci_normal(amb.S3, p, nu) - 2.0) < 1e-14
-    assert abs(amb.ricci_normal(amb.R3, np.zeros(3), np.array([1.0, 0, 0]))) < 1e-14
-    ph = _random_point(amb.H3, rng)
-    nuh = _random_tangent(amb.H3, ph, rng)
-    nuh = nuh / np.sqrt(amb.inner(amb.H3, nuh, nuh))
-    assert abs(amb.ricci_normal(amb.H3, ph, nuh) + 2.0) < 1e-12
-    with pytest.raises(amb.DomainError):
-        amb.ricci_normal(amb.S3, p, 2.0 * nu)
+def test_ricci_normal_space_forms():
+    # Ric(nu, nu) = 2 kappa along the unit normal of any surface
+    for name, kappa in (("sphere_r3", 0.0), ("sphere_s3", 1.0), ("sphere_h3", -1.0)):
+        imm = gal.gallery(name, resolution=(16, 8))
+        assert np.all(imm.ricci_nu == 2.0 * kappa), name
+        assert np.abs(amb.inner(imm.space, imm.nu, imm.nu) - 1.0).max() < 1e-12, name
 
 
 def test_volume_form_orientation_and_alternating(rng):

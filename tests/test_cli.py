@@ -69,6 +69,9 @@ def test_unknown_surface_is_config_error(tmp_path):
     {"surfaces": [{"kind": "clifford_torus", "resolution": [32]}]},
     # json writes and reads these as the non-standard NaN and Infinity
     {"tolerance": float("nan")}, {"tolerance": float("inf")},
+    {"surfaces": [{"kind": "sphere_r3", "params": {"radius": float("inf")}}]},
+    {"surfaces": [{"kind": "sphere_r3", "params": {"radius": float("nan")}}]},
+    {"surfaces": [{"kind": "sphere_h3", "params": {"radius": float("nan")}}]},
 ])
 def test_invalid_config_is_config_error(tmp_path, capsys, change):
     cfg = dict(SMALL_IDENTITY, **change)

@@ -129,7 +129,7 @@ def test_fits_fundamental_domain():
 
 
 def test_descriptor_roundtrip():
-    desc = gal.descriptor("delaunay_t3", k=2, neck=0.55)
+    desc = {"kind": "delaunay_t3", "params": {"k": 2, "neck": 0.55}, "resolution": [64, 32]}
     imm = gal.from_descriptor(json.loads(json.dumps(desc)))
     assert imm.reference["k"] == 2
     assert sf.cmc_residual(imm) < 1e-6

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from cmcindex.grids import ParamGrid, refine, serial_matmul, sphere_grid, torus_grid
+from cmcindex.grids import ParamGrid, serial_matmul, sphere_grid, torus_grid
 
 
 def test_resolution_floor_enforced():
     with pytest.raises(ValueError):
         torus_grid(4, 16)
     with pytest.raises(ValueError):
-        ParamGrid("torus", 16, 1, (0, 1), (0, 1), True, True)
+        ParamGrid("torus", 16, 1, (0, 1), (0, 1))
 
 
 def test_sphere_grid_needs_even_longitude():
@@ -83,13 +83,6 @@ def test_filter_annihilates_constants_and_kills_sawtooth():
     # first-derivative stencil annihilates the sawtooth, the filter does not
     assert np.abs(g.axis_stencil(0, "diff")[0] @ saw).max() < 1e-12
     assert np.abs(c @ saw).max() > 1.0
-
-
-def test_refine_doubles_resolution():
-    g = refine(torus_grid(8, 8))
-    assert (g.nx, g.ny) == (16, 16)
-    s = refine(sphere_grid(8, 8))
-    assert (s.nx, s.ny) == (16, 16) and s.topology == "sphere"
 
 
 def test_theta_weights_positive():
