@@ -21,8 +21,9 @@ Every seeded variation of a surface lies in one span of N fields (N = 30 to
 100 on the default surfaces).  With at least N/2 variations on a surface,
 where the route pays off, ``identity`` assembles once the N x N Gram
 matrices of d2A, d2E and the chart defect 8 int |eta|^2 dx dy
-(``span.grams``, streamed over slabs of chart columns) and writes each
-variation's row from its coefficient vector c as c^T G c; with fewer it
+(``span.grams``, streamed over slabs of chart columns; on tori from the x
+and y factors of the span's modes, summed along chart lines) and writes
+each variation's row from its coefficient vector c as c^T G c; with fewer it
 evaluates ``variations.comparison_identity_residual`` per variation.  The
 two routes agree up to roundoff, so a row's last digits can depend on the
 number of variations.  The span route keeps every BLAS product below

@@ -258,16 +258,22 @@ SERIAL_PRODUCT = 1 << 18
 
 
 def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2-D a and b, in blocks of rows of a and columns of b that
-    are each below ``SERIAL_PRODUCT``: the same bits whatever the number of
-    BLAS threads."""
-    (m, k), n = a.shape, b.shape[1]
+    """a @ b, stacked operands broadcast as in ``np.matmul``, in blocks of
+    rows of a and columns of b whose products are each below
+    ``SERIAL_PRODUCT``: the same bits whatever the number of BLAS threads.
+    numpy runs a stack as one BLAS product per matrix."""
+    (m, k), n = a.shape[-2:], b.shape[-1]
     cols = max(1, min(n, SERIAL_PRODUCT // k))
     rows = max(1, min(m, SERIAL_PRODUCT // (k * cols)))
     if rows == m and cols == n:
-        return a @ b
-    return np.block([[a[i:i + rows] @ b[:, j:j + cols] for j in range(0, n, cols)]
-                     for i in range(0, m, rows)])
+        return np.matmul(a, b)
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n),
+                   np.result_type(a, b))
+    for i in range(0, m, rows):
+        for j in range(0, n, cols):
+            np.matmul(a[..., i:i + rows, :], b[..., j:j + cols],
+                      out=out[..., i:i + rows, j:j + cols])
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -15,13 +15,19 @@ back here are the only ones any seeded field is drawn with.
 ``grams`` assembles the N x N Gram matrices of ``second_variation_area``,
 ``second_variation_energy`` and the chart defect 8 int |eta|^2 dx dy, so
 that the comparison identity of any seeded variation is three quadratic
-forms c^T G c (``identity_residuals``).  The Grams cost about as much as
-N/2 per-variation rows, so ``cmcindex identity`` takes this route only for a
-surface with at least that many variations (``pays_off``); it imports this
-module on demand, and the other commands never compile it.
+forms c^T G c (``identity_residuals``).  On sphere charts it stencils and
+multiplies all M modes at every point (``_assemble_slabs``).  On torus
+charts each mode is a product fx_j(x) fy_k(y), so the stencils act on the
+2m + 1 modes of one chart axis and the products are summed along chart
+lines before they meet the other axis's modes (``span_torus``); the two
+assemblies agree up to roundoff.  ``cmcindex identity`` takes this
+route only for a surface with at least N/2 variations (``pays_off``); it
+imports this module on demand, and the other commands never compile it.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -34,10 +40,11 @@ from .variations import _VARIATION_DECAY, _chart_angles, _scalar_draws, _torus_d
 
 __all__ = ["size", "pays_off", "coefficients", "basis", "grams", "identity_residuals"]
 
-# chart columns per slab: on the default identity surfaces 3 took 0.87 s
-# for the five Grams against 1.01 s for 2 and 0.73 s for 4, with a
-# tracemalloc peak on the Clifford torus at 64x64 of 2.2 MiB (1.8 MiB for
-# 2, 2.7 MiB for 4); peak RSS of ``cmcindex identity`` grows with it
+# chart columns per slab of ``_assemble_slabs``: when it built all five
+# default identity Grams, 3 took 0.87 s against 1.01 s for 2 and 0.73 s
+# for 4, with a tracemalloc peak on the Clifford torus at 64x64 of 2.2 MiB
+# (1.8 MiB for 2, 2.7 MiB for 4); peak RSS of ``cmcindex identity`` grows
+# with it
 _SLAB_WIDTH = 3
 
 
@@ -69,8 +76,10 @@ def size(imm: Immersion) -> int:
 
 def pays_off(imm: Immersion, variations: int) -> bool:
     """Whether the span Grams are cheaper than ``variations`` per-variation
-    rows: on the default identity surfaces the two break even at 0.4-0.7 N
-    rows (0.05-0.46 s of Grams against 3-9 ms per row, in-process)."""
+    rows, taken as 2 variations >= N: on the default identity surfaces the
+    two break even at 0.43-0.58 N rows on spheres (0.08-0.20 s of Grams
+    against 4.7-8.0 ms per row, in-process on 2 vCPUs) and at 0.13-0.16 N
+    rows on tori (0.07-0.12 s against 5.8-9.3 ms)."""
     return 2 * variations >= size(imm)
 
 
@@ -161,11 +170,7 @@ class _SlabFields:
     def __init__(self, imm: Immersion, slab):
         g, sp, sf = imm.grid, imm.space, imm.second_form
         win, own = slab.window, slab.cols
-        self.grid, self.slab, self.sig = g, slab, sp.signature
-        self.phi_w = _span_scalars(imm, win)
-        self.phi = self.phi_w[slab.inner]
-        self._buf = np.empty(self.phi_w.shape)
-        self._planes_buf = np.empty((len(win), 2) + self.phi_w.shape[1:])
+        self.imm, self.grid, self.slab, self.sig = imm, g, slab, sp.signature
         self.nu_w, self.p_w, self.uz_w, self.uzb_w = (
             _x_last(x, win) for x in (imm.nu, imm.u, imm.uz, imm.uzbar))
         self.inv2_w = 2.0 / _x_last(imm.e2lam, win)
@@ -177,6 +182,22 @@ class _SlabFields:
         self.a_xx, self.a_xy, self.a_yy = (_x_last(x, own) for x in (sf.a_xx, sf.a_xy, sf.a_yy))
         ux, uy = imm.ux[:, own], imm.uy[:, own]
         self.gsq = _x_last(amb.inner(sp, ux, ux) + amb.inner(sp, uy, uy), slice(None))
+
+    @cached_property
+    def phi_w(self) -> np.ndarray:
+        return _span_scalars(self.imm, self.slab.window)
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        return self.phi_w[self.slab.inner]
+
+    @cached_property
+    def _buf(self) -> np.ndarray:
+        return np.empty(self.phi_w.shape)
+
+    @cached_property
+    def _planes_buf(self) -> np.ndarray:
+        return np.empty((len(self.slab.window), 2) + self.phi_w.shape[1:])
 
     def diff(self, coef: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Slab stencils (d/dx, d/dy) of phi_m times the window field
@@ -234,9 +255,10 @@ def _area_terms(fs: _SlabFields, area: np.ndarray) -> None:
                   * (sd + (2.0 * fs.h)[:, None, None] * _outer(ud, phi)))
 
 
-def _pointwise_terms(fs: _SlabFields, pointwise: np.ndarray, kappa: float) -> None:
+def _pointwise_coef(fs: _SlabFields, kappa: float) -> np.ndarray:
     """The terms without derivatives, as symmetric (a, b) coefficient fields
-    C_ab against phi_m phi_n, a <= b (doubled off the diagonal)."""
+    C_ab against phi_m phi_n, a <= b (doubled off the diagonal): (width,
+    forms x pairs, nx)."""
     d, sig, e2, h = len(fs.sig), fs.sig, fs.e2, fs.h
     al, be = fs.sigux / e2[:, None], fs.siguy / e2[:, None]  # chart components of sigma
     ff = h * h - fs.norm_sq - kappa * fs.gsq / e2
@@ -253,9 +275,7 @@ def _pointwise_terms(fs: _SlabFields, pointwise: np.ndarray, kappa: float) -> No
             _outer(fs.sigux, fs.sigux) + _outer(fs.siguy, fs.siguy) - fs.gsq[:, None, None] * gab))
     a, b = np.triu_indices(d)
     coef = np.stack([c[:, a, b] for c in forms], axis=1) * np.where(a == b, 1.0, 2.0)[:, None]
-    coef = coef.reshape(len(e2), -1, e2.shape[-1])
-    for pj, cj in zip(fs.phi, coef):
-        _gram_add(pointwise, pj, pj[:, None] * cj[None])
+    return coef.reshape(len(e2), -1, e2.shape[-1])
 
 
 def _defect_terms(fs: _SlabFields, defect: np.ndarray) -> None:
@@ -304,25 +324,55 @@ def grams(imm: Immersion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Every integrand is a sum of products of two quantities linear in the
     field, each either pointwise (f, the chart components of sigma, v) or a
     contraction of stencil derivatives (<nabla s, nu>, nabla v, eta).  The
-    work is streamed over slabs of ``_SLAB_WIDTH`` chart columns
-    (``ParamGrid.slabs``) and, within a slab, form by form over the pairs
-    (ambient axis a, component c): each stencil input is phi_m times one
-    coefficient field, sampled on the slab's window only, and the inputs of
-    (a, c) and (c, a) differ by a sign or a complex conjugate, so one
-    stencil serves both.  No array spans the grid.  Terms that vanish up to
-    roundoff are left out: the connection terms along nu and u_z,
-    <s, u_x> = f <nu, u_x>, and kappa <w, p> p in P(e_a) against tangent
-    vectors w.
+    work is streamed over slabs of chart columns (``ParamGrid.slabs``) and,
+    within a slab, form by form over the pairs (ambient axis a, component
+    c): each stencil input is a mode times one coefficient field, sampled on
+    the slab's window only, and the inputs of (a, c) and (c, a) differ by a
+    sign or a complex conjugate, so one stencil serves both.  No array spans
+    the grid.  Terms that vanish up to roundoff are left out: the connection
+    terms along nu and u_z, <s, u_x> = f <nu, u_x>, and kappa <w, p> p in
+    P(e_a) against tangent vectors w.
+
+    Sphere charts stencil and contract all M modes phi_m
+    (``_assemble_slabs``).  On torus charts phi_(j,k) = fx_j(x) fy_k(y), so
+    every such quantity is fy_k X_(a,j) + fx_j Y_(a,k): 2m + 1 modes per
+    point instead of M, and each product is summed along chart lines before
+    it meets the other factor (``span_torus``).
     """
-    g, sp = imm.grid, imm.space
-    d, kappa = sp.dim, sp.curvature
+    if imm.grid.topology == "torus":
+        # on demand: only torus charts compile the module
+        from .span_torus import assemble
+        return _grams(imm, assemble)
+    return _grams(imm, _assemble_slabs)
+
+
+def _grams(imm: Immersion, assemble) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``grams`` with the given assembly of its slab terms."""
+    d, kappa = imm.space.dim, imm.space.curvature
     M = _span_scalars(imm, slice(0, 1)).shape[1]
     N = d * M
     area, energy, defect = (np.zeros((N, N)) for _ in range(3))
     energy_modes = np.zeros((M, M))  # flat spaces: the same block for every axis
     a, b = np.triu_indices(d)
-    pointwise = np.zeros((M, M * (2 if kappa else 1) * len(a)))
-    for slab in g.slabs(_SLAB_WIDTH):
+    # the pointwise terms of (form, pair (a, b)) against phi_m phi_n
+    point = np.zeros((M, M, (2 if kappa else 1) * len(a)))
+    assemble(imm, area, energy, energy_modes, defect, point)
+    if not kappa:
+        energy = np.kron(np.eye(d), energy_modes)
+    point = point.reshape(M, M, -1, len(a))
+    for form, gram in enumerate((area, energy) if kappa else (area,)):
+        for k in range(len(a)):
+            gram[a[k] * M:(a[k] + 1) * M, b[k] * M:(b[k] + 1) * M] += point[:, :, form, k]
+    return tuple(0.5 * (x + x.T) for x in (area, energy, defect))
+
+
+def _assemble_slabs(imm: Immersion, area, energy, energy_modes, defect, point) -> None:
+    """The slab terms of ``grams`` over all M modes phi_m, ``_SLAB_WIDTH``
+    chart columns at a time."""
+    kappa = imm.space.curvature
+    M = point.shape[0]
+    pointwise = np.zeros((M, M * point.shape[2]))
+    for slab in imm.grid.slabs(_SLAB_WIDTH):
         fs = _SlabFields(imm, slab)
         if kappa:
             _energy_terms(fs, energy, kappa)
@@ -330,15 +380,10 @@ def grams(imm: Immersion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             for dm in fs.diff():
                 _gram_add(energy_modes, dm, fs.wc[:, None] * dm)
         _area_terms(fs, area)
-        _pointwise_terms(fs, pointwise, kappa)
+        for pj, cj in zip(fs.phi, _pointwise_coef(fs, kappa)):
+            _gram_add(pointwise, pj, pj[:, None] * cj[None])
         _defect_terms(fs, defect)
-    if not kappa:
-        energy = np.kron(np.eye(d), energy_modes)
-    point = pointwise.reshape(M, M, -1, len(a))
-    for form, gram in enumerate((area, energy) if kappa else (area,)):
-        for k in range(len(a)):
-            gram[a[k] * M:(a[k] + 1) * M, b[k] * M:(b[k] + 1) * M] += point[:, :, form, k]
-    return tuple(0.5 * (x + x.T) for x in (area, energy, defect))
+    point += pointwise.reshape(point.shape)
 
 
 def identity_residuals(imm: Immersion, seeds) -> list[dict]:

@@ -149,8 +149,10 @@ def _scalar_draws(imm: Immersion, rng: np.random.Generator,
     g = imm.grid
     if g.topology == "torus":
         m = _torus_degree(g, degree)
+        # random() * 2 pi is uniform(0, 2 pi) bit for bit (numpy draws it as
+        # low + (high - low) next_double), in a third of its time
         return [(j, k, decay ** (j + k) * rng.standard_normal(),
-                 rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
+                 rng.random() * (2 * np.pi), rng.random() * (2 * np.pi))
                 for j in range(m + 1) for k in range(m + 1)]
     deg = min(degree or 2, 2)
     d = imm.space.dim

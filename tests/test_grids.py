@@ -111,7 +111,8 @@ def test_slab_stencils_match_full_stencils(grid):
 
 def test_serial_matmul_blocks_equal_product():
     rng = np.random.default_rng(6)
-    for m, k, n in ((3, 5, 7), (300, 64, 400), (2, 70000, 8)):
-        a, b = rng.standard_normal((m, k)), rng.standard_normal((k, n))
+    for stack, (m, k, n) in (((), (3, 5, 7)), ((), (300, 64, 400)), ((), (2, 70000, 8)),
+                             ((4, 1), (40, 128, 100))):
+        a, b = rng.standard_normal(stack + (m, k)), rng.standard_normal(stack[1:] + (k, n))
         ref = a @ b
         assert np.abs(serial_matmul(a, b) - ref).max() <= 1e-12 * np.abs(ref).max()

@@ -9,7 +9,7 @@ import pytest
 
 from cmcindex import ambient as amb
 from cmcindex import gallery as gal
-from cmcindex import span
+from cmcindex import span, span_torus
 from cmcindex import variations as vr
 
 SEEDS = (11, 12, 13)
@@ -472,6 +472,35 @@ def test_span_rows_match_per_variation_identity(name, kw, res):
         scale = max(abs(ref["d2_area"]), abs(ref["d2_energy"]), 1.0)
         assert abs(row["residual_abs"] - ref["residual_abs"]) <= 1e-12 * scale
         assert abs(row["residual_rel"] - ref["residual_rel"]) <= 1e-12
+
+
+TORUS_CASES = [(name, kw, res)
+               for name, kw in (("clifford_torus", {}), ("delaunay_t3", {"k": 2, "neck": 0.55}))
+               for res in ((32, 32), (48, 32))]
+
+
+@pytest.mark.parametrize("name,kw,res", TORUS_CASES,
+                         ids=[f"{c[0]}-{c[2][0]}x{c[2][1]}" for c in TORUS_CASES])
+def test_torus_grams_match_slab_assembly(name, kw, res):
+    """The torus Grams from the chart factors fx_j(x) fy_k(y) of the span
+    scalars against the slab assembly over all M products: each form within
+    1e-13 of its largest entry."""
+    imm = gal.gallery(name, resolution=res, **kw)
+    for new, ref in zip(span.grams(imm), span._grams(imm, span._assemble_slabs)):
+        assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_sphere_grams_take_the_slab_assembly(monkeypatch):
+    """Sphere span scalars are polynomials in the ambient coordinates, not
+    chart products: their Grams never reach the torus assembly."""
+    imm = gal.gallery("sphere_s3", resolution=(32, 24), radius=0.9)
+
+    def torus_only(*args):
+        raise AssertionError("torus assembly on a sphere chart")
+
+    monkeypatch.setattr(span_torus, "assemble", torus_only)
+    for new, ref in zip(span.grams(imm), span._grams(imm, span._assemble_slabs)):
+        assert np.array_equal(new, ref)
 
 
 def test_span_pays_off_from_half_its_size():
