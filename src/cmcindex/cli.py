@@ -114,9 +114,9 @@ def _surface_key(desc: dict) -> str:
     return f"{desc['kind']}({params})@{nx}x{ny}"
 
 
-def _build(desc: dict):
+def _build(desc: dict, cached: bool = True):
     try:
-        return gal.from_descriptor(desc)
+        return gal.from_descriptor(desc, cached)
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -279,7 +279,9 @@ def cmd_identity(cfg: RunConfig) -> int:
     from . import span
 
     def worker(desc):
-        imm = _build(desc)
+        # each surface is needed once: held by no cache, its geometry is
+        # freed before the next surface is built
+        imm = _build(desc, cached=False)
         seeds = [cfg.seed * 100003 + i for i in range(cfg.variations)]
         if span.pays_off(imm, len(seeds)):
             reps = span.identity_residuals(imm, seeds)

@@ -243,7 +243,12 @@ def _cached(key, build: Callable):
 
 # --------------------------------------------------------------- descriptors
 
-def from_descriptor(desc: dict) -> Immersion:
-    """The member a ``{"kind", "params", "resolution"}`` descriptor names."""
-    return gallery(desc["kind"], resolution=tuple(desc["resolution"]),
-                   **desc.get("params", {}))
+def from_descriptor(desc: dict, cached: bool = True) -> Immersion:
+    """The member a ``{"kind", "params", "resolution"}`` descriptor names;
+    with ``cached=False`` built afresh and held by no cache, so that it is
+    freed with its last reference."""
+    name, res, params = desc["kind"], tuple(desc["resolution"]), desc.get("params", {})
+    if cached:
+        return gallery(name, resolution=res, **params)
+    check_params(name, params)
+    return _construct(name, res, params)

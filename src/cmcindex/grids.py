@@ -188,7 +188,7 @@ class ParamGrid:
         flat = f.reshape(len(f), -1)
         own = f[slab.inner]
         P = self.axis_stencil(0, "diff")[0]
-        dx = serial_matmul(own.reshape(-1, self.nx), P.T).reshape(own.shape)
+        dx = serial_matmul(own.reshape(len(own), -1, self.nx), P.T).reshape(own.shape)
         dy = serial_matmul(slab.interior, flat).reshape(own.shape)
         if len(slab.flip_rows):
             flip = serial_matmul(slab.flip, flat).reshape((-1,) + f.shape[1:])

@@ -15,14 +15,15 @@ back here are the only ones any seeded field is drawn with.
 ``grams`` assembles the N x N Gram matrices of ``second_variation_area``,
 ``second_variation_energy`` and the chart defect 8 int |eta|^2 dx dy, so
 that the comparison identity of any seeded variation is three quadratic
-forms c^T G c (``identity_residuals``).  On sphere charts it stencils and
-multiplies all M modes at every point (``_assemble_slabs``).  On torus
-charts each mode is a product fx_j(x) fy_k(y), so the stencils act on the
-2m + 1 modes of one chart axis and the products are summed along chart
-lines before they meet the other axis's modes (``span_torus``); the two
-assemblies agree up to roundoff.  ``cmcindex identity`` takes this
-route only for a surface with at least N/2 variations (``pays_off``); it
-imports this module on demand, and the other commands never compile it.
+forms c^T G c (``identity_residuals``).  On sphere charts it stencils all
+M modes, ``_SLAB_WIDTH`` chart columns at a time, and sums each product
+over a whole slab (``_assemble_slabs``).  On torus charts each mode is a
+product fx_j(x) fy_k(y), so the stencils act on the 2m + 1 modes of one
+chart axis and the products are summed along chart lines before they meet
+the other axis's modes (``span_torus``); the two assemblies agree up to
+roundoff.  ``cmcindex identity`` takes this route only for a surface with
+at least N/2 variations (``pays_off``); it imports this module on demand,
+and the other commands never compile it.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ from .variations import _VARIATION_DECAY, _chart_angles, _scalar_draws, _torus_d
 
 __all__ = ["size", "pays_off", "coefficients", "basis", "grams", "identity_residuals"]
 
-# chart columns per slab of ``_assemble_slabs``: when it built all five
-# default identity Grams, 3 took 0.87 s against 1.01 s for 2 and 0.73 s
-# for 4, with a tracemalloc peak on the Clifford torus at 64x64 of 2.2 MiB
-# (1.8 MiB for 2, 2.7 MiB for 4); peak RSS of ``cmcindex identity`` grows
-# with it
-_SLAB_WIDTH = 3
+# chart columns per slab of ``_assemble_slabs`` (spheres): widths 3, 4, 6, 8
+# and 12 took 0.36-0.39, 0.31-0.33, 0.25-0.28, 0.23-0.27 and 0.23-0.25 s on
+# the three default identity spheres (in-process, 2 vCPUs), and sphere_s3 at
+# 64x48 peaked at 0.87, 1.07, 1.33, 1.64 and 2.27 MiB (its test allows 2 MiB)
+_SLAB_WIDTH = 8
 
 
 def _trig_modes(t: np.ndarray, m: int) -> np.ndarray:
@@ -77,9 +77,9 @@ def size(imm: Immersion) -> int:
 def pays_off(imm: Immersion, variations: int) -> bool:
     """Whether the span Grams are cheaper than ``variations`` per-variation
     rows, taken as 2 variations >= N: on the default identity surfaces the
-    two break even at 0.43-0.58 N rows on spheres (0.08-0.20 s of Grams
-    against 4.7-8.0 ms per row, in-process on 2 vCPUs) and at 0.13-0.16 N
-    rows on tori (0.07-0.12 s against 5.8-9.3 ms)."""
+    two break even at 0.31-0.48 N rows on spheres (0.03-0.14 s of Grams
+    against 3.2-7.3 ms per row, in-process on 2 vCPUs) and at 0.11-0.17 N
+    rows on tori (0.04-0.11 s against 3.1-8.1 ms)."""
     return 2 * variations >= size(imm)
 
 
@@ -95,14 +95,13 @@ def coefficients(imm: Immersion, seeds) -> np.ndarray:
     """Coefficients (len(seeds), N) of ``seeded_variation(imm, s)`` for each
     seed s in the span basis: the same rng draws, read as mode coefficients."""
     d, n = imm.space.dim, len(seeds)
-    fields = ((r, a, _scalar_draws(imm, rng, None, _VARIATION_DECAY))
-              for r, rng in enumerate(map(np.random.default_rng, seeds)) for a in range(d))
+    # every field's draws, then one conversion per kind of draw
+    draws = [_scalar_draws(imm, rng, None, _VARIATION_DECAY)
+             for rng in map(np.random.default_rng, seeds) for _ in range(d)]
     if imm.grid.topology == "torus":
         m = _torus_degree(imm.grid, None)
-        terms = np.empty((n, d, (m + 1) ** 2, 5))
-        for r, a, draws in fields:
-            terms[r, a] = draws
         # term (j, k, amp, phx, phy) is amp cos(j xi + phx) cos(k eta + phy)
+        terms = np.array(draws).reshape(n, d, (m + 1) ** 2, 5)
         out = np.zeros((n, d, 2 * m + 1, 2 * m + 1))
         for j, k, amp, phx, phy in np.moveaxis(terms, (2, 3), (0, 1)):
             for row, cx in _waves(int(j[0, 0]), phx):
@@ -111,10 +110,9 @@ def coefficients(imm: Immersion, seeds) -> np.ndarray:
         return out.reshape(n, -1)
     # constant, linear and quadratic (a <= b) coefficients, as in _span_scalars
     a, b = np.triu_indices(d)
-    out = np.zeros((n, d, 1 + d + len(a)))
-    for r, c, (c0, c1, c2) in fields:
-        out[r, c] = np.concatenate([[c0], c1, np.where(a == b, c2[a, b], c2[a, b] + c2[b, a])])
-    return out.reshape(n, -1)
+    c0, c1, c2 = (np.array([f[i] for f in draws]).reshape((-1,) + (d,) * i) for i in range(3))
+    quad = np.where(a == b, c2[:, a, b], c2[:, a, b] + c2[:, b, a])
+    return np.concatenate([c0[:, None], c1, quad], axis=1).reshape(n, -1)
 
 
 def basis(imm: Immersion) -> np.ndarray:
@@ -125,17 +123,17 @@ def basis(imm: Immersion) -> np.ndarray:
     return (pe[..., :, None, :] * phi[..., None, :, None]).reshape(g.nx, g.ny, -1, sp.dim)
 
 
-def _gram_add(gram: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
-    """gram += sum over points of left right^T, for fields (..., rows, nx)
-    of gram's rows and columns, in products that BLAS runs on one thread
-    (``grids.SERIAL_PRODUCT``)."""
-    nx = left.shape[-1]
-    left = left.reshape(-1, gram.shape[0], nx)
-    right = right.reshape(-1, gram.shape[1], nx)
+def _gram_add(gram: np.ndarray, left: np.ndarray, right: np.ndarray,
+              weight: np.ndarray | None = None) -> None:
+    """gram += sum over points of left right^T (times ``weight``) for fields
+    whose leading axes are gram's rows (columns), the rest points, in
+    products that BLAS runs on one thread (``grids.SERIAL_PRODUCT``)."""
+    left, right = left.reshape(gram.shape[0], -1), right.reshape(gram.shape[1], -1)
     step = max(1, SERIAL_PRODUCT // gram.size)
-    for x in range(0, nx, step):
-        for lo, ro in zip(left[..., x:x + step], right[..., x:x + step]):
-            gram += serial_matmul(lo, ro.T)
+    for k in range(0, left.shape[1], step):
+        r = right[:, k:k + step]
+        gram += serial_matmul(left[:, k:k + step],
+                              (r if weight is None else r * weight.reshape(-1)[k:k + step]).T)
 
 
 def _planes(z: np.ndarray, axis: int = 0) -> np.ndarray:
@@ -145,8 +143,7 @@ def _planes(z: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 def _x_last(field: np.ndarray, cols) -> np.ndarray:
-    """A per-point field (nx, ny, ...) on the chart columns ``cols`` as
-    (len(cols), ..., nx)."""
+    """A field (nx, ny, ...) on the chart columns ``cols``, (len(cols), ..., nx)."""
     return np.ascontiguousarray(np.moveaxis(field[:, cols], 0, -1))
 
 
@@ -174,7 +171,7 @@ class _SlabFields:
         self.nu_w, self.p_w, self.uz_w, self.uzb_w = (
             _x_last(x, win) for x in (imm.nu, imm.u, imm.uz, imm.uzbar))
         self.inv2_w = 2.0 / _x_last(imm.e2lam, win)
-        self.p, self.uz, self.uzb = (_x_last(x, own) for x in (imm.u, imm.uz, imm.uzbar))
+        self.p, self.uz, self.uzb = (x[slab.inner] for x in (self.p_w, self.uz_w, self.uzb_w))
         self.signu, self.sigux, self.siguy = (self.sig[:, None] * _x_last(x, own)
                                               for x in (imm.nu, imm.ux, imm.uy))
         self.e2, self.h, self.wc, self.norm_sq, self.azz = (_x_last(x, own) for x in (
@@ -188,71 +185,62 @@ class _SlabFields:
         return _span_scalars(self.imm, self.slab.window)
 
     @cached_property
-    def phi(self) -> np.ndarray:
-        return self.phi_w[self.slab.inner]
-
-    @cached_property
-    def _buf(self) -> np.ndarray:
-        return np.empty(self.phi_w.shape)
-
-    @cached_property
-    def _planes_buf(self) -> np.ndarray:
-        return np.empty((len(self.slab.window), 2) + self.phi_w.shape[1:])
+    def phi(self) -> np.ndarray:  # on the slab's own points, as (M, width, nx)
+        return np.ascontiguousarray(self.phi_w[self.slab.inner].transpose(1, 0, 2))
 
     def diff(self, coef: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Slab stencils (d/dx, d/dy) of phi_m times the window field
-        ``coef`` (of phi_m itself without it): (width, M, nx) each, or
-        (width, 2, M, nx) of the (real, imaginary) planes for complex
-        ``coef``."""
-        if coef is None:
-            out = self.phi_w
-        elif np.iscomplexobj(coef):
-            out = self._planes_buf
-            np.multiply(self.phi_w[:, None], _planes(coef, axis=1)[:, :, None], out=out)
-        else:
-            out = self._buf
-            np.multiply(self.phi_w, coef[:, None], out=out)
-        return self.grid.diff_slab(self.slab, out)
+        """Slab stencils (d/dx, d/dy) of phi_m times the real window field
+        ``coef`` (of phi_m itself without it), as (M, width, nx) views."""
+        f = self.phi_w if coef is None else self.phi_w * coef[:, None]
+        return tuple(x.transpose(1, 0, 2) for x in self.grid.diff_slab(self.slab, f))
 
 
 def _energy_terms(fs: _SlabFields, energy: np.ndarray, kappa: float) -> None:
     """|nabla v|^2 of a curved model space: v = phi P(e_a) with
     P(e_a)_c = delta_ac - kappa sig_a p_a p_c, so nabla_i v_c is
     delta_ac d_i phi - kappa sig_a d_i(phi p_a p_c) plus the connection
-    term kappa <u_i, v> p_c."""
+    term kappa <u_i, v> p_c.  One component c at a time: pair (a, c) is
+    stenciled for c and for a, where all pairs at once take more memory."""
     d, sig, phi, p = len(fs.sig), fs.sig, fs.phi, fs.p
-    quad = {(a, c): fs.diff(fs.p_w[:, a] * fs.p_w[:, c]) for a, c, _ in _pairs(d)}
     dphi = fs.diff()
-    grad = np.empty((len(phi), d) + phi.shape[1:])
+    grad = np.empty((2, d) + phi.shape)  # nabla_x, nabla_y of v_c: axes a, modes
     for c in range(d):
-        for i, ui in enumerate((fs.sigux, fs.siguy)):
-            for a in range(d):
-                np.multiply(phi, (ui[:, a] * p[:, c])[:, None], out=grad[:, a])
-                grad[:, a] -= quad[min(a, c), max(a, c)][i]
-                grad[:, a] *= kappa * sig[a]
+        for a in range(d):
+            dq = fs.diff(fs.p_w[:, min(a, c)] * fs.p_w[:, max(a, c)])
+            for i, ui in enumerate((fs.sigux, fs.siguy)):
+                ga = grad[i, a]
+                np.multiply(phi, ui[:, a] * p[:, c], out=ga)
+                ga -= dq[i]
+                ga *= kappa * sig[a]
                 if a == c:
-                    grad[:, a] += dphi[i]
-            _gram_add(energy, grad, (sig[c] * fs.wc)[:, None, None] * grad)
+                    ga += dphi[i]
+            del dq  # before the next stencil
+        for gi in grad:
+            _gram_add(energy, gi, gi, sig[c] * fs.wc)
 
 
 def _area_terms(fs: _SlabFields, area: np.ndarray) -> None:
     """|<nabla s, nu>|^2 and its cross terms with sigma: s = f nu with
     f = phi sig_a nu_a, so pair (a, c) differentiates sig_a phi nu_a nu_c."""
     d, sig, phi = len(fs.sig), fs.sig, fs.phi
-    sx, sy = np.zeros((2, len(phi), d) + phi.shape[1:])
+    sx, sy = np.zeros((2, d) + phi.shape)
     term = np.empty(phi.shape)
     for a, c, twin in _pairs(d):
         dx, dy = fs.diff(fs.nu_w[:, a] * fs.nu_w[:, c])
         for i, j in twin:
             for acc, dd in ((sx, dx), (sy, dy)):
-                np.multiply(fs.signu[:, j, None], dd, out=term)
-                (np.add if sig[i] > 0 else np.subtract)(acc[:, i], term, out=acc[:, i])
+                np.multiply(fs.signu[:, j], dd, out=term)
+                (np.add if sig[i] > 0 else np.subtract)(acc[i], term, out=acc[i])
+    del dx, dy, term  # before ``right`` takes their memory
     # against the area weights e^{2lam} dx dy: e^{-2lam} |<nabla s, nu>|^2
     # + 2 h (alpha <nabla_x s, nu> + beta <nabla_y s, nu>), with
     # (alpha, beta) = e^{-2lam} (<sigma, u_x>, <sigma, u_y>)
+    right = np.empty(sx.shape)
     for sd, ud in ((sx, fs.sigux), (sy, fs.siguy)):
-        _gram_add(area, sd, fs.wc[:, None, None]
-                  * (sd + (2.0 * fs.h)[:, None, None] * _outer(ud, phi)))
+        np.multiply(np.ascontiguousarray(ud.transpose(1, 0, 2))[:, None], phi, out=right)
+        right *= 2.0 * fs.h
+        right += sd
+        _gram_add(area, sd, right, fs.wc)
 
 
 def _pointwise_coef(fs: _SlabFields, kappa: float) -> np.ndarray:
@@ -278,41 +266,53 @@ def _pointwise_coef(fs: _SlabFields, kappa: float) -> np.ndarray:
     return coef.reshape(len(e2), -1, e2.shape[-1])
 
 
+def _uv_weights(fs: _SlabFields) -> tuple[np.ndarray, np.ndarray]:
+    """8 |eta|^2 as |U|^2 + |V|^2 (``span_torus._defect_modes``): the weights
+    ((U, V), d, width, nx) of each axis's 2 d/dz(phi k), and ((U, V), width,
+    nx) of beta's term -f A(u_z, u_z)."""
+    sig, e2 = fs.sig, fs.e2
+    g = (fs.uz * sig[:, None] * fs.uzb).sum(1).real
+    q = (fs.uz * sig[:, None] * fs.uz).sum(1)
+    w8 = np.sqrt(8.0 * fs.wc)
+    su, sq, sv = (w8 * x for x in (np.sqrt(g), q.conj() / np.sqrt(g),
+                                   np.sqrt(g - (q * q.conj()).real / g)))
+    hb, hu = (sig[:, None, None] * (x / e2[:, None]).transpose(1, 0, 2) for x in (fs.uzb, fs.uz))
+    return np.stack([su * hb + sq * hu, sv * hu]), np.stack([sq, sv]) * (2.0 / e2 * fs.azz)
+
+
+def _dz(fs: _SlabFields, f: np.ndarray, rotate: bool) -> np.ndarray:
+    """2 d/dz(phi f) = d/dx(phi f) - i d/dy(phi f) of a real window field f,
+    times i if ``rotate``, as complex (M, width, nx)."""
+    dx, dy = fs.diff(f)
+    z = np.empty(dx.shape, complex)
+    z.real, z.imag = (dy, dx) if rotate else (dx, dy)
+    return z if rotate else np.conjugate(z, out=z)
+
+
 def _defect_terms(fs: _SlabFields, defect: np.ndarray) -> None:
-    """8 |eta|^2 with eta = alpha u_z + beta u_zbar: |eta|^2 =
-    g (|alpha|^2 + |beta|^2) + 2 Re(alpha conj(beta) q) with g = <u_z, u_zbar>
-    and q = <u_z, u_z>.  sigma^{0,1} = 2 e^{-2lam} <v, u_z> u_zbar, so pair
-    (a, c) differentiates sig_a phi k with k = 2 e^{-2lam} u_z,a u_zbar,c,
-    and (c, a) sig_c phi conj(k)."""
+    """8 |eta|^2 with eta = alpha u_z + beta u_zbar, as |U|^2 + |V|^2
+    (``_uv_weights``).  sigma^{0,1} = 2 e^{-2lam} <v, u_z> u_zbar, so pair
+    (a, c) differentiates sig_a phi k with k = 2 e^{-2lam} u_z,a u_zbar,c and
+    (c, a) sig_c phi conj(k): k's imaginary plane enters times i (-i in
+    conj(k)), and k is real on the diagonal.  U is summed before V: both at
+    once would take twice the memory for half the stencils."""
     d, sig, phi = len(fs.sig), fs.sig, fs.phi
-    alpha, beta = np.zeros((2, len(phi), d) + phi.shape[1:], complex)
-    dz, term = np.empty((2,) + phi.shape, complex)
-    half_uzb, half_uz = (0.5 * sig[:, None, None] * x[:, :, None] for x in (fs.uzb, fs.uz))
-    for a, c, twin in _pairs(d):
-        dx, dy = fs.diff(fs.inv2_w * fs.uz_w[:, a] * fs.uzb_w[:, c])
-        for (i, j), conj in zip(twin, (False, True)):
-            # d/dz = (d/dx - i d/dy) / 2, of phi k or of phi conj(k)
-            if conj:
-                np.subtract(dx[:, 0], dy[:, 1], out=dz.real)
-                np.add(dx[:, 1], dy[:, 0], out=dz.imag)
-                np.negative(dz.imag, out=dz.imag)
-            else:
-                np.add(dx[:, 0], dy[:, 1], out=dz.real)
-                np.subtract(dx[:, 1], dy[:, 0], out=dz.imag)
-            for acc, half in ((alpha, half_uzb), (beta, half_uz)):
-                np.multiply(half[:, j], dz, out=term)
-                (np.add if sig[i] > 0 else np.subtract)(acc[:, i], term, out=acc[:, i])
-    inv2 = (2.0 / fs.e2)[:, None, None]
-    alpha *= inv2
-    beta -= _outer(fs.signu, phi) * fs.azz[:, None, None]
-    beta *= inv2
-    w8 = 8.0 * fs.wc
-    g = (fs.uz * fs.sig[:, None] * fs.uzb).sum(1).real
-    q = (fs.uz * fs.sig[:, None] * fs.uz).sum(1)
-    for j in range(len(phi)):
-        aj, bj = alpha[j], beta[j]
-        _gram_add(defect, _planes(aj), _planes(w8[j] * (g[j] * aj + 2.0 * q[j].conj() * bj)))
-        _gram_add(defect, _planes(bj), _planes((w8[j] * g[j]) * bj))
+    w, shift = _uv_weights(fs)
+    uv, term = np.empty((d,) + phi.shape, complex), np.empty(phi.shape, complex)
+    for r in range(2):
+        for i in range(d):  # beta's term
+            np.multiply(-shift[r] * fs.signu[:, i], phi, out=uv[i])
+        for a, c, twin in _pairs(d):
+            k = fs.inv2_w * fs.uz_w[:, a] * fs.uzb_w[:, c]
+            for p, plane in enumerate((k.real, k.imag) if c > a else (k.real,)):
+                z = _dz(fs, plane, rotate=p == 1)
+                for t, (i, j) in enumerate(twin):
+                    np.multiply(w[r, j], z, out=term)
+                    add = np.add if (sig[i] > 0) != bool(p and t) else np.subtract
+                    add(uv[i], term, out=uv[i])
+                del z  # before the next stencil
+        planes = uv.view(float)  # (real, imaginary) interleaved along x
+        _gram_add(defect, planes, planes)
 
 
 def grams(imm: Immersion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -326,18 +326,17 @@ def grams(imm: Immersion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     contraction of stencil derivatives (<nabla s, nu>, nabla v, eta).  The
     work is streamed over slabs of chart columns (``ParamGrid.slabs``) and,
     within a slab, form by form over the pairs (ambient axis a, component
-    c): each stencil input is a mode times one coefficient field, sampled on
-    the slab's window only, and the inputs of (a, c) and (c, a) differ by a
-    sign or a complex conjugate, so one stencil serves both.  No array spans
-    the grid.  Terms that vanish up to roundoff are left out: the connection
-    terms along nu and u_z, <s, u_x> = f <nu, u_x>, and kappa <w, p> p in
-    P(e_a) against tangent vectors w.
+    c): each stencil input is a mode times one real coefficient field,
+    sampled on the slab's window only.  No array spans the grid.  Terms that
+    vanish up to roundoff are left out: the connection terms along nu and
+    u_z, <s, u_x> = f <nu, u_x>, and kappa <w, p> p in P(e_a) against
+    tangent vectors w.
 
-    Sphere charts stencil and contract all M modes phi_m
-    (``_assemble_slabs``).  On torus charts phi_(j,k) = fx_j(x) fy_k(y), so
-    every such quantity is fy_k X_(a,j) + fx_j Y_(a,k): 2m + 1 modes per
-    point instead of M, and each product is summed along chart lines before
-    it meets the other factor (``span_torus``).
+    Sphere charts stencil all M modes phi_m (``_assemble_slabs``).  On torus
+    charts phi_(j,k) = fx_j(x) fy_k(y), so every such quantity is
+    fy_k X_(a,j) + fx_j Y_(a,k): 2m + 1 modes per point instead of M, and
+    each product is summed along chart lines before it meets the other
+    factor (``span_torus``).
     """
     if imm.grid.topology == "torus":
         # on demand: only torus charts compile the module
@@ -368,9 +367,10 @@ def _grams(imm: Immersion, assemble) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _assemble_slabs(imm: Immersion, area, energy, energy_modes, defect, point) -> None:
     """The slab terms of ``grams`` over all M modes phi_m, ``_SLAB_WIDTH``
-    chart columns at a time."""
-    kappa = imm.space.curvature
-    M = point.shape[0]
+    chart columns at a time, every quantity as (rows, width, nx): each Gram
+    product runs over all points of a slab (the pointwise terms, M times
+    wider, over one column)."""
+    kappa, M = imm.space.curvature, point.shape[0]
     pointwise = np.zeros((M, M * point.shape[2]))
     for slab in imm.grid.slabs(_SLAB_WIDTH):
         fs = _SlabFields(imm, slab)
@@ -378,9 +378,9 @@ def _assemble_slabs(imm: Immersion, area, energy, energy_modes, defect, point) -
             _energy_terms(fs, energy, kappa)
         else:
             for dm in fs.diff():
-                _gram_add(energy_modes, dm, fs.wc[:, None] * dm)
+                _gram_add(energy_modes, dm, dm, fs.wc)
         _area_terms(fs, area)
-        for pj, cj in zip(fs.phi, _pointwise_coef(fs, kappa)):
+        for pj, cj in zip(fs.phi.transpose(1, 0, 2), _pointwise_coef(fs, kappa)):
             _gram_add(pointwise, pj, pj[:, None] * cj[None])
         _defect_terms(fs, defect)
     point += pointwise.reshape(point.shape)

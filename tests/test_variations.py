@@ -455,6 +455,41 @@ def test_span_coefficients_reproduce_seeded_variations(name, kw, res):
         assert np.abs(field - v).max() <= 1e-13 * np.abs(v).max()
 
 
+def _coefficients_per_field(imm, seeds):
+    """``span.coefficients`` as it was written first: one numpy conversion
+    per seeded field, kept as the reference for its bits."""
+    d, n = imm.space.dim, len(seeds)
+    fields = ((r, a, vr._scalar_draws(imm, rng, None, vr._VARIATION_DECAY))
+              for r, rng in enumerate(map(np.random.default_rng, seeds)) for a in range(d))
+    if imm.grid.topology == "torus":
+        m = vr._torus_degree(imm.grid, None)
+        terms = np.empty((n, d, (m + 1) ** 2, 5))
+        for r, a, draws in fields:
+            terms[r, a] = draws
+        out = np.zeros((n, d, 2 * m + 1, 2 * m + 1))
+        for j, k, amp, phx, phy in np.moveaxis(terms, (2, 3), (0, 1)):
+            for row, cx in span._waves(int(j[0, 0]), phx):
+                for col, cy in span._waves(int(k[0, 0]), phy):
+                    out[:, :, row, col] = amp * cx * cy
+        return out.reshape(n, -1)
+    a, b = np.triu_indices(d)
+    out = np.zeros((n, d, 1 + d + len(a)))
+    for r, c, (c0, c1, c2) in fields:
+        out[r, c] = np.concatenate([[c0], c1, np.where(a == b, c2[a, b], c2[a, b] + c2[b, a])])
+    return out.reshape(n, -1)
+
+
+@pytest.mark.parametrize("name,kw,res", SPAN_CASES, ids=[c[0] for c in SPAN_CASES])
+def test_span_coefficients_bit_for_bit_per_field_decoding(name, kw, res):
+    """The coefficients, decoded from all fields' draws at once, equal the
+    field-by-field decoding bit for bit: same draws, same order."""
+    imm = gal.gallery(name, resolution=res, **kw)
+    seeds = [0, 1, 7, 697501 * 100003 + 5] + list(range(40, 60))
+    new = span.coefficients(imm, seeds)
+    assert new.shape == (len(seeds), span.size(imm))
+    assert np.array_equal(new, _coefficients_per_field(imm, seeds))
+
+
 @pytest.mark.parametrize("name,kw,res", SPAN_CASES, ids=[c[0] for c in SPAN_CASES])
 def test_span_rows_match_per_variation_identity(name, kw, res):
     """Rows from the span Grams against ``comparison_identity_residual`` of
@@ -503,6 +538,25 @@ def test_sphere_grams_take_the_slab_assembly(monkeypatch):
         assert np.array_equal(new, ref)
 
 
+SPHERE_WIDTH_CASES = [(name, kw, res) for name, kw, _ in SPAN_CASES[:3]
+                      for res in ((32, 24), (32, 26))]
+
+
+@pytest.mark.parametrize("name,kw,res", SPHERE_WIDTH_CASES,
+                         ids=[f"{c[0]}-{c[2][0]}x{c[2][1]}" for c in SPHERE_WIDTH_CASES])
+def test_sphere_grams_independent_of_slab_width(name, kw, res, monkeypatch):
+    """The sphere Grams at the slab width in use against one and three chart
+    columns per slab, on a grid whose column count the width divides and on
+    one where the last slab is short: each form within 1e-13 of its
+    largest entry."""
+    imm = gal.gallery(name, resolution=res, **kw)
+    grams = span.grams(imm)
+    for width in (1, 3):
+        monkeypatch.setattr(span, "_SLAB_WIDTH", width)
+        for ref, other in zip(grams, span.grams(imm)):
+            assert np.abs(other - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_span_pays_off_from_half_its_size():
     imm = gal.gallery("sphere_r3", resolution=(32, 24))
     assert span.size(imm) == 30 == span.basis(imm).shape[2]
@@ -512,16 +566,20 @@ def test_span_pays_off_from_half_its_size():
 def test_span_grams_stream_within_memory_budget():
     """The Grams are streamed over slabs of the chart: one field per basis
     element over the whole grid, (nx, ny, N) doubles, would already take
-    3.1 MiB for the Clifford torus at 64x64."""
-    imm = gal.gallery("clifford_torus", resolution=(64, 64))
-    span.grams(imm)  # the immersion's geometry and the stencil tables stay cached
-    tracemalloc.start()
-    try:
-        span.grams(imm)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * 2 ** 20
+    3.1 MiB for the Clifford torus at 64x64 and 1.4 MiB for sphere_s3 at
+    64x48.  The sphere budget is the peak that 3-column slabs had
+    (1.6-1.8 MiB), so that wider slabs cannot buy time with memory."""
+    for name, kw, res, budget in (("clifford_torus", {}, (64, 64), 4),
+                                  ("sphere_s3", {"radius": 0.9}, (64, 48), 2)):
+        imm = gal.gallery(name, resolution=res, **kw)
+        span.grams(imm)  # the immersion's geometry and the stencil tables stay cached
+        tracemalloc.start()
+        try:
+            span.grams(imm)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget * 2 ** 20, name
 
 
 GRAM_DIGEST = """
