@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``identity`` -- comparison-identity residuals over seeded random variations
-  (per variation, or from the span Gram matrices of the surface: below);
+* ``identity`` -- comparison-identity residuals over seeded random variations,
+  from the span Gram matrices of each surface (below);
 * ``spectrum`` -- Jacobi eigenvalue tables with index/nullity/weak index and
   refinement-stability flags (optional SVG strip plot);
 * ``bounds``   -- full index-bound reports per surface (plus ``--r-table``);
@@ -18,18 +18,15 @@ process their surfaces concurrently, capped by CMCINDEX_THREADS.
 that hold the GIL, and a second thread only adds CPU time.
 
 Every seeded variation of a surface lies in one span of N fields (N = 30 to
-100 on the default surfaces).  With at least N/2 variations on a surface,
-where the route pays off, ``identity`` assembles once the N x N Gram
-matrices of d2A, d2E and the chart defect 8 int |eta|^2 dx dy
+100 on the default surfaces).  ``identity`` assembles once per surface the
+N x N Gram matrices of d2A, d2E and the chart defect 8 int |eta|^2 dx dy
 (``span.grams``, streamed over slabs of chart columns; on tori from the x
 and y factors of the span's modes, summed along chart lines) and writes
-each variation's row from its coefficient vector c as c^T G c; with fewer it
-evaluates ``variations.comparison_identity_residual`` per variation.  The
-two routes agree up to roundoff, so a row's last digits can depend on the
-number of variations.  The span route keeps every BLAS product below
-OpenBLAS's threading threshold (``grids.serial_matmul``); the outputs of
-both routes were checked byte-identical at OPENBLAS_NUM_THREADS 1 and 2
-with the OpenBLAS bundled with numpy.
+each variation's row from its coefficient vector c as c^T G c
+(``span.identity_residuals``), so a row depends only on its surface and
+seed.  Every BLAS product stays below OpenBLAS's threading threshold
+(``grids.serial_matmul``); the outputs were checked byte-identical at
+OPENBLAS_NUM_THREADS 1 and 2 with the OpenBLAS bundled with numpy.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ from . import bounds as bd
 from . import gallery as gal
 from . import spectral as sp
 from . import surfaces as sf
-from . import variations as vr
 
 SCHEMA_VERSION = 1
 
@@ -81,7 +77,7 @@ class ConfigError(ValueError):
 
 
 # type and smallest value of each top-level config setting
-_SETTINGS = {"seed": (Integral, None), "variations": (Integral, 0),
+_SETTINGS = {"seed": (Integral, 0), "variations": (Integral, 0),
              "tolerance": (Real, 0), "count": (Integral, 1), "stability": (bool, None)}
 _TYPE_NAMES = {Integral: "an integer", Real: "a number", bool: "true or false"}
 
@@ -163,7 +159,7 @@ def _load_config(args, defaults: list) -> RunConfig:
         if key in raw:
             setattr(cfg, key, _setting(key, raw[key], kind, least))
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = _setting("seed", args.seed, *_SETTINGS["seed"])
     if getattr(args, "out", None):
         cfg.out = Path(args.out)
     cfg.svg = bool(getattr(args, "svg", False))
@@ -283,13 +279,8 @@ def cmd_identity(cfg: RunConfig) -> int:
         # freed before the next surface is built
         imm = _build(desc, cached=False)
         seeds = [cfg.seed * 100003 + i for i in range(cfg.variations)]
-        if span.pays_off(imm, len(seeds)):
-            reps = span.identity_residuals(imm, seeds)
-        else:
-            reps = [vr.comparison_identity_residual(imm, vr.seeded_variation(imm, s))
-                    for s in seeds]
         rows, worst = [], 0.0
-        for seed, rep in zip(seeds, reps):
+        for seed, rep in zip(seeds, span.identity_residuals(imm, seeds)):
             worst = max(worst, rep["residual_rel"])
             rows.append([_surface_key(desc), seed,
                          rep["d2_area"], rep["d2_energy"], rep["defect_chart"],

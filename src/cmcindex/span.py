@@ -21,9 +21,9 @@ over a whole slab (``_assemble_slabs``).  On torus charts each mode is a
 product fx_j(x) fy_k(y), so the stencils act on the 2m + 1 modes of one
 chart axis and the products are summed along chart lines before they meet
 the other axis's modes (``span_torus``); the two assemblies agree up to
-roundoff.  ``cmcindex identity`` takes this route only for a surface with
-at least N/2 variations (``pays_off``); it imports this module on demand,
-and the other commands never compile it.
+roundoff.  ``cmcindex identity`` writes every row of every surface this
+way; it imports this module on demand, and the other commands never
+compile it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .surfaces import Immersion
 # ``variations.random_scalar``
 from .variations import _VARIATION_DECAY, _chart_angles, _scalar_draws, _torus_degree
 
-__all__ = ["size", "pays_off", "coefficients", "basis", "grams", "identity_residuals"]
+__all__ = ["coefficients", "basis", "grams", "identity_residuals"]
 
 # chart columns per slab of ``_assemble_slabs`` (spheres): widths 3, 4, 6, 8
 # and 12 took 0.36-0.39, 0.31-0.33, 0.25-0.28, 0.23-0.27 and 0.23-0.25 s on
@@ -67,20 +67,6 @@ def _span_scalars(imm: Immersion, cols) -> np.ndarray:
     p = np.moveaxis(imm.u[:, cols], 0, -1)
     a, b = np.triu_indices(imm.space.dim)
     return np.concatenate([np.ones((len(p), 1, g.nx)), p, p[:, a] * p[:, b]], axis=1)
-
-
-def size(imm: Immersion) -> int:
-    """N, the number of span fields of the surface."""
-    return imm.space.dim * _span_scalars(imm, slice(0, 1)).shape[1]
-
-
-def pays_off(imm: Immersion, variations: int) -> bool:
-    """Whether the span Grams are cheaper than ``variations`` per-variation
-    rows, taken as 2 variations >= N: on the default identity surfaces the
-    two break even at 0.31-0.48 N rows on spheres (0.03-0.14 s of Grams
-    against 3.2-7.3 ms per row, in-process on 2 vCPUs) and at 0.11-0.17 N
-    rows on tori (0.04-0.11 s against 3.1-8.1 ms)."""
-    return 2 * variations >= size(imm)
 
 
 def _waves(j: int, phase: np.ndarray) -> list:
@@ -320,6 +306,8 @@ def grams(imm: Immersion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``second_variation_energy`` and the chart defect 8 int |eta|^2 dx dy on
     the seeded span: c^T G c is the form of the span field with
     coefficients c, equal to the per-field functions up to roundoff.
+    ``identity_residuals`` builds them once per call, whatever the number of
+    seeds, and ``cmcindex identity`` once per surface.
 
     Every integrand is a sum of products of two quantities linear in the
     field, each either pointwise (f, the chart components of sigma, v) or a
@@ -388,8 +376,11 @@ def _assemble_slabs(imm: Immersion, area, energy, energy_modes, defect, point) -
 
 def identity_residuals(imm: Immersion, seeds) -> list[dict]:
     """``variations.comparison_identity_residual`` of
-    ``seeded_variation(imm, s)`` for each seed s, from the span Gram
-    matrices (without its defect_surface)."""
+    ``seeded_variation(imm, s)`` for each seed s, up to roundoff, from the
+    span Gram matrices (without its defect_surface): the rows of ``cmcindex
+    identity``.  The Grams are built once (not at all for no seeds).  Each
+    row sums over its own coefficients only, so it depends only on the
+    surface and its seed, not on the other seeds."""
     seeds = list(seeds)
     if not seeds:
         return []

@@ -72,6 +72,7 @@ def test_unknown_surface_is_config_error(tmp_path):
     {"surfaces": [{"kind": "sphere_r3", "params": {"radius": float("inf")}}]},
     {"surfaces": [{"kind": "sphere_r3", "params": {"radius": float("nan")}}]},
     {"surfaces": [{"kind": "sphere_h3", "params": {"radius": float("nan")}}]},
+    {"seed": -1},
 ])
 def test_invalid_config_is_config_error(tmp_path, capsys, change):
     cfg = dict(SMALL_IDENTITY, **change)
@@ -170,29 +171,33 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_identity_rows_from_span_once_it_pays_off(tmp_path, monkeypatch):
-    """sphere_r3 has a span of 30 fields: 14 variations take the
-    per-variation route, 15 the span Grams, and the rows agree."""
+def test_identity_rows_independent_of_variation_count(tmp_path, monkeypatch):
+    """Every row comes from the span Grams, built once per surface per run
+    (never for no variations), and the rows at 1 and 14 variations are the
+    first rows at 15 byte for byte: a row depends only on its surface and
+    seed.  14 and 15 straddle half of sphere_r3's N = 30 span fields."""
     from cmcindex import span
     built = []
     grams = span.grams
     monkeypatch.setattr(span, "grams", lambda imm: built.append(imm) or grams(imm))
     rows = {}
-    for n in (14, 15):
-        cfg = dict(SMALL_IDENTITY, variations=n, surfaces=SMALL_IDENTITY["surfaces"][:1])
+    for n in (0, 1, 14, 15):
+        built.clear()
         out = tmp_path / str(n)
-        assert cli.main(["identity", "--config", _cfg(tmp_path, cfg), "--out", str(out)]) == 0
-        assert len(built) == n - 14
+        cfg = _cfg(tmp_path, dict(SMALL_IDENTITY, variations=n))
+        assert cli.main(["identity", "--config", cfg, "--out", str(out)]) == 0
+        assert len(built) == (len(SMALL_IDENTITY["surfaces"]) if n else 0)
         with open(out / "identity.csv", newline="") as fh:
             rows[n] = list(csv.reader(fh))[1:]
-    assert len(rows[14]) == 14 and len(rows[15]) == 15
-    for per, sp_row in zip(rows[14], rows[15]):
-        assert per[:2] == sp_row[:2]
-        for a, b in zip(per[2:5], sp_row[2:5]):
-            assert abs(float(a) - float(b)) <= 1e-12 * abs(float(a))
+    assert rows[0] == []
+    for key in {r[0] for r in rows[15]}:
+        full = [r for r in rows[15] if r[0] == key]
+        assert len(full) == 15
+        for n in (1, 14):
+            assert [r for r in rows[n] if r[0] == key] == full[:n], (key, n)
 
 
-@pytest.mark.parametrize("variations", [4, 50], ids=["per-variation", "span"])
+@pytest.mark.parametrize("variations", [4, 50], ids=["4-variations", "50-variations"])
 def test_identity_independent_of_blas_threads(tmp_path, variations):
     config = _cfg(tmp_path, dict(SMALL_IDENTITY, variations=variations))
     outs = []
@@ -300,4 +305,14 @@ def test_resolution_below_8_is_config_error(tmp_path, capsys, argv):
     rc = cli.main(argv + ["--out", str(tmp_path / "out")])
     assert rc == 2
     assert "at least 8 per direction" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch):
+    """--seed is checked as the config's "seed" is, before any surface is
+    built and before --out is made."""
+    monkeypatch.setattr(cli, "_build", lambda *a, **kw: pytest.fail("surface built"))
+    rc = cli.main(["identity", "--seed", "-1", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error: 'seed' must be at least 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
