@@ -13,9 +13,12 @@ Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 bad input.
 Outputs (report.json, *.csv, optional *.svg) are byte-identical across runs
 with the same configuration and seed, whatever CMCINDEX_THREADS is; surfaces
 are written in sorted order.  ``spectrum``, ``bounds`` and ``gallery``
-process their surfaces concurrently, capped by CMCINDEX_THREADS.
-``identity`` maps its surfaces on one thread: its work is short numpy calls
-that hold the GIL, and a second thread only adds CPU time.
+process their surfaces concurrently, capped by CMCINDEX_THREADS (default 2;
+anything but a positive integer is bad input).  ``identity`` maps its
+surfaces on one thread: its work is short numpy calls that hold the GIL, and
+a second thread only adds CPU time.  The spectral calls of ``spectrum`` and
+``bounds`` run numpy's OpenBLAS on one thread (``spectral``), so the pool
+threads do not each wake an idle BLAS worker.
 
 Every seeded variation of a surface lies in one span of N fields (N = 30 to
 100 on the default surfaces).  ``identity`` assembles once per surface the
@@ -97,10 +100,14 @@ class RunConfig:
 
 
 def _thread_cap() -> int:
+    raw = os.environ.get("CMCINDEX_THREADS", "2")
     try:
-        return max(1, int(os.environ.get("CMCINDEX_THREADS", "2")))
+        threads = int(raw)
     except ValueError:
-        return 2
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"CMCINDEX_THREADS must be a positive integer, got {raw!r}")
+    return threads
 
 
 def _surface_key(desc: dict) -> str:

@@ -163,9 +163,12 @@ class ParamGrid:
         else:
             np.matmul(P, g, out=out)
             if self.topology == "sphere":
-                # the flip factor enters through its nonzero rows only
+                # the flip factor enters through its nonzero rows only, and
+                # reaches the antipodal longitude by a swap of the x halves
                 rows, flip = _pole_flip(self)
-                out[:, rows] += np.roll(np.matmul(flip, g), self.nx // 2, axis=0)
+                flipped, h = np.matmul(flip, g), self.nx // 2
+                out[:h, rows] += flipped[h:]
+                out[h:, rows] += flipped[:h]
         return out.view(f.dtype).reshape(f.shape)
 
     def slabs(self, width: int) -> tuple["Slab", ...]:
@@ -192,7 +195,9 @@ class ParamGrid:
         dy = serial_matmul(slab.interior, flat).reshape(own.shape)
         if len(slab.flip_rows):
             flip = serial_matmul(slab.flip, flat).reshape((-1,) + f.shape[1:])
-            dy[slab.flip_rows] += np.roll(flip, self.nx // 2, axis=-1)
+            h = self.nx // 2
+            dy[slab.flip_rows, ..., :h] += flip[..., h:]
+            dy[slab.flip_rows, ..., h:] += flip[..., :h]
         return dx, dy
 
     # ------------------------------------------------- 1-D axis stencils

@@ -40,12 +40,24 @@ Two solvers share that reduction:
 scipy is imported only by the dense path: ``scipy.linalg`` for the dense
 spectrum and its lowest eigenvectors, and ``eigsh`` for ||K||_2 in the
 dense ``residual_norms``.  Both solvers are deterministic.
+
+``eigensolve``, ``weak_index`` and ``residual_norms`` (with the blocks and
+block eigenvalues they build lazily) run numpy's bundled OpenBLAS on one
+thread, and restore its thread count when the last concurrent caller
+returns.  At these block sizes a second OpenBLAS thread buys no wall-clock
+time, but ``eigh`` on blocks of 26 or more (LAPACK's divide and conquer),
+and ``eigvalsh`` and the cross-axis products at L = 80, wake it, and it then
+spins for 0.10-0.15 s of CPU.  scipy's own OpenBLAS, used by the dense path
+only, is not touched.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import ContextDecorator
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -63,6 +75,74 @@ __all__ = [
 MAX_UNKNOWNS = 5000
 # relative spread below which a sampled field counts as constant along an axis
 SHIFT_RTOL = 1e-12
+
+
+# ---------------------------------------------------------------- BLAS threads
+
+# (get, set) thread-count symbols of numpy's bundled OpenBLAS: the numpy 2.x
+# wheels prefix and suffix them, other builds export the plain names
+_OPENBLAS_SYMBOLS = [
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+]
+
+
+def _numpy_openblas() -> tuple:
+    """(get, set) of the thread count of the OpenBLAS in the ``numpy.libs``
+    directory next to the numpy package, or () where there is none."""
+    import ctypes
+
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            try:
+                get, put = getattr(lib, get_name), getattr(lib, set_name)
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return ()
+
+
+class _SerialBlas(ContextDecorator):
+    """Context, and decorator, that runs numpy's OpenBLAS on one thread,
+    process-wide.
+
+    The count is pinned to 1 when the first concurrent caller enters and
+    restored when the last one leaves: the CLI pool calls in from two
+    threads at once.  The library is looked up on the first entry and left
+    alone where none is found.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._calls = None
+        self._depth = 0
+        self._saved = 1
+
+    def __enter__(self):
+        with self._lock:
+            if self._calls is None:
+                self._calls = _numpy_openblas()
+            if self._calls and self._depth == 0:
+                get, put = self._calls
+                self._saved = get()
+                put(1)
+            self._depth += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._calls and self._depth == 0:
+                self._calls[1](self._saved)
+
+
+_SERIAL_BLAS = _SerialBlas()
 
 
 @dataclass
@@ -322,6 +402,7 @@ def _null_tolerance(eigs: np.ndarray) -> float:
     return 1e-3 * max(1.0, lam_range)
 
 
+@_SERIAL_BLAS
 def eigensolve(op: DiscreteOperator, count: int,
                want_vectors: bool = True) -> SpectralResult:
     """Lowest ``count`` eigenpairs of K phi = lambda M phi, with the full
@@ -362,6 +443,7 @@ def _block_apply(op: DiscreteOperator, V: np.ndarray) -> tuple[np.ndarray, float
     return KV.reshape(op.n, -1), knorm
 
 
+@_SERIAL_BLAS
 def residual_norms(op: DiscreteOperator, res: SpectralResult) -> np.ndarray:
     """||K phi - lambda M phi|| per returned pair, relative to ||K||_2.
 
@@ -395,6 +477,7 @@ def index_nullity(res: SpectralResult) -> tuple[int, int]:
 WEAK_INDEX_BAND = 24
 
 
+@_SERIAL_BLAS
 def weak_index(op: DiscreteOperator) -> int:
     """Index of the form restricted to mean-zero functions (int f dSigma = 0).
 

@@ -51,3 +51,31 @@ def weak_index_of(label: str) -> int:
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def blas_threads():
+    """Reader of numpy's OpenBLAS thread count, set to 2 for the test and put
+    back after it."""
+    calls = sp._numpy_openblas()
+    if not calls:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    get, put = calls
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def record_blas_threads(monkeypatch, name: str, get) -> list:
+    """Patch ``np.linalg.<name>`` to note the OpenBLAS thread count at each
+    call; returns the list the counts go to."""
+    seen = []
+    real = getattr(np.linalg, name)
+
+    def recording(*args, **kwargs):
+        seen.append(get())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recording)
+    return seen

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from cmcindex import cli
+from conftest import record_blas_threads
 
 # coarse grids for speed; the identity residual budget is relaxed accordingly
 SMALL_IDENTITY = {
@@ -211,6 +212,28 @@ def test_identity_independent_of_blas_threads(tmp_path, variations):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+# with the 5/4 refinement, the Delaunay blocks (L = 64 and 80) are large
+# enough for LAPACK and the cross-axis products to wake a second BLAS thread
+BLAS_SPECTRUM = dict(SMALL_SPECTRUM, stability=True, surfaces=SMALL_SPECTRUM["surfaces"] + [
+    {"kind": "delaunay_t3", "params": {"k": 2, "neck": 0.55}, "resolution": [64, 32]}])
+
+
+@pytest.mark.parametrize("command", ["spectrum", "bounds"])
+def test_spectral_reports_independent_of_blas_threads(tmp_path, command):
+    config = _cfg(tmp_path, BLAS_SPECTRUM)
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = _python(["-m", "cmcindex.cli", command, "--config", config, "--out", str(out)],
+                       tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("params", [{"k": 1, "neck": 1.5}, {"k": 0},
                                     {"neck": 0.0}, {"k": 2, "neck": -0.3}])
 def test_bad_delaunay_params_exit_2(tmp_path, params):
@@ -278,10 +301,29 @@ def test_thread_cap_env(tmp_path, monkeypatch):
         assert names == sorted(p.name for p in two.iterdir())
         for name in names:
             assert (one / name).read_bytes() == (two / name).read_bytes(), name
-    monkeypatch.setenv("CMCINDEX_THREADS", "not-a-number")
-    rc = cli.main(["identity", "--config", _cfg(tmp_path, SMALL_IDENTITY),
-                   "--out", str(tmp_path / "out2")])
+
+
+@pytest.mark.parametrize("threads", ["abc", "0", "-3"])
+def test_bad_thread_cap_exits_2(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("CMCINDEX_THREADS", threads)
+    out = tmp_path / "out"
+    rc = cli.main(["spectrum", "--config", _cfg(tmp_path, SMALL_SPECTRUM), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "CMCINDEX_THREADS" in err and repr(threads) in err
+    assert not out.exists()
+
+
+def test_spectrum_pool_restores_blas_threads(tmp_path, monkeypatch, blas_threads):
+    # two pool threads solve at once; numpy's OpenBLAS runs on one thread in
+    # every block solve and gets its count back when the last one is done
+    seen = record_blas_threads(monkeypatch, "eigvalsh", blas_threads)
+    monkeypatch.setenv("CMCINDEX_THREADS", "2")
+    rc = cli.main(["spectrum", "--config", _cfg(tmp_path, SMALL_SPECTRUM),
+                   "--out", str(tmp_path / "out")])
     assert rc == 0
+    assert seen and set(seen) == {1}
+    assert blas_threads() == 2
 
 
 def test_resolution_override_does_not_leak(tmp_path):

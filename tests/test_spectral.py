@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from cmcindex import gallery as gal
 from cmcindex import spectral as sp
 from cmcindex import variations as vr
 from cmcindex.grids import _C8, _D4, sphere_grid, torus_grid
-from conftest import jacobi_solve, laplace_solve, surface, weak_index_of
+from conftest import (jacobi_solve, laplace_solve, record_blas_threads, surface,
+                      weak_index_of)
 
 
 def lattice_eigenvalues(count: int, scale: float = 2.0, shift: float = 0.0,
@@ -441,3 +444,53 @@ def test_quadratic_form_ties():
         # independent route through the full area_h Hessian of v = f nu
         d2 = vr.second_variation_area_h(imm, vr.normal_variation(imm, f))
         assert abs(kff - d2) < 1e-4 * max(1, abs(kff))
+
+
+# --------------------------------------------------------------- BLAS threads
+
+def _block_operator():
+    op = sp.assemble_jacobi(gal.gallery("clifford_torus", resolution=(24, 24)))
+    assert op.shift_axis is not None
+    return op
+
+
+def test_block_eigensolve_runs_blas_on_one_thread(blas_threads, monkeypatch):
+    seen = record_blas_threads(monkeypatch, "eigh", blas_threads)
+    sp.eigensolve(_block_operator(), 6)
+    assert seen and set(seen) == {1}
+    assert blas_threads() == 2
+
+
+def test_serial_blas_without_library_is_a_no_op(blas_threads, monkeypatch):
+    monkeypatch.setattr(sp._SERIAL_BLAS, "_calls", ())   # the lookup found none
+    seen = record_blas_threads(monkeypatch, "eigh", blas_threads)
+    sp.eigensolve(_block_operator(), 6)
+    assert seen and set(seen) == {2}
+    assert blas_threads() == 2
+
+
+def test_serial_blas_pins_until_the_last_thread_leaves(monkeypatch):
+    count = [3]
+    monkeypatch.setattr(sp, "_numpy_openblas", lambda: (
+        lambda: count[0], lambda n: count.__setitem__(0, n)))
+    pin, wrong = sp._SerialBlas(), []
+
+    def work():
+        for _ in range(300):
+            with pin:
+                if count[0] != 1:
+                    wrong.append(count[0])
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert count[0] == 3 and pin._depth == 0
