@@ -462,7 +462,9 @@ def test_block_eigensolve_runs_blas_on_one_thread(blas_threads, monkeypatch):
 
 
 def test_serial_blas_without_library_is_a_no_op(blas_threads, monkeypatch):
-    monkeypatch.setattr(sp._SERIAL_BLAS, "_calls", ())   # the lookup found none
+    # the next entry looks the library up again, and finds none
+    monkeypatch.setattr(sp, "_numpy_openblas", lambda: ())
+    monkeypatch.setattr(sp._SERIAL_BLAS, "_calls", None)
     seen = record_blas_threads(monkeypatch, "eigh", blas_threads)
     sp.eigensolve(_block_operator(), 6)
     assert seen and set(seen) == {2}
