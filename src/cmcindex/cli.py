@@ -50,6 +50,7 @@ from . import bounds as bd
 from . import gallery as gal
 from . import spectral as sp
 from . import surfaces as sf
+from .grids import check_resolution
 
 SCHEMA_VERSION = 1
 
@@ -198,6 +199,8 @@ def _check_descriptor(d) -> None:
         raise ConfigError(f"'resolution' of {d['kind']!r} must be two integers")
     try:
         gal.check_params(d["kind"], params)
+        if res is not None:
+            check_resolution(*res)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(exc.args[0]) from exc
 
@@ -241,7 +244,7 @@ def _spectrum_svg(results: list[dict]) -> str:
     width, row_h, pad = 640, 36, 60
     height = pad + row_h * len(results) + 20
     lams = [l for r in results for l in r["eigenvalues"]]
-    lo, hi = min(lams), max(lams)
+    lo, hi = min(lams, default=0.0), max(lams, default=0.0)
     span = hi - lo or 1.0
 
     def xpos(lam):

@@ -21,15 +21,24 @@ Two solvers share that reduction:
   shift; Davis, *Circulant Matrices*, 1979).  Its real symmetric L x L
   block per wavenumber k is built straight from the 1-D axis stencils:
   their symbol |D(k)|^2 along the shift axis, and one of two cross-axis
-  matrices picked by the pole sign (-1)^k.  Only 0 <= k <= S/2 are solved
-  (0 < k < S/2 count twice, for k and -k).  Blocks and their eigenvalues
-  stay on the operator, so ``weak_index`` re-solves only the constrained
-  wavenumber-0 block.  Eigenvectors are the real cos/sin lifts of the block
-  eigenvectors.  ``residual_norms`` applies K to them through the same
-  blocks (an rfft along the shift axis, one unscaled block per wavenumber,
+  matrices picked by the pole sign (-1)^k.  Only 0 <= k <= S/2 exist (0 < k
+  < S/2 count twice, for k and -k).  The operator keeps that 1-D data and
+  forms a block only to solve or apply it.  The cross-axis part is positive
+  semidefinite, so by Weyl's inequality each block's eigenvalues lie above
+  a floor min(|D(k)|^2 w/m - q) known without solving it.  ``eigensolve``
+  solves blocks in increasing floor order and stops once the next floor is
+  above the ``count``-th lowest eigenvalue found; on the default surfaces
+  that is 2-4 of 17-41 blocks.  The result is bit for bit that of solving
+  every block.  Block eigenvalues stay on the operator: ``weak_index``
+  re-solves only the constrained wavenumber-0 block and adds the blocks
+  its band can reach, and ``SpectralResult.all_eigenvalues`` solves the
+  rest on first access.  Eigenvectors are the real cos/sin lifts of the
+  block eigenvectors.  ``residual_norms`` applies K to them through every
+  block (an rfft along the shift axis, one unscaled block per wavenumber,
   an irfft back) and takes ||K||_2 exactly as the largest block eigenvalue
-  in magnitude.  No n x n array, dense or sparse, is formed, and the L x L
-  blocks are solved by ``numpy.linalg``.
+  in magnitude, solving blocks down from the largest inf-norm bound.  No
+  n x n array, dense or sparse, is formed, and the L x L blocks are solved
+  by ``numpy.linalg``.
 * the dense path, LAPACK's tridiagonalization / implicit-shift solver on the
   full B (formed once per operator), for every other operator; it is also
   the cross-check oracle of the block path.  It is capped at
@@ -42,11 +51,12 @@ spectrum and its lowest eigenvectors, and ``eigsh`` for ||K||_2 in the
 dense ``residual_norms``.  Both solvers are deterministic.
 
 ``eigensolve``, ``weak_index`` and ``residual_norms`` (with the blocks and
-block eigenvalues they build lazily) run numpy's bundled OpenBLAS on one
-thread, and restore its thread count when the last concurrent caller
-returns.  At these block sizes a second OpenBLAS thread buys no wall-clock
-time, but ``eigh`` on blocks of 26 or more (LAPACK's divide and conquer),
-and ``eigvalsh`` and the cross-axis products at L = 80, wake it, and it then
+block eigenvalues they build lazily), and the first access to
+``all_eigenvalues``, run numpy's bundled OpenBLAS on one thread, and
+restore its thread count when the last concurrent caller returns.  At
+these block sizes a second OpenBLAS thread buys no wall-clock time, but
+``eigh`` on blocks of 26 or more (LAPACK's divide and conquer), and
+``eigvalsh`` and the cross-axis products at L = 80, wake it, and it then
 spins for 0.10-0.15 s of CPU.  scipy's own OpenBLAS, used by the dense path
 only, is not touched.
 """
@@ -55,10 +65,10 @@ from __future__ import annotations
 
 import threading
 from contextlib import ContextDecorator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -215,9 +225,9 @@ class DiscreteOperator:
         return None
 
     @cached_property
-    def _mode_blocks(self) -> tuple[list, np.ndarray]:
-        """Real symmetric reduced blocks B_k of wavenumbers k = 0..S/2 along
-        ``shift_axis``, and the M^{-1/2} of one chart line.
+    def _mode_blocks(self) -> tuple[_FourierBlocks, np.ndarray]:
+        """The reduced blocks B_k of wavenumbers k = 0..S/2 along
+        ``shift_axis``, formed on demand, and the M^{-1/2} of one chart line.
 
         Each stencil D of ``grid.axis_stencil`` gives D^T W D: along the
         shift axis it is circulant, so |DFT of its row|^2 (k) W; across the
@@ -231,18 +241,8 @@ class DiscreteOperator:
         q = np.broadcast_to(self.q, self.resolution)[line]
         sym = sum(np.abs(np.fft.rfft(g.axis_stencil(a, name)[0][0])) ** 2
                   for name in _AXIS_STENCILS)
-        across = _cross_axis(g, 1 - a, w)   # across[k % 2]
-        scale = 1.0 / np.sqrt(m)
-        blocks = []
-        for k in range(self.resolution[a] // 2 + 1):
-            B = scale[:, None] * (across[k % 2] + np.diag(sym[k] * w - m * q)) * scale
-            blocks.append(0.5 * (B + B.T))
-        return blocks, scale
-
-    @cached_property
-    def _mode_values(self) -> list:
-        """Ascending eigenvalues of each ``_mode_blocks`` block."""
-        return [np.linalg.eigvalsh(B) for B in self._mode_blocks[0]]
+        blocks = _FourierBlocks(w, m, q, sym, _cross_axis(g, 1 - a, w))
+        return blocks, blocks.scale
 
     def describe(self) -> dict:
         return {
@@ -271,14 +271,94 @@ def _constant_along(f: np.ndarray, axis: int) -> bool:
     return bool(spread <= SHIFT_RTOL * np.abs(f).max())
 
 
+def _inf_norm(A: np.ndarray) -> float:
+    return float(np.abs(A).sum(axis=1).max())
+
+
+# relative round-off margin of the block bounds, far above the L eps ||B||
+# backward error of a symmetric eigensolve for any line length L in use
+BOUND_RTOL = 1e-10
+
+
+class _FourierBlocks:
+    """Reduced blocks B_k = R (A_{k mod 2} + diag(sym_k w - m q)) R of one
+    operator, k = 0..S/2, kept as the 1-D data of one chart line: chart
+    weights w, mass m, potential q, stencil symbol sym along the shift axis,
+    the two cross-axis matrices A and R = M^{-1/2} (``scale``).
+
+    Block k is formed on each ``self[k]``; its eigenvalues (``solve``) are
+    kept once computed.
+    """
+
+    def __init__(self, w, m, q, sym, across):
+        self.w, self.m, self.q, self.sym, self.across = w, m, q, sym, across
+        self.scale = 1.0 / np.sqrt(m)
+        self._solved = ({}, {})     # eigvalsh, eigh results by wavenumber
+
+    def __len__(self) -> int:
+        return self.sym.size
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        s = self.scale
+        B = s[:, None] * (self.across[k % 2] + np.diag(self.sym[k] * self.w - self.m * self.q)) * s
+        return 0.5 * (B + B.T)
+
+    def solve(self, k: int, vectors: bool = False, keep: bool = True):
+        """``eigvalsh(B_k)``, or ``eigh(B_k)`` with ``vectors``; kept for the
+        next call unless ``keep`` is false."""
+        done = self._solved[vectors]
+        if k in done:
+            return done[k]
+        out = (np.linalg.eigh if vectors else np.linalg.eigvalsh)(self[k])
+        if keep:
+            done[k] = out
+        return out
+
+    def _bounds(self, diag: np.ndarray, across: list) -> tuple[np.ndarray, np.ndarray]:
+        # per block: min of the diagonal part, and the inf-norm bound
+        # ||A_{k mod 2}||_inf + max |diagonal part| on the block
+        parity = np.arange(len(self)) % 2
+        cross = np.array([_inf_norm(A) for A in across])[parity]
+        return diag.min(axis=1), cross + np.abs(diag).max(axis=1)
+
+    @cached_property
+    def floors(self) -> np.ndarray:
+        """Lower bound on the computed eigenvalues of each block.
+
+        R A R is positive semidefinite, so by Weyl's inequality lambda_min(B_k)
+        >= min(sym_k w / m - q); ``BOUND_RTOL`` times a bound on ||B_k||_2 is
+        subtracted for round-off.
+        """
+        s = self.scale
+        least, norm = self._bounds(self.sym[:, None] * (self.w / self.m) - self.q,
+                                   [s[:, None] * A * s for A in self.across])
+        return least - BOUND_RTOL * norm
+
+    @cached_property
+    def ceilings(self) -> np.ndarray:
+        """Upper bound on the computed |eigenvalues| of each unscaled block
+        K_k = A_{k mod 2} + diag(sym_k w - m q): its inf-norm, raised by
+        ``BOUND_RTOL`` for round-off."""
+        _, norm = self._bounds(self.sym[:, None] * self.w - self.m * self.q, self.across)
+        return norm * (1.0 + BOUND_RTOL)
+
+
 @dataclass
 class SpectralResult:
     """Sorted eigenvalues of a discrete operator with classification data."""
 
     eigenvalues: np.ndarray          # lowest `count`, ascending
     eigenvectors: Optional[np.ndarray]  # (n, count), M-orthonormal
-    all_eigenvalues: np.ndarray      # full discrete spectrum
     eps_null: float
+    _full: Callable[[], np.ndarray] = field(repr=False)   # all_eigenvalues
+
+    @cached_property
+    def all_eigenvalues(self) -> np.ndarray:
+        """Full discrete spectrum, ascending, computed on first access (on
+        the block path from the same per-block solves as ``eigensolve``)."""
+        return self._full()
 
     @property
     def index(self) -> int:
@@ -328,44 +408,89 @@ def _multiplicity(k: int, S: int) -> int:
     return 1 if (2 * k) % S == 0 else 2
 
 
-def _block_eigen(op: DiscreteOperator, count: int,
-                 want_vectors: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """Full sorted spectrum and, optionally, the lowest ``count`` M-orthonormal
-    eigenvectors, from the Fourier blocks."""
+def _lifted(S: int, ks, values) -> tuple[np.ndarray, list, np.ndarray]:
+    """Eigenvalues ``values(k)`` of the blocks ``ks`` (ascending wavenumbers),
+    listed once per lift, with the lifts and their stable ascending order."""
+    # (wavenumber, lift part): 0 < k < S/2 carry a cos and a sin lift
+    lifts = [(k, part) for k in ks for part in range(_multiplicity(k, S))]
+    lam = np.concatenate([values(k) for k, _ in lifts] or [np.empty(0)])
+    return lam, lifts, np.argsort(lam, kind="stable")
+
+
+def _bottom_blocks(blocks: _FourierBlocks, S: int, values, rank: int,
+                   least: float = -np.inf, found: tuple = (), first: int = 0) -> list:
+    """Ascending wavenumbers k >= ``first`` of the blocks that can hold an
+    eigenvalue at or below max(``least``, the ``rank``-th lowest eigenvalue
+    with multiplicity of those blocks and the values ``found``).
+
+    Blocks are solved by ``values(k)`` in increasing floor order until the
+    next floor lies above that level among the values found so far, which is
+    never below the true level: every block left out has all its eigenvalues
+    above it.
+    """
+    found, picked = list(found), []
+    for k in first + np.argsort(blocks.floors[first:], kind="stable"):
+        lam = np.concatenate(found) if found else np.empty(0)
+        level = (least if rank == 0 else np.inf if lam.size < rank
+                 else max(least, np.partition(lam, rank - 1)[rank - 1]))
+        if blocks.floors[k] > level:
+            break
+        found += [values(k)] * _multiplicity(k, S)
+        picked.append(int(k))
+    return sorted(picked)
+
+
+def _block_eigen(op: DiscreteOperator, count: int, want_vectors: bool
+                 ) -> tuple[np.ndarray, Optional[np.ndarray], Callable]:
+    """Ascending eigenvalues of the Fourier blocks that can hold the lowest
+    ``count``, optionally the lowest ``count`` M-orthonormal eigenvectors, and
+    the full spectrum on demand."""
     blocks, scale = op._mode_blocks
     S = op.resolution[op.shift_axis]
-    # (wavenumber, lift part): 0 < k < S/2 carry a cos and a sin lift
-    lifts = [(k, part) for k in range(len(blocks)) for part in range(_multiplicity(k, S))]
-    solved = [np.linalg.eigh(B) for B in blocks] if want_vectors else None
-    values = [w for w, _ in solved] if want_vectors else op._mode_values
-    lam = np.concatenate([values[k] for k, _ in lifts])
-    order = np.argsort(lam, kind="stable")
+
+    def values(k):
+        return blocks.solve(k, True)[0] if want_vectors else blocks.solve(k)
+
+    lam, lifts, order = _lifted(S, _bottom_blocks(blocks, S, values, count), values)
+    spectrum = lambda: _block_spectrum(op, want_vectors)  # noqa: E731
     if not want_vectors:
-        return lam[order], None
+        return lam[order], None, spectrum
     # lift: phi[s, line] = Re / Im of e^{-2 pi i k s / S} M^{-1/2} u
     vecs = np.empty((op.n, count))
     for col, idx in enumerate(order[:count]):
         (k, part), c = lifts[idx // scale.size], idx % scale.size
         phase = np.exp(-2j * np.pi * k * np.arange(S) / S)
-        v = np.outer(phase, scale * solved[k][1][:, c])
+        v = np.outer(phase, scale * blocks.solve(k, True)[1][:, c])
         v = v.imag if part else v.real
         vecs[:, col] = (v if op.shift_axis == 0 else v.T).ravel()
     vecs /= np.sqrt(np.einsum("ij,i,ij->j", vecs, op.M_diag, vecs))
-    return lam[order], vecs
+    return lam[order], vecs, spectrum
 
 
-def _dense_eigen(op: DiscreteOperator, count: int,
-                 want_vectors: bool) -> tuple[np.ndarray, Optional[np.ndarray]]:
+@_SERIAL_BLAS
+def _block_spectrum(op: DiscreteOperator, from_eigh: bool) -> np.ndarray:
+    """Full sorted spectrum from every Fourier block, by the routine its
+    ``eigensolve`` used: ``eigh``, whose vectors are not kept for the blocks
+    it had not solved, or ``eigvalsh``."""
+    blocks, _ = op._mode_blocks
+
+    def values(k):
+        return blocks.solve(k, True, keep=False)[0] if from_eigh else blocks.solve(k)
+
+    lam, _, order = _lifted(op.resolution[op.shift_axis], range(len(blocks)), values)
+    return lam[order]
+
+
+def _dense_eigen(op: DiscreteOperator, count: int, want_vectors: bool
+                 ) -> tuple[np.ndarray, Optional[np.ndarray], Callable]:
     import scipy.linalg as sla
 
     B, scale = op._dense_reduced
-    w = sla.eigvalsh(B)
-    if not want_vectors:
-        return w, None
-    if count == 0:
-        return w, np.empty((op.n, 0))
-    _, V = sla.eigh(B, subset_by_index=[0, count - 1])
-    return w, scale[:, None] * V
+    w, V = sla.eigvalsh(B), None
+    if want_vectors:
+        V = (np.empty((op.n, 0)) if count == 0
+             else scale[:, None] * sla.eigh(B, subset_by_index=[0, count - 1])[1])
+    return w, V, lambda: w
 
 
 def _constrained_eigvalsh(B: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -415,11 +540,11 @@ def eigensolve(op: DiscreteOperator, count: int,
     if count > op.n:
         raise ValueError(f"requested {count} eigenpairs of an {op.n}-dim operator")
     solve = _dense_eigen if op.shift_axis is None else _block_eigen
-    w, vecs = solve(op, count, want_vectors)
+    w, vecs, spectrum = solve(op, count, want_vectors)
     if vecs is not None:
         vecs = _normalize_signs(vecs)
-    eps = _null_tolerance(w[:count])
-    return SpectralResult(w[:count].copy(), vecs, w, eps)
+    lowest = w[:count].copy()
+    return SpectralResult(lowest, vecs, _null_tolerance(lowest), spectrum)
 
 
 def _block_apply(op: DiscreteOperator, V: np.ndarray) -> tuple[np.ndarray, float]:
@@ -428,17 +553,25 @@ def _block_apply(op: DiscreteOperator, V: np.ndarray) -> tuple[np.ndarray, float
     The DFT of V along the shift axis is multiplied, wavenumber by
     wavenumber, by the unscaled block K_k = M^{1/2} B_k M^{1/2} and
     transformed back.  The spectrum of K is the union of the blocks' spectra,
-    so ||K||_2 is the largest |eigenvalue| over them, exactly.
+    so ||K||_2 is the largest |eigenvalue| over them, exactly.  Blocks are
+    solved for it in decreasing order of their ``ceilings``, until the next
+    ceiling lies below the largest |eigenvalue| found.
     """
     blocks, scale = op._mode_blocks
     a = op.shift_axis
     F = np.moveaxis(np.fft.rfft(V.reshape(*op.resolution, -1), axis=a), a, 0)
     root = 1.0 / scale
+
+    def unscaled(k):
+        return root[:, None] * blocks[k] * root
+
     KF, knorm = np.empty_like(F), 0.0
-    for k, B in enumerate(blocks):
-        Kk = root[:, None] * B * root
-        KF[k] = Kk @ F[k]
-        knorm = max(knorm, float(np.abs(np.linalg.eigvalsh(Kk)).max()))
+    for k in range(len(blocks)):
+        KF[k] = unscaled(k) @ F[k]
+    for k in np.argsort(-blocks.ceilings, kind="stable"):
+        if blocks.ceilings[k] < knorm:
+            break
+        knorm = max(knorm, float(np.abs(np.linalg.eigvalsh(unscaled(k))).max()))
     KV = np.fft.irfft(np.moveaxis(KF, 0, a), n=op.resolution[a], axis=a)
     return KV.reshape(op.n, -1), knorm
 
@@ -484,16 +617,18 @@ def weak_index(op: DiscreteOperator) -> int:
     After the diagonal mass reduction the constraint becomes g perp M^{1/2} 1;
     that direction is removed by a Householder reflector and the reduced
     standard problem solved.  On the Fourier block path M^{1/2} 1 lies in
-    wavenumber 0, so only that block is reduced and re-solved; the other
-    blocks' eigenvalues are shared with ``eigensolve``.  The null tolerance
-    is 1e-3 max(1, range) of the lowest ``WEAK_INDEX_BAND`` constrained
-    eigenvalues.  That is not the band ``eigensolve`` classifies with (its
-    lowest ``count`` unconstrained eigenvalues): on the default ``cmcindex
-    bounds`` surfaces this tolerance is 0.014 against 0.008 on the Clifford
-    torus and 0.974 against 0.446 on the 3-lobed Delaunay torus, though all
-    seven weak indices come out the same under either.  The interlacing
-    i - 1 <= i_h <= i is therefore a check on the result, not a consequence
-    of the construction.
+    wavenumber 0, so only that block is reduced and re-solved.  Of the other
+    blocks, those whose floor can reach max(0, the ``WEAK_INDEX_BAND``-th
+    lowest constrained eigenvalue) are solved, or their eigenvalues shared
+    with an earlier ``eigensolve``: they hold every eigenvalue the count and
+    its tolerance read.  The null tolerance is 1e-3 max(1, range) of the
+    lowest ``WEAK_INDEX_BAND`` constrained eigenvalues.  That is not the
+    band ``eigensolve`` classifies with (its lowest ``count`` unconstrained
+    eigenvalues): on the default ``cmcindex bounds`` surfaces this tolerance
+    is 0.014 against 0.008 on the Clifford torus and 0.974 against 0.446 on
+    the 3-lobed Delaunay torus, though all seven weak indices come out the
+    same under either.  The interlacing i - 1 <= i_h <= i is therefore a
+    check on the result, not a consequence of the construction.
     """
     if op.shift_axis is None:
         B, scale = op._dense_reduced
@@ -501,10 +636,11 @@ def weak_index(op: DiscreteOperator) -> int:
     else:
         blocks, scale = op._mode_blocks
         S = op.resolution[op.shift_axis]
-        parts = [_constrained_eigvalsh(blocks[0], 1.0 / scale)]
-        for k, w in enumerate(op._mode_values[1:], start=1):
-            parts.extend([w] * _multiplicity(k, S))
-        w = np.sort(np.concatenate(parts))
+        head = _constrained_eigvalsh(blocks[0], 1.0 / scale)
+        ks = _bottom_blocks(blocks, S, blocks.solve, WEAK_INDEX_BAND, least=0.0,
+                            found=[head], first=1)
+        w = np.sort(np.concatenate([head] + [blocks.solve(k) for k in ks
+                                              for _ in range(_multiplicity(k, S))]))
     eps = _null_tolerance(w[:WEAK_INDEX_BAND])
     return int(np.count_nonzero(w < -eps))
 

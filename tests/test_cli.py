@@ -74,6 +74,8 @@ def test_unknown_surface_is_config_error(tmp_path):
     {"surfaces": [{"kind": "sphere_r3", "params": {"radius": float("nan")}}]},
     {"surfaces": [{"kind": "sphere_h3", "params": {"radius": float("nan")}}]},
     {"seed": -1},
+    # a sphere's node spacing divides by ny
+    {"surfaces": [{"kind": "sphere_r3", "resolution": [64, 0]}]},
 ])
 def test_invalid_config_is_config_error(tmp_path, capsys, change):
     cfg = dict(SMALL_IDENTITY, **change)
@@ -109,6 +111,17 @@ def test_spectrum_command_and_svg(tmp_path):
     svg = (tmp_path / "out" / "spectrum.svg").read_text()
     assert svg.startswith("<svg") and "stroke" in svg
     assert (tmp_path / "out" / "spectrum.csv").exists()
+
+
+def test_spectrum_svg_of_no_surfaces(tmp_path):
+    rc = cli.main(["spectrum", "--config", _cfg(tmp_path, {"surfaces": []}),
+                   "--out", str(tmp_path / "out"), "--svg"])
+    assert rc == 0
+    svg = (tmp_path / "out" / "spectrum.svg").read_text()
+    assert svg.startswith("<svg") and svg.endswith("</svg>")
+    assert "(i=" not in svg
+    rows = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()
+    assert rows == ["surface,k,eigenvalue,classification"]
 
 
 def test_bounds_command_with_r_table(tmp_path):

@@ -11,6 +11,12 @@ def test_resolution_floor_enforced():
         ParamGrid("torus", 16, 1, (0, 1), (0, 1))
 
 
+@pytest.mark.parametrize("ny", [0, 4])
+def test_sphere_grid_floor_comes_before_spacing(ny):
+    with pytest.raises(ValueError, match="at least 8 per direction"):
+        sphere_grid(64, ny)
+
+
 def test_sphere_grid_needs_even_longitude():
     with pytest.raises(ValueError):
         sphere_grid(15, 12)

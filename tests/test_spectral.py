@@ -139,17 +139,139 @@ def test_stencil_blocks_match_dft_of_dense_K_row(name, kw, axis):
         assert np.abs(B - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_block_path_reuses_mode_values(monkeypatch):
+def test_block_path_solves_only_bottom_blocks(monkeypatch):
     op = sp.assemble_jacobi(gal.gallery("sphere_r3", resolution=(32, 16)))
+    blocks, _ = op._mode_blocks
+    assert len(blocks) == 17
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda B: calls.append(B) or eigvalsh(B))
+
+    def solved(mats):
+        # wavenumber of each solved (unconstrained) block
+        return [next(k for k in range(len(blocks)) if np.array_equal(B, blocks[k]))
+                for B in mats]
+
     sp.eigensolve(op, 8, want_vectors=False)
-    assert len(calls) == len(op._mode_blocks[0])
+    first = solved(calls)
+    assert 1 <= len(first) <= 4 and len(set(first)) == len(first)
+    before = len(calls)
     sp.weak_index(op)
-    # only the constrained wavenumber-0 block is solved again
-    assert len(calls) == len(op._mode_blocks[0]) + 1
+    # one constrained wavenumber-0 solve, and only blocks not yet solved
+    head, *rest = calls[before:]
+    assert head.shape == (op.resolution[1] - 1,) * 2
+    assert not set(solved(rest)) & set(first)
+    assert len(set(solved(rest))) == len(rest)
     assert "K" not in vars(op)   # no dense K was assembled
+
+
+def _full_block_route(op, count, want_vectors):
+    """The route that solves every Fourier block: (lowest ``count``
+    eigenvalues, their eigenvectors, eps_null, full spectrum)."""
+    blocks, scale = op._mode_blocks
+    S = op.resolution[op.shift_axis]
+    lifts = [(k, part) for k in range(len(blocks)) for part in range(sp._multiplicity(k, S))]
+    solved = [np.linalg.eigh(B) if want_vectors else (np.linalg.eigvalsh(B), None)
+              for B in blocks]
+    lam = np.concatenate([solved[k][0] for k, _ in lifts])
+    order = np.argsort(lam, kind="stable")
+    w, vecs = lam[order], None
+    if want_vectors:
+        vecs = np.empty((op.n, count))
+        for col, idx in enumerate(order[:count]):
+            (k, part), c = lifts[idx // scale.size], idx % scale.size
+            phase = np.exp(-2j * np.pi * k * np.arange(S) / S)
+            v = np.outer(phase, scale * solved[k][1][:, c])
+            v = v.imag if part else v.real
+            vecs[:, col] = (v if op.shift_axis == 0 else v.T).ravel()
+        vecs /= np.sqrt(np.einsum("ij,i,ij->j", vecs, op.M_diag, vecs))
+        vecs = sp._normalize_signs(vecs)
+    return w[:count], vecs, sp._null_tolerance(w[:count]), w
+
+
+def _full_weak_index(op):
+    blocks, scale = op._mode_blocks
+    S = op.resolution[op.shift_axis]
+    parts = [sp._constrained_eigvalsh(blocks[0], 1.0 / scale)]
+    for k in range(1, len(blocks)):
+        parts += [np.linalg.eigvalsh(blocks[k])] * sp._multiplicity(k, S)
+    w = np.sort(np.concatenate(parts))
+    return int(np.count_nonzero(w < -sp._null_tolerance(w[:sp.WEAK_INDEX_BAND])))
+
+
+def _unscaled_blocks(op):
+    """The unscaled blocks K_k = M^{1/2} B_k M^{1/2}."""
+    blocks, scale = op._mode_blocks
+    root = 1.0 / scale
+    return [root[:, None] * B * root for B in blocks]
+
+
+def _full_residual_norms(op, res):
+    """K V through every unscaled block, and ||K||_2 from all their spectra."""
+    a, V = op.shift_axis, res.eigenvectors
+    F = np.moveaxis(np.fft.rfft(V.reshape(*op.resolution, -1), axis=a), a, 0)
+    KF, knorm = np.empty_like(F), 0.0
+    for k, Kk in enumerate(_unscaled_blocks(op)):
+        KF[k] = Kk @ F[k]
+        knorm = max(knorm, float(np.abs(np.linalg.eigvalsh(Kk)).max()))
+    KV = np.fft.irfft(np.moveaxis(KF, 0, a), n=op.resolution[a], axis=a)
+    R = KV.reshape(op.n, -1) - (op.M_diag[:, None] * V) * res.eigenvalues
+    return np.linalg.norm(R, axis=0) / knorm
+
+
+def _default_operators():
+    """Every default ``spectrum``/``bounds`` surface and its 5/4 refinement."""
+    from cmcindex.cli import _BOUNDS_DEFAULTS
+
+    out = []
+    for d in _BOUNDS_DEFAULTS:
+        nx, ny = d["resolution"]
+        for res in ((nx, ny), (2 * (int(nx * 1.25) // 2), int(ny * 1.25))):
+            out.append((d["kind"], dict(d["params"], resolution=res)))
+    return out
+
+
+PRUNED_CASES = [(name, kw) for name, kw, _ in BLOCK_CASES] + _default_operators()
+# eigenvectors at count n only up to this size: n x n float arrays
+VECTORS_AT_N_MAX = 1024
+
+
+@pytest.mark.parametrize("name,kw", PRUNED_CASES, ids=[
+    f"{n}{kw.get('k', '')}@{kw['resolution'][0]}x{kw['resolution'][1]}"
+    for n, kw in PRUNED_CASES])
+def test_pruned_blocks_equal_full_route(name, kw):
+    imm = gal.gallery(name, **kw)
+    op = sp.assemble_jacobi(imm)
+    blocks, _ = op._mode_blocks
+    assert sp.weak_index(op) == _full_weak_index(op)
+    for k, Kk in enumerate(_unscaled_blocks(op)):
+        assert blocks.floors[k] <= np.linalg.eigvalsh(blocks[k])[0]
+        assert blocks.floors[k] <= np.linalg.eigh(blocks[k])[0][0]
+        assert blocks.ceilings[k] >= np.abs(np.linalg.eigvalsh(Kk)).max()
+    op = sp.assemble_jacobi(imm)
+    blocks, _ = op._mode_blocks
+    for vectors in (False, True):
+        results = []
+        for count in (0, 1, 12, op.n):
+            if vectors and count == op.n > VECTORS_AT_N_MAX:
+                continue
+            res = sp.eigensolve(op, count, want_vectors=vectors)
+            lam, vecs, eps, full = _full_block_route(op, count, vectors)
+            assert np.array_equal(res.eigenvalues, lam)
+            assert res.eps_null == eps
+            # every block that may reach the count-th eigenvalue was solved
+            reach = {k for k in range(len(blocks)) if count and blocks.floors[k] <= lam[-1]}
+            assert reach <= set(blocks._solved[vectors])
+            assert (res.eigenvectors is None) == (vecs is None)
+            if vectors:
+                assert np.array_equal(res.eigenvectors, vecs)
+            if vectors and count == 12:
+                assert np.array_equal(sp.residual_norms(op, res),
+                                      _full_residual_norms(op, res))
+            results.append((res, full))
+        for res, full in results:
+            assert np.array_equal(res.all_eigenvalues, full)
+    assert sp.weak_index(op) == _full_weak_index(op)
 
 
 def _dense_residual_norms(op, res):
