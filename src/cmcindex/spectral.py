@@ -413,7 +413,8 @@ def _lifted(S: int, ks, values) -> tuple[np.ndarray, list, np.ndarray]:
     listed once per lift, with the lifts and their stable ascending order."""
     # (wavenumber, lift part): 0 < k < S/2 carry a cos and a sin lift
     lifts = [(k, part) for k in ks for part in range(_multiplicity(k, S))]
-    lam = np.concatenate([values(k) for k, _ in lifts] or [np.empty(0)])
+    solved = {k: values(k) for k in ks}
+    lam = np.concatenate([solved[k] for k, _ in lifts] or [np.empty(0)])
     return lam, lifts, np.argsort(lam, kind="stable")
 
 
@@ -638,7 +639,7 @@ def weak_index(op: DiscreteOperator) -> int:
         S = op.resolution[op.shift_axis]
         head = _constrained_eigvalsh(blocks[0], 1.0 / scale)
         ks = _bottom_blocks(blocks, S, blocks.solve, WEAK_INDEX_BAND, least=0.0,
-                            found=[head], first=1)
+                            found=(head,), first=1)
         w = np.sort(np.concatenate([head] + [blocks.solve(k) for k in ks
                                               for _ in range(_multiplicity(k, S))]))
     eps = _null_tolerance(w[:WEAK_INDEX_BAND])
