@@ -10,8 +10,7 @@ Modules:
 * ``variations`` -- variation fields, first/second variation forms, the
   conformal-defect comparison identity, finite-difference oracles;
 * ``span``       -- the seeded span of a surface and the Gram matrices of the
-  comparison identity on it (not imported here: ``from cmcindex import span``),
-  assembled on torus charts by ``span_torus``;
+  comparison identity on it (not imported here: ``from cmcindex import span``);
 * ``spectral``   -- Jacobi / Laplace-Beltrami eigensolves, index, nullity,
   weak (volume-constrained) index, heat traces;
 * ``bounds``     -- r(g,b), the explicit-constant pipeline, the linear index

@@ -23,8 +23,9 @@ threads do not each wake an idle BLAS worker.
 Every seeded variation of a surface lies in one span of N fields (N = 30 to
 100 on the default surfaces).  ``identity`` assembles once per surface the
 N x N Gram matrices of d2A, d2E and the chart defect 8 int |eta|^2 dx dy
-(``span.grams``, streamed over slabs of chart columns; on tori from the x
-and y factors of the span's modes, summed along chart lines) and writes
+(``span.grams``, streamed over slabs of chart columns from the x and y
+factors of product modes, summed along chart lines, and on spheres
+projected onto the span) and writes
 each variation's row from its coefficient vector c as c^T G c
 (``span.identity_residuals``), so a row depends only on its surface and
 seed.  Every BLAS product stays below OpenBLAS's threading threshold

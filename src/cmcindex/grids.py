@@ -15,8 +15,8 @@ holds each stencil (the 8th-order centered first derivative and the sawtooth
 filter) as a pair of dense 1-D matrices per chart axis, built once per grid.
 The pole closure and the Mercator factor sin(theta) live only there.
 ``diff_x`` and ``diff_y`` apply the derivative pair to sampled fields,
-``diff_slab`` to a run of chart columns sampled on the window its stencil
-reads, and ``spectral`` assembles its stiffness from the same pairs.  Closed
+``slabs`` cuts the y pair into runs of chart columns for the span Grams,
+and ``spectral`` assembles its stiffness from the same pairs.  Closed
 surface data is always evaluated analytically; the fixed-order stencils only
 touch sampled variation fields, which keeps their discretization error
 visible and convergent under refinement instead of collapsing to roundoff.
@@ -172,33 +172,11 @@ class ParamGrid:
 
     def slabs(self, width: int) -> tuple["Slab", ...]:
         """The chart columns in runs of ``width`` (the last may be shorter),
-        each with the y stencil restricted to the columns it reads; see
-        ``diff_slab``.  Built once per (grid, width)."""
+        each with the y stencil restricted to the columns it reads (its
+        window): on the slab's columns, d/dy of a field f is
+        ``interior @ f[window]`` plus, at ``flip_rows``, ``flip @ f[window]``
+        at the antipodal longitude.  Built once per (grid, width)."""
         return _slabs(self, width)
-
-    def diff_slab(self, slab: "Slab", f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(d/dx, d/dy) on the columns of ``slab`` of a real field sampled on
-        its window only.
-
-        ``f`` is held x last, (len(slab.window), ..., nx), and so are the
-        results, (slab width, ..., nx).  They equal ``diff_x`` and ``diff_y``
-        of any full field that agrees with ``f`` on the window, up to the
-        summation order: d/dx applies the x factor of ``axis_stencil`` to
-        the slab's own columns, d/dy the slab's rows of the y factors.
-        """
-        f = np.ascontiguousarray(f, dtype=float)
-        flat = f.reshape(len(f), -1)
-        own = f[slab.inner]
-        P = self.axis_stencil(0, "diff")[0]
-        dx = serial_matmul(own.reshape(len(own), -1, self.nx), P.T).reshape(own.shape)
-        dy = serial_matmul(slab.interior, flat).reshape(own.shape)
-        if len(slab.flip_rows):
-            flip = serial_matmul(slab.flip, flat).reshape((-1,) + f.shape[1:])
-            h = self.nx // 2
-            dy[slab.flip_rows, ..., :h] += flip[..., h:]
-            dy[slab.flip_rows, ..., h:] += flip[..., :h]
-        return dx, dy
-
     # ------------------------------------------------- 1-D axis stencils
     def axis_stencil(self, axis: int, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Dense 1-D matrices (interior, flip) of one stiffness stencil along
@@ -295,7 +273,7 @@ def _pole_flip(g: ParamGrid) -> tuple[np.ndarray, np.ndarray]:
 @dataclass(frozen=True, eq=False)
 class Slab:
     """A run of chart columns with the y factors of ``"diff"`` restricted to
-    the columns its rows reach (see ``ParamGrid.diff_slab``)."""
+    the columns its rows reach (see ``ParamGrid.slabs``)."""
 
     cols: slice            # the chart columns of the slab
     window: np.ndarray     # the columns its y stencil reads, ascending

@@ -9,7 +9,7 @@ import pytest
 
 from cmcindex import ambient as amb
 from cmcindex import gallery as gal
-from cmcindex import span, span_torus
+from cmcindex import span
 from cmcindex import variations as vr
 
 SEEDS = (11, 12, 13)
@@ -513,52 +513,60 @@ def test_span_rows_match_per_variation_identity(name, kw, res):
         assert abs(row["residual_rel"] - ref["residual_rel"]) <= 1e-12
 
 
-TORUS_CASES = [(name, kw, res)
-               for name, kw in (("clifford_torus", {}), ("delaunay_t3", {"k": 2, "neck": 0.55}))
-               for res in ((32, 32), (48, 32))]
-
-
-@pytest.mark.parametrize("name,kw,res", TORUS_CASES,
-                         ids=[f"{c[0]}-{c[2][0]}x{c[2][1]}" for c in TORUS_CASES])
-def test_torus_grams_match_slab_assembly(name, kw, res):
-    """The torus Grams from the chart factors fx_j(x) fy_k(y) of the span
-    scalars against the slab assembly over all M products: each form within
-    1e-13 of its largest entry."""
+@pytest.mark.parametrize("name,kw,res", SPAN_CASES, ids=[c[0] for c in SPAN_CASES])
+def test_span_grams_match_per_field_forms(name, kw, res):
+    """Every diagonal entry G_ii of the three Grams, and the chain
+    G_(i,i+1) by polarization, against ``comparison_identity_residual`` of
+    the span fields themselves: each within 1e-12 of the Gram's largest
+    entry."""
     imm = gal.gallery(name, resolution=res, **kw)
-    for new, ref in zip(span.grams(imm), span._grams(imm, span._assemble_slabs)):
-        assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+    fields = np.moveaxis(span.basis(imm), 2, 0)
+    grams = span.grams(imm)
+
+    def forms(v):
+        ref = vr.comparison_identity_residual(imm, v)
+        return np.array([ref[k] for k in ("d2_area", "d2_energy", "defect_chart")])
+
+    single = [forms(v) for v in fields]
+    for i, (gram, scale) in enumerate(zip(grams, [np.abs(g).max() for g in grams])):
+        diag = [f[i] for f in single]
+        assert np.abs(np.diag(gram) - diag).max() <= 1e-12 * scale
+    for i in range(len(fields) - 1):
+        chain = (forms(fields[i] + fields[i + 1]) - single[i] - single[i + 1]) / 2
+        for gram, val in zip(grams, chain):
+            assert abs(gram[i, i + 1] - val) <= 1e-12 * np.abs(gram).max(), i
 
 
-def test_sphere_grams_take_the_slab_assembly(monkeypatch):
-    """Sphere span scalars are polynomials in the ambient coordinates, not
-    chart products: their Grams never reach the torus assembly."""
-    imm = gal.gallery("sphere_s3", resolution=(32, 24), radius=0.9)
-
-    def torus_only(*args):
-        raise AssertionError("torus assembly on a sphere chart")
-
-    monkeypatch.setattr(span_torus, "assemble", torus_only)
-    for new, ref in zip(span.grams(imm), span._grams(imm, span._assemble_slabs)):
-        assert np.array_equal(new, ref)
+def _grams_independent_of_slab_width(name, kw, res, monkeypatch):
+    imm = gal.gallery(name, resolution=res, **kw)
+    grams = span.grams(imm)
+    for width in (1, 3):
+        monkeypatch.setattr(span, "_MODE_SLAB_WIDTH", width)
+        for ref, other in zip(grams, span.grams(imm)):
+            assert np.abs(other - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-SPHERE_WIDTH_CASES = [(name, kw, res) for name, kw, _ in SPAN_CASES[:3]
-                      for res in ((32, 24), (32, 26))]
+SPHERE_WIDTH_CASES, TORUS_WIDTH_CASES = (
+    [(name, kw, res) for name, kw, _ in cases for res in ((32, 24), (32, 26))]
+    for cases in (SPAN_CASES[:3], SPAN_CASES[3:]))
 
 
 @pytest.mark.parametrize("name,kw,res", SPHERE_WIDTH_CASES,
                          ids=[f"{c[0]}-{c[2][0]}x{c[2][1]}" for c in SPHERE_WIDTH_CASES])
 def test_sphere_grams_independent_of_slab_width(name, kw, res, monkeypatch):
-    """The sphere Grams at the slab width in use against one and three chart
-    columns per slab, on a grid whose column count the width divides and on
+    """The Grams at the slab width in use against one and three chart
+    columns per slab, on a grid whose column count the widths divide and on
     one where the last slab is short: each form within 1e-13 of its
-    largest entry."""
-    imm = gal.gallery(name, resolution=res, **kw)
-    grams = span.grams(imm)
-    for width in (1, 3):
-        monkeypatch.setattr(span, "_SLAB_WIDTH", width)
-        for ref, other in zip(grams, span.grams(imm)):
-            assert np.abs(other - ref).max() <= 1e-13 * np.abs(ref).max()
+    largest entry.  Pole slabs carry the y parts of both longitude
+    parities, the others one."""
+    _grams_independent_of_slab_width(name, kw, res, monkeypatch)
+
+
+@pytest.mark.parametrize("name,kw,res", TORUS_WIDTH_CASES,
+                         ids=[f"{c[0]}-{c[2][0]}x{c[2][1]}" for c in TORUS_WIDTH_CASES])
+def test_torus_grams_independent_of_slab_width(name, kw, res, monkeypatch):
+    """As ``test_sphere_grams_independent_of_slab_width``, on torus charts."""
+    _grams_independent_of_slab_width(name, kw, res, monkeypatch)
 
 
 def test_span_grams_stream_within_memory_budget():
