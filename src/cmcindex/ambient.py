@@ -34,7 +34,7 @@ import numpy as np
 
 __all__ = [
     "AmbientSpace", "R3", "S3", "H3", "FLAT_T3",
-    "inner", "riemann", "volume_form", "exp_map", "exp_velocity",
+    "inner", "riemann", "volume_form", "cofactor", "exp_map", "exp_velocity",
     "exp_directional", "covariant_correction", "project_tangent",
     "UnsupportedOperation",
 ]
@@ -154,15 +154,33 @@ def _det3(x: np.ndarray, y: np.ndarray, z: np.ndarray) -> np.ndarray:
     return x0 * (y1 * z2 - y2 * z1) + x1 * (y2 * z0 - y0 * z2) + x2 * (y0 * z1 - y1 * z0)
 
 
+def _minors(r: np.ndarray, s: np.ndarray) -> dict:
+    """The 2x2 minors r_i s_j - r_j s_i of two four-vectors, keyed by the
+    column pair i < j."""
+    return {(i, j): r[..., i] * s[..., j] - r[..., j] * s[..., i]
+            for i in range(4) for j in range(i + 1, 4)}
+
+
 def _det4(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     """det of the rows (a, b, c, d) over the last axis: sum over column pairs
     i < j of +-(2x2 minor of a, b in i, j)(complementary minor of c, d)."""
-    def minors(r, s):
-        return {(i, j): r[..., i] * s[..., j] - r[..., j] * s[..., i]
-                for i in range(4) for j in range(i + 1, 4)}
-    m, n = minors(a, b), minors(c, d)
+    m, n = _minors(a, b), _minors(c, d)
     return (m[0, 1] * n[2, 3] - m[0, 2] * n[1, 3] + m[0, 3] * n[1, 2]
             + m[1, 2] * n[0, 3] - m[1, 3] * n[0, 2] + m[2, 3] * n[0, 1])
+
+
+def cofactor(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The cofactor vector of the rows (a, b, c) of four-vectors over the last
+    axis: its k-th component is det(e_k, a, b, c), so its Euclidean dot
+    product with w is det(w, a, b, c), and it is Euclidean-orthogonal to a, b
+    and c.  In closed form, expanded along a in the 2x2 minors of (b, c).
+    Inputs broadcast against each other."""
+    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    n = _minors(b, c)
+    return np.stack([a1 * n[2, 3] - a2 * n[1, 3] + a3 * n[1, 2],
+                     -a0 * n[2, 3] + a2 * n[0, 3] - a3 * n[0, 2],
+                     a0 * n[1, 3] - a1 * n[0, 3] + a3 * n[0, 1],
+                     -a0 * n[1, 2] + a1 * n[0, 2] - a2 * n[0, 1]], axis=-1)
 
 
 # ----------------------------------------------------------------- geodesics

@@ -11,14 +11,13 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed, 2 bad input.
 Outputs (report.json, *.csv, optional *.svg) are byte-identical across runs
-with the same configuration and seed, whatever CMCINDEX_THREADS is; surfaces
-are written in sorted order.  ``spectrum``, ``bounds`` and ``gallery``
-process their surfaces concurrently, capped by CMCINDEX_THREADS (default 2;
-anything but a positive integer is bad input).  ``identity`` maps its
-surfaces on one thread: its work is short numpy calls that hold the GIL, and
-a second thread only adds CPU time.  The spectral calls of ``spectrum`` and
-``bounds`` run numpy's OpenBLAS on one thread (``spectral``), so the pool
-threads do not each wake an idle BLAS worker.
+with the same configuration and seed, whatever OPENBLAS_NUM_THREADS is;
+surfaces are written in sorted order.  Each command builds and solves its
+surfaces one after another on the calling thread: at the default grids the
+per-surface work is short numpy calls that hold the GIL, and a pool of two
+threads measured more CPU time than one thread and no less wall-clock time.
+The spectral calls of ``spectrum`` and ``bounds`` run numpy's OpenBLAS on
+one thread (``spectral``), where a second BLAS thread would only spin.
 
 Every seeded variation of a surface lies in one span of N fields (N = 30 to
 100 on the default surfaces).  ``identity`` assembles once per surface the
@@ -38,10 +37,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -98,18 +95,6 @@ class RunConfig:
     out: Path = Path("cmcindex_out")
     svg: bool = False
     r_table: bool = False
-    threads: int = field(default_factory=lambda: _thread_cap())
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("CMCINDEX_THREADS", "2")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(f"CMCINDEX_THREADS must be a positive integer, got {raw!r}")
-    return threads
 
 
 def _surface_key(desc: dict) -> str:
@@ -273,14 +258,6 @@ def _spectrum_svg(results: list[dict]) -> str:
 
 # ------------------------------------------------------------------ commands
 
-def _map_surfaces(cfg: RunConfig, worker):
-    """worker(desc) for every configured surface, results in surface-key
-    order, which every report writes as is."""
-    keyed = sorted(cfg.surfaces, key=_surface_key)
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(worker, keyed))
-
-
 def cmd_identity(cfg: RunConfig) -> int:
     # on demand: no other command compiles the span module
     from . import span
@@ -299,9 +276,7 @@ def cmd_identity(cfg: RunConfig) -> int:
         return {"surface": _surface_key(desc), "max_residual": worst,
                 "pass": bool(worst < cfg.tolerance), "rows": rows}
 
-    # the identity work is short numpy calls on ~16k-element arrays that hold
-    # the GIL, so a second pool thread costs CPU and gains no wall-clock time
-    results = _map_surfaces(replace(cfg, threads=1), worker)
+    results = [worker(d) for d in sorted(cfg.surfaces, key=_surface_key)]
     cfg.out.mkdir(parents=True, exist_ok=True)
     _write_csv(cfg.out / "identity.csv",
                ["surface", "seed", "d2_area", "d2_energy", "defect", "residual_abs",
@@ -354,7 +329,7 @@ def _spectrum_for(desc: dict, cfg: RunConfig) -> dict:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    results = _map_surfaces(cfg, lambda d: _spectrum_for(d, cfg))
+    results = [_spectrum_for(d, cfg) for d in sorted(cfg.surfaces, key=_surface_key)]
     cfg.out.mkdir(parents=True, exist_ok=True)
     rows = []
     for r in results:
@@ -390,7 +365,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
             out[key] = rec[key]
         return out
 
-    results = _map_surfaces(cfg, worker)
+    results = [worker(d) for d in sorted(cfg.surfaces, key=_surface_key)]
     cfg.out.mkdir(parents=True, exist_ok=True)
     cols = ["surface", "genus", "branch_count", "h", "extrinsic_bound", "area",
             "willmore", "index", "nullity", "weak_index", "r", "bound",
@@ -428,7 +403,7 @@ def cmd_gallery(cfg: RunConfig) -> int:
                              and entry["cmc_residual"] < 1e-6)
         return entry
 
-    results = _map_surfaces(cfg, worker)
+    results = [worker(d) for d in sorted(cfg.surfaces, key=_surface_key)]
     cfg.out.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.out / "report.json", {
         "schema_version": SCHEMA_VERSION, "command": "gallery",

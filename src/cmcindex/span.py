@@ -527,8 +527,9 @@ def identity_residuals(imm: Immersion, seeds) -> list[dict]:
     if not seeds:
         return []
     coefs = coefficients(imm, seeds)
-    # einsum's own loops: no BLAS, so no thread-dependent reduction order
-    d2a, d2e, dfc = (np.einsum("ri,ij,rj->r", coefs, gram, coefs)
+    # one 1 x N product per row (a stack of serial BLAS calls), so a row
+    # never mixes with the other rows' coefficients
+    d2a, d2e, dfc = ((serial_matmul(coefs[:, None, :], gram)[:, 0] * coefs).sum(-1)
                      for gram in grams(imm))
     rows = []
     for a, e, h in zip(d2a.tolist(), d2e.tolist(), dfc.tolist()):

@@ -124,9 +124,9 @@ class _SerialBlas(ContextDecorator):
     process-wide.
 
     The count is pinned to 1 when the first concurrent caller enters and
-    restored when the last one leaves: the CLI pool calls in from two
-    threads at once.  The library is looked up on the first entry and left
-    alone where none is found.
+    restored when the last one leaves, so library callers may call in from
+    several threads at once.  The library is looked up on the first entry
+    and left alone where none is found.
     """
 
     def __init__(self):

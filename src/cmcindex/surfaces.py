@@ -94,12 +94,7 @@ class Immersion:
             # Generalized cross product in the 4-dim representation: the
             # signature-corrected cofactor vector is metric-orthogonal to
             # p, u_x and u_y for both S3 and H3.
-            m = np.stack([self.u, self.ux, self.uy], axis=-2)  # (..., 3, 4)
-            cof = np.empty_like(self.u)
-            for a in range(4):
-                idx = [b for b in range(4) if b != a]
-                cof[..., a] = (-1.0) ** a * np.linalg.det(m[..., idx])
-            n = sp.signature * cof
+            n = sp.signature * amb.cofactor(self.u, self.ux, self.uy)
         n2 = amb.inner(sp, n, n)
         if np.any(n2 <= 0):
             raise BranchPointError(f"{self.name}: degenerate normal direction")

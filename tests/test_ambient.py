@@ -115,6 +115,17 @@ def _check_volume_form_against_det(space, p, x, y, z):
     assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
 
+def _check_cofactor_against_det(a, b, c):
+    # component k of the cofactor is det(e_k, a, b, c)
+    rows = list(np.broadcast_arrays(a, b, c))
+    ref = np.stack([np.linalg.det(np.stack([np.broadcast_to(e, rows[0].shape)] + rows,
+                                           axis=-2)) for e in np.eye(4)], axis=-1)
+    got = amb.cofactor(a, b, c)
+    assert got.shape == ref.shape
+    scale = np.prod([np.linalg.norm(r, axis=-1) for r in rows], axis=0)[..., None]
+    assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+
 @pytest.mark.parametrize("space", [amb.R3, amb.S3, amb.H3], ids=lambda s: s.kind)
 def test_volume_form_matches_stacked_det(space, rng):
     d = space.dim
@@ -128,6 +139,12 @@ def test_volume_form_matches_stacked_det(space, rng):
     _check_volume_form_against_det(space, p, x, y, x)
     if d == 4:
         _check_volume_form_against_det(space, p, x, 2.0 * p + 1e-12 * y, z)
+        # the cofactor vector of three rows, on the same batches
+        _check_cofactor_against_det(p, x, y)
+        _check_cofactor_against_det(p[0, 0], x, y)
+        _check_cofactor_against_det(p[0, 0], x[0, 0], y[0, 0])
+        _check_cofactor_against_det(p, x, 0.3 * x - p + 1e-12 * y)
+        _check_cofactor_against_det(p, x, x)
 
 
 def test_exp_map_examples():

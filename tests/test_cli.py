@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -299,39 +300,29 @@ print(json.dumps({{"codes": codes, "residual": worst, "scipy": loaded,
     assert out["sparse"] == []
 
 
-def test_thread_cap_env(tmp_path, monkeypatch):
-    # outputs are byte-identical whatever the thread cap
-    configs = {"identity": SMALL_IDENTITY, "spectrum": SMALL_SPECTRUM}
-    for threads in ("1", "2"):
-        monkeypatch.setenv("CMCINDEX_THREADS", threads)
-        for command, payload in configs.items():
-            rc = cli.main([command, "--config", _cfg(tmp_path, payload, f"{command}.json"),
-                           "--out", str(tmp_path / f"{command}-{threads}")])
-            assert rc == 0
-    for command in configs:
-        one, two = tmp_path / f"{command}-1", tmp_path / f"{command}-2"
-        names = sorted(p.name for p in one.iterdir())
-        assert names == sorted(p.name for p in two.iterdir())
-        for name in names:
-            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+@pytest.mark.parametrize("command", ["identity", "spectrum", "bounds", "gallery"])
+def test_commands_build_surfaces_on_the_calling_thread(tmp_path, monkeypatch, command):
+    # every surface is built, and so analysed, on the thread that called main
+    threads = []
+    real = cli.gal.from_descriptor
 
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return real(*args, **kwargs)
 
-@pytest.mark.parametrize("threads", ["abc", "0", "-3"])
-def test_bad_thread_cap_exits_2(tmp_path, monkeypatch, capsys, threads):
-    monkeypatch.setenv("CMCINDEX_THREADS", threads)
-    out = tmp_path / "out"
-    rc = cli.main(["spectrum", "--config", _cfg(tmp_path, SMALL_SPECTRUM), "--out", str(out)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "CMCINDEX_THREADS" in err and repr(threads) in err
-    assert not out.exists()
+    monkeypatch.setattr(cli.gal, "from_descriptor", recording)
+    payload = SMALL_IDENTITY if command == "identity" else SMALL_SPECTRUM
+    rc = cli.main([command, "--config", _cfg(tmp_path, payload),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert len(threads) >= len(payload["surfaces"])
+    assert set(threads) == {threading.get_ident()}
 
 
 def test_spectrum_pool_restores_blas_threads(tmp_path, monkeypatch, blas_threads):
-    # two pool threads solve at once; numpy's OpenBLAS runs on one thread in
-    # every block solve and gets its count back when the last one is done
+    # numpy's OpenBLAS runs on one thread in every block solve and gets its
+    # count back when the last one is done
     seen = record_blas_threads(monkeypatch, "eigvalsh", blas_threads)
-    monkeypatch.setenv("CMCINDEX_THREADS", "2")
     rc = cli.main(["spectrum", "--config", _cfg(tmp_path, SMALL_SPECTRUM),
                    "--out", str(tmp_path / "out")])
     assert rc == 0

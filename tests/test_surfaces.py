@@ -116,6 +116,27 @@ def test_normal_orientation_convention():
         assert np.abs(w / imm.e2lam - 1.0).max() < 1e-10
 
 
+@pytest.mark.parametrize("name", ["sphere_s3", "sphere_h3", "clifford_torus"])
+def test_normal_matches_det_cofactor(name):
+    # nu against the signature-corrected cofactor of the rows (u, u_x, u_y)
+    # taken from stacked 3x3 determinants, normalized and oriented alike
+    imm = gal.gallery(name)
+    sp = imm.space
+    m = np.stack([imm.u, imm.ux, imm.uy], axis=-2)
+    ref = sp.signature * np.stack([(-1.0) ** a * np.linalg.det(np.delete(m, a, axis=-1))
+                                   for a in range(4)], axis=-1)
+    ref /= np.sqrt(amb.inner(sp, ref, ref))[..., None]
+    if amb.volume_form(sp, imm.u[0, 0], ref[0, 0], imm.ux[0, 0], imm.uy[0, 0]) < 0:
+        ref = -ref
+    nu = imm.nu
+    assert np.abs(nu - ref).max() <= 1e-13 * np.abs(ref).max()
+    # a unit normal: metric-orthogonal to the point and to both partials
+    assert np.abs(amb.inner(sp, nu, nu) - 1.0).max() <= 1e-13
+    for w in (imm.u, imm.ux, imm.uy):
+        scale = np.linalg.norm(nu, axis=-1) * np.linalg.norm(w, axis=-1)
+        assert np.all(np.abs(amb.inner(sp, nu, w)) <= 1e-13 * scale)
+
+
 def test_gauss_equation():
     # |A|^2 = |H|^2 + 2 kappa^N - 2 K^Sigma pointwise (spheres and Clifford)
     for name in ("sphere_r3", "sphere_s3", "sphere_h3", "clifford_torus"):

@@ -514,6 +514,23 @@ def test_span_rows_match_per_variation_identity(name, kw, res):
 
 
 @pytest.mark.parametrize("name,kw,res", SPAN_CASES, ids=[c[0] for c in SPAN_CASES])
+def test_span_row_alone_equals_row_among_200(name, kw, res):
+    """A row computed on its own equals, bit for bit, the same row computed
+    among 200 seeds: each row reads only its own coefficients."""
+    imm = gal.gallery(name, resolution=res, **kw)
+    seeds = [697501 * 100003 + i for i in range(200)]
+    rows = span.identity_residuals(imm, seeds)
+
+    def bits(row):
+        return np.array(list(row.values())).tobytes()
+
+    for i in (0, 117, 199):
+        alone, = span.identity_residuals(imm, [seeds[i]])
+        assert alone.keys() == rows[i].keys()
+        assert bits(alone) == bits(rows[i])
+
+
+@pytest.mark.parametrize("name,kw,res", SPAN_CASES, ids=[c[0] for c in SPAN_CASES])
 def test_span_grams_match_per_field_forms(name, kw, res):
     """Every diagonal entry G_ii of the three Grams, and the chain
     G_(i,i+1) by polarization, against ``comparison_identity_residual`` of
