@@ -253,7 +253,9 @@ def negative_curvature_classify(kappa0: float, h: float,
     NotApplicable when h^2 > 4|kappa0|.  Case2 (totally umbilic) demands
     h^2 = 4|kappa0|, |A|^2 = 2|kappa0| and Ric(nu,nu) = -2|kappa0| pointwise,
     and then the operator is -Delta: index 0, nullity 1 (confirmed spectrally
-    when a host surface is supplied).  Everything else is Case1, where the
+    when a host surface is supplied; ``spectral.eigensolve`` raises
+    ``ValueError`` where a2 + ric varies along every periodic chart axis of
+    the host).  Everything else is Case1, where the
     energy index and nullity vanish so index + nullity <= r.
     """
     if kappa0 >= 0:

@@ -195,7 +195,9 @@ class ParamGrid:
         C^T W C of the filter C, added to a first-derivative stiffness, expels
         the Nyquist-band modes annihilated by the centered stencil (their
         Rayleigh quotients jump to ~1/h^2) while perturbing resolved modes at
-        O((kh)^6) relative, below the stencil's own consistency error.
+        O((kh)^6) relative.  That is above the derivative stencil's own
+        O((kh)^8) consistency error, so the filter sets the order: on tori
+        the Jacobi spectra converge at order 5.6-6.0 in h.
 
         The matrices are read-only and built once per grid: equal grids
         share them, and those of the last 32 (grid, axis, name) are kept.

@@ -12,43 +12,32 @@ Laplace-Beltrami operator.  K is symmetric by construction and M is the
 (diagonal, positive) quadrature mass, so the pencil is reduced explicitly to
 the standard symmetric problem B = M^{-1/2} K M^{-1/2}.
 
-Two solvers share that reduction:
-
-* the Fourier block path.  When the mass, the potential and the chart
-  weights do not vary along a periodic chart axis (x on the spheres and the
-  Clifford torus, y on Delaunay tori), K commutes with chart shifts along it
-  and is block circulant (on spheres the antipodal pole closure is itself a
-  shift; Davis, *Circulant Matrices*, 1979).  Its real symmetric L x L
-  block per wavenumber k is built straight from the 1-D axis stencils:
-  their symbol |D(k)|^2 along the shift axis, and one of two cross-axis
-  matrices picked by the pole sign (-1)^k.  Only 0 <= k <= S/2 exist (0 < k
-  < S/2 count twice, for k and -k).  The operator keeps that 1-D data and
-  forms a block only to solve or apply it.  The cross-axis part is positive
-  semidefinite, so by Weyl's inequality each block's eigenvalues lie above
-  a floor min(|D(k)|^2 w/m - q) known without solving it.  ``eigensolve``
-  solves blocks in increasing floor order and stops once the next floor is
-  above the ``count``-th lowest eigenvalue found; on the default surfaces
-  that is 2-4 of 17-41 blocks.  The result is bit for bit that of solving
-  every block.  Block eigenvalues stay on the operator: ``weak_index``
-  re-solves only the constrained wavenumber-0 block and adds the blocks
-  its band can reach, and ``SpectralResult.all_eigenvalues`` solves the
-  rest on first access.  Eigenvectors are the real cos/sin lifts of the
-  block eigenvectors.  ``residual_norms`` applies K to them through every
-  block (an rfft along the shift axis, one unscaled block per wavenumber,
-  an irfft back) and takes ||K||_2 exactly as the largest block eigenvalue
-  in magnitude, solving blocks down from the largest inf-norm bound.  No
-  n x n array, dense or sparse, is formed, and the L x L blocks are solved
-  by ``numpy.linalg``.
-* the dense path, LAPACK's tridiagonalization / implicit-shift solver on the
-  full B (formed once per operator), for every other operator; it is also
-  the cross-check oracle of the block path.  It is capped at
-  ``MAX_UNKNOWNS``.  Its dense ``op.K`` is filled from the same 1-D axis
-  stencils, as a sum of Kronecker products (the chart weights never vary
-  along x).
-
-scipy is imported only by the dense path: ``scipy.linalg`` for the dense
-spectrum and its lowest eigenvectors, and ``eigsh`` for ||K||_2 in the
-dense ``residual_norms``.  Both solvers are deterministic.
+That problem is solved on the Fourier block path.  When the mass, the
+potential and the chart weights do not vary along a periodic chart axis (x
+on the spheres and the Clifford torus, y on Delaunay tori), K commutes with
+chart shifts along it and is block circulant (on spheres the antipodal pole
+closure is itself a shift; Davis, *Circulant Matrices*, 1979).  Its real
+symmetric L x L block per wavenumber k is built straight from the 1-D axis
+stencils: their symbol |D(k)|^2 along the shift axis, and one of two
+cross-axis matrices picked by the pole sign (-1)^k.  Only 0 <= k <= S/2
+exist (0 < k < S/2 count twice, for k and -k).  The operator keeps that 1-D
+data and forms a block only to solve or apply it.  The cross-axis part is
+positive semidefinite, so by Weyl's inequality each block's eigenvalues lie
+above a floor min(|D(k)|^2 w/m - q) known without solving it.
+``eigensolve`` solves blocks in increasing floor order and stops once the
+next floor is above the ``count``-th lowest eigenvalue found; on the default
+surfaces that is 2-4 of 17-41 blocks.  The result is bit for bit that of
+solving every block.  Block eigenvalues stay on the operator:
+``weak_index`` re-solves only the constrained wavenumber-0 block and adds
+the blocks its band can reach, and ``SpectralResult.all_eigenvalues``
+solves the rest on first access.  Eigenvectors are the real cos/sin lifts
+of the block eigenvectors.  ``residual_norms`` applies K to them through
+every block (an rfft along the shift axis, one unscaled block per
+wavenumber, an irfft back) and takes ||K||_2 exactly as the largest block
+eigenvalue in magnitude, solving blocks down from the largest inf-norm
+bound.  No n x n array, dense or sparse, is formed, and the L x L blocks
+are solved by ``numpy.linalg``, deterministically.  An operator with no
+shift-invariant axis raises ``ValueError``.
 
 ``eigensolve``, ``weak_index`` and ``residual_norms`` (with the blocks and
 block eigenvalues they build lazily), and the first access to
@@ -57,8 +46,7 @@ restore its thread count when the last concurrent caller returns.  At
 these block sizes a second OpenBLAS thread buys no wall-clock time, but
 ``eigh`` on blocks of 26 or more (LAPACK's divide and conquer), and
 ``eigvalsh`` and the cross-axis products at L = 80, wake it, and it then
-spins for 0.10-0.15 s of CPU.  scipy's own OpenBLAS, used by the dense path
-only, is not touched.
+spins for 0.10-0.15 s of CPU.
 """
 
 from __future__ import annotations
@@ -82,7 +70,6 @@ __all__ = [
     "heat_trace", "counting",
 ]
 
-MAX_UNKNOWNS = 5000
 # relative spread below which a sampled field counts as constant along an axis
 SHIFT_RTOL = 1e-12
 
@@ -174,45 +161,6 @@ class DiscreteOperator:
         return g.nx, g.ny
 
     @cached_property
-    def K(self) -> np.ndarray:
-        """Dense K, for the dense solver and oracles.
-
-        The chart weights w of one y-line do not vary along x, so K is
-        kron(X, diag w) + kron(I, E) + kron(Pi, O) - diag(M q), from the same
-        1-D factors as the Fourier blocks: X = sum C^T C over the x stencils,
-        E +- O = sum (P +- Q)^T diag(w) (P +- Q) over the y stencils, and Pi
-        the shift of x by nx/2 (O = 0 on tori).  Each factor is symmetrized,
-        so K is symmetric entry for entry.
-        """
-        if self.n > MAX_UNKNOWNS:
-            raise ValueError(f"operator has {self.n} unknowns; dense eigensolver "
-                             f"capped at {MAX_UNKNOWNS}")
-        g = self.imm.grid
-        nx, ny = self.resolution
-        w = self.imm.chart_weights[0]
-        X = _cross_axis(g, 0, np.ones(nx))[0]
-        even, odd = _cross_axis(g, 1, w)
-        E, O = 0.5 * (even + odd), 0.5 * (even - odd)
-        K = np.zeros((nx, ny, nx, ny))
-        i, j = np.arange(nx), np.arange(ny)
-        K[:, j, :, j] = 0.5 * (X + X.T) * w[:, None, None]
-        K[i, :, i, :] += 0.5 * (E + E.T)
-        if g.topology == "sphere":
-            K[i, :, (i + nx // 2) % nx, :] += 0.5 * (O + O.T)
-        K = K.reshape(self.n, self.n)
-        K.flat[::self.n + 1] -= self.M_diag * self.q.ravel()
-        return K
-
-    @cached_property
-    def _dense_reduced(self) -> tuple[np.ndarray, np.ndarray]:
-        """(B, M^{-1/2}) with B = M^{-1/2} K M^{-1/2}, symmetrized: the dense
-        path's reduced problem, built once for ``eigensolve`` and
-        ``weak_index``."""
-        scale = 1.0 / np.sqrt(self.M_diag)
-        B = scale[:, None] * self.K * scale[None, :]
-        return 0.5 * (B + B.T), scale
-
-    @cached_property
     def shift_axis(self) -> Optional[int]:
         """Periodic chart axis along which the pencil is shift invariant."""
         g = self.imm.grid
@@ -233,8 +181,13 @@ class DiscreteOperator:
         shift axis it is circulant, so |DFT of its row|^2 (k) W; across the
         line it is (P + s Q)^T W (P + s Q) for interior P and pole flip Q,
         with s = (-1)^k from the antipodal shift by S/2 (Q = 0 on tori).
+        Raises ``ValueError`` where there is no ``shift_axis``.
         """
         g, a = self.imm.grid, self.shift_axis
+        if a is None:
+            raise ValueError("operator has no periodic chart axis along which its mass, "
+                             "potential and chart weights are constant; the Fourier "
+                             "block solver needs one")
         line = (0, slice(None)) if a == 0 else (slice(None), 0)
         w = self.imm.chart_weights[line]
         m = self.M_diag.reshape(self.resolution)[line]
@@ -356,8 +309,8 @@ class SpectralResult:
 
     @cached_property
     def all_eigenvalues(self) -> np.ndarray:
-        """Full discrete spectrum, ascending, computed on first access (on
-        the block path from the same per-block solves as ``eigensolve``)."""
+        """Full discrete spectrum, ascending, computed on first access from
+        the same per-block solves as ``eigensolve``."""
         return self._full()
 
     @property
@@ -482,18 +435,6 @@ def _block_spectrum(op: DiscreteOperator, from_eigh: bool) -> np.ndarray:
     return lam[order]
 
 
-def _dense_eigen(op: DiscreteOperator, count: int, want_vectors: bool
-                 ) -> tuple[np.ndarray, Optional[np.ndarray], Callable]:
-    import scipy.linalg as sla
-
-    B, scale = op._dense_reduced
-    w, V = sla.eigvalsh(B), None
-    if want_vectors:
-        V = (np.empty((op.n, 0)) if count == 0
-             else scale[:, None] * sla.eigh(B, subset_by_index=[0, count - 1])[1])
-    return w, V, lambda: w
-
-
 def _constrained_eigvalsh(B: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Eigenvalues of symmetric B restricted to the complement of a, by a
     Householder reflector taking a to e_0."""
@@ -534,14 +475,12 @@ def eigensolve(op: DiscreteOperator, count: int,
     """Lowest ``count`` eigenpairs of K phi = lambda M phi, with the full
     spectrum.
 
-    Uses the Fourier block path when ``op.shift_axis`` is set and the dense
-    path otherwise; eigenvectors are returned M-orthonormal with
-    lexicographic sign normalization.
+    Eigenvectors are returned M-orthonormal with lexicographic sign
+    normalization.
     """
-    if count > op.n:
+    if not 0 <= count <= op.n:
         raise ValueError(f"requested {count} eigenpairs of an {op.n}-dim operator")
-    solve = _dense_eigen if op.shift_axis is None else _block_eigen
-    w, vecs, spectrum = solve(op, count, want_vectors)
+    w, vecs, spectrum = _block_eigen(op, count, want_vectors)
     if vecs is not None:
         vecs = _normalize_signs(vecs)
     lowest = w[:count].copy()
@@ -581,23 +520,13 @@ def _block_apply(op: DiscreteOperator, V: np.ndarray) -> tuple[np.ndarray, float
 def residual_norms(op: DiscreteOperator, res: SpectralResult) -> np.ndarray:
     """||K phi - lambda M phi|| per returned pair, relative to ||K||_2.
 
-    On the block path K phi is applied through the Fourier blocks, so the
-    residual also checks the cos/sin lift of the block eigenvectors.
+    K phi is applied through the Fourier blocks, so the residual also checks
+    the cos/sin lift of the block eigenvectors.
     """
     if res.eigenvectors is None:
         raise ValueError("residuals need eigenvectors")
     V = res.eigenvectors
-    if op.shift_axis is None:
-        from scipy.sparse.linalg import eigsh
-
-        KV = op.K @ V
-        # ||K||_2 of symmetric K is its largest-magnitude eigenvalue; a fixed
-        # start vector keeps the Lanczos iteration deterministic
-        v0 = np.random.default_rng(0).standard_normal(op.n)
-        knorm = abs(float(eigsh(op.K, k=1, which="LM", v0=v0,
-                                return_eigenvectors=False)[0]))
-    else:
-        KV, knorm = _block_apply(op, V)
+    KV, knorm = _block_apply(op, V)
     R = KV - (op.M_diag[:, None] * V) * res.eigenvalues
     return np.linalg.norm(R, axis=0) / knorm
 
@@ -617,10 +546,10 @@ def weak_index(op: DiscreteOperator) -> int:
 
     After the diagonal mass reduction the constraint becomes g perp M^{1/2} 1;
     that direction is removed by a Householder reflector and the reduced
-    standard problem solved.  On the Fourier block path M^{1/2} 1 lies in
-    wavenumber 0, so only that block is reduced and re-solved.  Of the other
-    blocks, those whose floor can reach max(0, the ``WEAK_INDEX_BAND``-th
-    lowest constrained eigenvalue) are solved, or their eigenvalues shared
+    standard problem solved.  M^{1/2} 1 lies in Fourier wavenumber 0, so
+    only that block is reduced and re-solved.  Of the other blocks, those
+    whose floor can reach max(0, the ``WEAK_INDEX_BAND``-th lowest
+    constrained eigenvalue) are solved, or their eigenvalues shared
     with an earlier ``eigensolve``: they hold every eigenvalue the count and
     its tolerance read.  The null tolerance is 1e-3 max(1, range) of the
     lowest ``WEAK_INDEX_BAND`` constrained eigenvalues.  That is not the
@@ -631,17 +560,13 @@ def weak_index(op: DiscreteOperator) -> int:
     same under either.  The interlacing i - 1 <= i_h <= i is therefore a
     check on the result, not a consequence of the construction.
     """
-    if op.shift_axis is None:
-        B, scale = op._dense_reduced
-        w = _constrained_eigvalsh(B, 1.0 / scale)
-    else:
-        blocks, scale = op._mode_blocks
-        S = op.resolution[op.shift_axis]
-        head = _constrained_eigvalsh(blocks[0], 1.0 / scale)
-        ks = _bottom_blocks(blocks, S, blocks.solve, WEAK_INDEX_BAND, least=0.0,
-                            found=(head,), first=1)
-        w = np.sort(np.concatenate([head] + [blocks.solve(k) for k in ks
-                                              for _ in range(_multiplicity(k, S))]))
+    blocks, scale = op._mode_blocks
+    S = op.resolution[op.shift_axis]
+    head = _constrained_eigvalsh(blocks[0], 1.0 / scale)
+    ks = _bottom_blocks(blocks, S, blocks.solve, WEAK_INDEX_BAND, least=0.0,
+                        found=(head,), first=1)
+    w = np.sort(np.concatenate([head] + [blocks.solve(k) for k in ks
+                                          for _ in range(_multiplicity(k, S))]))
     eps = _null_tolerance(w[:WEAK_INDEX_BAND])
     return int(np.count_nonzero(w < -eps))
 
@@ -650,7 +575,7 @@ def weak_index(op: DiscreteOperator) -> int:
 
 def heat_trace(res: SpectralResult, t: float) -> HeatTraceValue:
     """h(t) = sum_i exp(-lambda_i t) over the discrete spectrum."""
-    if t <= 0:
+    if not 0 < t < np.inf:
         raise ValueError("heat trace requires t > 0")
     lam = res.all_eigenvalues
     truncated = bool(np.exp(-float(lam.max()) * t) >= 1e-12)

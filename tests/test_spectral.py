@@ -31,17 +31,77 @@ def sphere_eigenvalues(count: int, rho: float = 1.0, shift: float = 0.0,
     return np.array(vals[:count])
 
 
+# --------------------------------------------------------- dense oracle
+
+def _coo(g, entries):
+    """CSR matrix from (row, column, value) triples over the (nx, ny) grid."""
+    n = g.nx * g.ny
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*entries))
+    return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _old_axis_matrix(g, axis, stencil):
+    """The 2-D stencils assembled entry by entry from COO triples."""
+    nx, ny = g.nx, g.ny
+    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    base = (ii * ny + jj).ravel()
+    if stencil == "diff":
+        terms = [(sgn * k, sgn * c) for k, c in enumerate(_C8, start=1) for sgn in (1, -1)]
+    else:
+        terms = list(zip(range(-2, 3), _D4))
+    entries = []
+    for off, c in terms:
+        if axis == 0:
+            cols = ((ii + off) % nx) * ny + jj
+            vals = np.full(base.size, c / g.hx if stencil == "diff" else c / (16.0 * g.hx))
+        elif g.topology == "torus":
+            cols = ii * ny + (jj + off) % ny
+            vals = np.full(base.size, c / g.hy if stencil == "diff" else c / (16.0 * g.hy))
+        else:
+            j2 = jj + off
+            lo, hi = j2 < 0, j2 > ny - 1
+            j2 = np.where(lo, -1 - j2, j2)
+            j2 = np.where(hi, 2 * ny - 1 - j2, j2)
+            i2 = np.where(lo | hi, (ii + nx // 2) % nx, ii)
+            cols = i2 * ny + j2
+            if stencil == "diff":
+                vals = c * (np.sin(g.theta)[jj] / g.dtheta).ravel()
+            else:
+                vals = np.full(base.size, c / (16.0 * g.dtheta))
+        entries.append((base, cols.ravel(), vals))
+    return _coo(g, entries)
+
+
+def _dense_K(op):
+    """Dense K = sum D^T W D - diag(M q) over the four stencils, each D
+    assembled from COO triples: the oracle of the Fourier block path."""
+    g, w0 = op.imm.grid, diags(op.imm.chart_weights.ravel())
+    K = 0
+    for axis, stencil in ((0, "diff"), (1, "diff"), (0, "filter"), (1, "filter")):
+        D = _old_axis_matrix(g, axis, stencil)
+        K = K + D.T @ w0 @ D
+    return (0.5 * (K + K.T) - diags(op.M_diag * op.q.ravel())).toarray()
+
+
+def _dense_reduced(op):
+    """(B, M^{-1/2}) with B = M^{-1/2} K M^{-1/2} of ``_dense_K``, symmetrized."""
+    scale = 1.0 / np.sqrt(op.M_diag)
+    B = scale[:, None] * _dense_K(op) * scale[None, :]
+    return 0.5 * (B + B.T), scale
+
+
 # -------------------------------------------------------------- operator data
 
 def test_operator_invariants():
     op, _ = jacobi_solve("clifford_torus")
-    assert np.abs(op.K - op.K.T).max() < 1e-12
+    K = _dense_K(op)
+    assert np.abs(K - K.T).max() < 1e-12
     assert np.all(op.M_diag > 0)
     np.linalg.cholesky(np.diag(op.M_diag))
     # discrete Laplacian annihilates constants: K 1 = -(potential mass) 1
     ones = np.ones(op.n)
-    resid = op.K @ ones + op.M_diag * op.q.ravel()
-    assert np.abs(resid).max() < 1e-10 * np.abs(op.K).max()
+    resid = K @ ones + op.M_diag * op.q.ravel()
+    assert np.abs(resid).max() < 1e-10 * np.abs(K).max()
 
 
 def _oscillating_potential(imm):
@@ -49,29 +109,24 @@ def _oscillating_potential(imm):
     return 2.0 + np.cos(X) * np.sin(Y)
 
 
-def test_dense_cap_enforced():
-    # a potential varying along both chart axes leaves only the dense solver
-    imm = gal.gallery("clifford_torus", resolution=(80, 80))
-    op = sp.assemble_operator(imm, _oscillating_potential(imm))
-    with pytest.raises(ValueError):
-        sp.eigensolve(op, 4, want_vectors=False)
-    with pytest.raises(ValueError):
-        sp.weak_index(op)
-
-
-def test_dense_fallback_without_shift_symmetry():
+def test_operator_without_shift_axis_rejected():
+    # a potential varying along both chart axes leaves no Fourier blocks
     imm = gal.gallery("clifford_torus", resolution=(24, 24))
     op = sp.assemble_operator(imm, _oscillating_potential(imm))
     assert op.shift_axis is None
-    res = sp.eigensolve(op, 6)
-    assert res.all_eigenvalues.shape == (op.n,)
-    assert sp.residual_norms(op, res).max() <= 1e-10
+    res = sp.eigensolve(sp.assemble_jacobi(imm), 6)
+    for call in (lambda: sp.eigensolve(op, 6), lambda: sp.eigensolve(op, 6, False),
+                 lambda: sp.weak_index(op), lambda: sp.residual_norms(op, res)):
+        with pytest.raises(ValueError, match="no periodic chart axis"):
+            call()
 
 
 def test_eigensolve_count_validated():
     op, _ = jacobi_solve("clifford_torus")
-    with pytest.raises(ValueError):
-        sp.eigensolve(op, op.n + 1)
+    for count in (op.n + 1, -1):
+        for vectors in (True, False):
+            with pytest.raises(ValueError):
+                sp.eigensolve(op, count, want_vectors=vectors)
 
 
 # ------------------------------------------------------ Fourier block solver
@@ -91,16 +146,19 @@ BLOCK_CASES = [
 def test_block_path_matches_dense(name, kw, axis):
     op = sp.assemble_jacobi(gal.gallery(name, **kw))
     assert op.shift_axis == axis
-    dense = dataclasses.replace(op)
-    dense.shift_axis = None          # the same pencil through the dense solver
     block_res = sp.eigensolve(op, 12)
-    dense_res = sp.eigensolve(dense, 12)
-    scale = np.abs(dense_res.all_eigenvalues).max()
+    # the same pencil through LAPACK on the dense oracle
+    B, scale = _dense_reduced(op)
+    full = np.linalg.eigvalsh(B)
+    dense_res = sp.SpectralResult(full[:12], None, sp._null_tolerance(full[:12]),
+                                  lambda: full)
     assert block_res.all_eigenvalues.shape == (op.n,)
-    assert (np.abs(block_res.all_eigenvalues - dense_res.all_eigenvalues).max()
-            <= 1e-12 * scale)
+    assert (np.abs(block_res.all_eigenvalues - full).max()
+            <= 1e-12 * np.abs(full).max())
     assert sp.index_nullity(block_res) == sp.index_nullity(dense_res)
-    assert sp.weak_index(op) == sp.weak_index(dense)
+    w = sp._constrained_eigvalsh(B, 1.0 / scale)
+    eps = sp._null_tolerance(w[:sp.WEAK_INDEX_BAND])
+    assert sp.weak_index(op) == np.count_nonzero(w < -eps)
     assert sp.residual_norms(op, block_res).max() <= 1e-10
     gram = block_res.eigenvectors.T @ (op.M_diag[:, None] * block_res.eigenvectors)
     assert np.abs(gram - np.eye(12)).max() < 1e-12
@@ -115,7 +173,7 @@ def _old_mode_blocks(op):
     else:
         S, L = ny, nx
         rows, perm = np.arange(nx) * ny, (2, 0, 1)
-    line = op.K[rows].reshape(L, nx, ny).transpose(perm)
+    line = _dense_K(op)[rows].reshape(L, nx, ny).transpose(perm)
     F = np.fft.rfft(line, axis=0)
     scale = 1.0 / np.sqrt(op.M_diag[rows])
     blocks = []
@@ -162,7 +220,6 @@ def test_block_path_solves_only_bottom_blocks(monkeypatch):
     assert head.shape == (op.resolution[1] - 1,) * 2
     assert not set(solved(rest)) & set(first)
     assert len(set(solved(rest))) == len(rest)
-    assert "K" not in vars(op)   # no dense K was assembled
 
 
 def _full_block_route(op, count, want_vectors):
@@ -278,10 +335,10 @@ def _dense_residual_norms(op, res):
     """The dense route: K @ V, and ||K||_2 from a seeded eigsh."""
     from scipy.sparse.linalg import eigsh
 
-    V = res.eigenvectors
-    R = op.K @ V - (op.M_diag[:, None] * V) * res.eigenvalues
+    K, V = _dense_K(op), res.eigenvectors
+    R = K @ V - (op.M_diag[:, None] * V) * res.eigenvalues
     v0 = np.random.default_rng(0).standard_normal(op.n)
-    knorm = abs(float(eigsh(op.K, k=1, which="LM", v0=v0,
+    knorm = abs(float(eigsh(K, k=1, which="LM", v0=v0,
                             return_eigenvectors=False)[0]))
     return np.linalg.norm(R, axis=0) / knorm
 
@@ -292,7 +349,6 @@ def test_block_residuals_match_dense_route(name, kw, axis):
     op = sp.assemble_jacobi(gal.gallery(name, **kw))
     res = sp.eigensolve(op, 12)
     got = sp.residual_norms(op, res)
-    assert "K" not in vars(op)
     ref = _dense_residual_norms(op, res)
     assert np.abs(got - ref).max() <= 1e-12
     # wrong eigenvalues: both routes see the same large residuals
@@ -302,70 +358,16 @@ def test_block_residuals_match_dense_route(name, kw, axis):
     assert np.abs(got - ref).max() <= 1e-12
 
 
-def test_dense_path_builds_B_once(monkeypatch):
-    imm = gal.gallery("clifford_torus", resolution=(16, 16))
-    op = sp.assemble_operator(imm, _oscillating_potential(imm))
-    assert op.shift_axis is None
-    K, reads = op.K, []
-    # every build of B = M^{-1/2} K M^{-1/2} reads op.K once
-    monkeypatch.setattr(sp.DiscreteOperator, "K",
-                        property(lambda self: reads.append(1) or K))
-    sp.eigensolve(op, 6)
-    sp.weak_index(op)
-    sp.eigensolve(op, 6, want_vectors=False)
-    assert len(reads) == 1
-
-
-def test_block_path_beyond_dense_cap():
+def test_block_path_at_6400_unknowns():
     op = sp.assemble_jacobi(gal.gallery("clifford_torus", resolution=(80, 80)))
-    assert op.n > sp.MAX_UNKNOWNS
+    assert op.n == 6400
     res = sp.eigensolve(op, 16, want_vectors=False)
     assert np.abs(res.eigenvalues - lattice_eigenvalues(16, shift=-4.0)).max() < 0.02
     assert sp.index_nullity(res) == (5, 4)
     assert sp.weak_index(op) == 4
-    assert "K" not in vars(op)       # no dense copy was formed
 
 
 # ------------------------------------------------- Kronecker forms of K
-
-def _coo(g, entries):
-    """CSR matrix from (row, column, value) triples over the (nx, ny) grid."""
-    n = g.nx * g.ny
-    rows, cols, vals = (np.concatenate(parts) for parts in zip(*entries))
-    return coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-
-def _old_axis_matrix(g, axis, stencil):
-    """The 2-D stencils assembled entry by entry from COO triples."""
-    nx, ny = g.nx, g.ny
-    ii, jj = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    base = (ii * ny + jj).ravel()
-    if stencil == "diff":
-        terms = [(sgn * k, sgn * c) for k, c in enumerate(_C8, start=1) for sgn in (1, -1)]
-    else:
-        terms = list(zip(range(-2, 3), _D4))
-    entries = []
-    for off, c in terms:
-        if axis == 0:
-            cols = ((ii + off) % nx) * ny + jj
-            vals = np.full(base.size, c / g.hx if stencil == "diff" else c / (16.0 * g.hx))
-        elif g.topology == "torus":
-            cols = ii * ny + (jj + off) % ny
-            vals = np.full(base.size, c / g.hy if stencil == "diff" else c / (16.0 * g.hy))
-        else:
-            j2 = jj + off
-            lo, hi = j2 < 0, j2 > ny - 1
-            j2 = np.where(lo, -1 - j2, j2)
-            j2 = np.where(hi, 2 * ny - 1 - j2, j2)
-            i2 = np.where(lo | hi, (ii + nx // 2) % nx, ii)
-            cols = i2 * ny + j2
-            if stencil == "diff":
-                vals = c * (np.sin(g.theta)[jj] / g.dtheta).ravel()
-            else:
-                vals = np.full(base.size, c / (16.0 * g.dtheta))
-        entries.append((base, cols.ravel(), vals))
-    return _coo(g, entries)
-
 
 def _kron_axis_matrix(g, axis, stencil):
     """The 2-D stencil as Kronecker products of ``axis_stencil``:
@@ -395,22 +397,6 @@ def test_kronecker_matrices_equal_coo_builders(g):
         for stencil in ("diff", "filter"):
             assert _same_entries(_kron_axis_matrix(g, axis, stencil),
                                  _old_axis_matrix(g, axis, stencil))
-
-
-@pytest.mark.parametrize("name", ["sphere_h3", "clifford_torus"])
-def test_dense_K_equals_coo_assembly(name):
-    imm = gal.gallery(name, resolution=(16, 12))
-    X, Y = imm.grid.meshes()
-    op = sp.assemble_operator(imm, 2.0 + np.cos(X) * np.sin(Y))
-    assert op.shift_axis is None
-    g, w0 = imm.grid, diags(imm.chart_weights.ravel())
-    K = 0
-    for axis, stencil in ((0, "diff"), (1, "diff"), (0, "filter"), (1, "filter")):
-        D = _old_axis_matrix(g, axis, stencil)
-        K = K + D.T @ w0 @ D
-    K = (0.5 * (K + K.T) - diags(op.M_diag * op.q.ravel())).toarray()
-    assert np.array_equal(op.K, op.K.T)
-    assert np.abs(op.K - K).max() <= 1e-15 * np.abs(K).max()
 
 
 # ------------------------------------------------------------- exact spectra
@@ -547,20 +533,21 @@ def test_heat_trace_truncation_flag():
     _, res = laplace_solve("sphere_r3")
     tiny = sp.heat_trace(res, 1e-6)
     assert tiny.truncated
-    with pytest.raises(ValueError):
-        sp.heat_trace(res, 0.0)
+    for t in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="requires t > 0"):
+            sp.heat_trace(res, t)
 
 
 # ------------------------------------------------------- ties to variations
 
 def test_quadratic_form_ties():
     imm = surface("clifford_torus")
-    op = sp.assemble_jacobi(imm)
+    K = _dense_K(sp.assemble_jacobi(imm))
     rng = np.random.default_rng(9)
     for _ in range(3):
         f = vr.random_scalar(imm, rng)
         fv = f.ravel()
-        kff = float(fv @ op.K @ fv)
+        kff = float(fv @ K @ fv)
         # identical stencils up to the sawtooth filter: tight agreement
         assert abs(kff - vr.jacobi_form(imm, f)) < 1e-6 * max(1, abs(kff))
         # independent route through the full area_h Hessian of v = f nu
