@@ -583,5 +583,8 @@ def heat_trace(res: SpectralResult, t: float) -> HeatTraceValue:
 
 
 def counting(res: SpectralResult, c: float) -> int:
-    """#{lambda_i <= c} over the discrete spectrum."""
+    """#{lambda_i <= c} over the discrete spectrum; c = -inf counts none and
+    +inf counts all, NaN is rejected."""
+    if np.isnan(c):
+        raise ValueError("counting requires a threshold c that is not NaN")
     return int(np.count_nonzero(res.all_eigenvalues <= c))

@@ -78,7 +78,7 @@ class VariationField:
 
     @cached_property
     def _sq_norm(self) -> np.ndarray:
-        """<v, v> pointwise, shared by every FD frame."""
+        """<v, v> pointwise, shared by every t of the FD oracle."""
         return amb.inner(self.imm.space, self.v, self.v)
 
     @cached_property
@@ -89,9 +89,9 @@ class VariationField:
     def _norm_inf(self) -> float:
         return float(self._norm.max())
 
-    @cached_property
     def _chart_partials(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stencil chart derivatives (d_x v, d_y v), shared by every FD frame."""
+        """Stencil chart derivatives (d_x v, d_y v).  Not cached: the FD
+        oracle keeps only their inner products (``_FrameData``)."""
         return self.imm.grid.diff_x(self.v), self.imm.grid.diff_y(self.v)
 
     @cached_property
@@ -109,7 +109,8 @@ class VariationField:
 
     @cached_property
     def _fd_memo(self) -> dict:
-        """t -> (area, energy, volume flux) of exp_u(t v); see ``_fd_values``."""
+        """t -> (area, energy, volume flux) of exp_u(t v), under the exact t;
+        see ``_fd_values``."""
         return {}
 
 
@@ -406,54 +407,120 @@ class ChartExitError(RuntimeError):
     """Deformation left the valid chart region of the ambient space."""
 
 
-def _deformed_frame(imm: Immersion, vf: VariationField, t: float,
-                    velocity: bool = False):
-    """Position and chart partials of exp_u(t v), chain-ruled analytically;
-    with ``velocity`` also d/dt exp_u(t v), as a fourth entry.
+def _deformed_frame(imm: Immersion, vf: VariationField, t: float):
+    """Position and chart partials of exp_u(t v) = u + t v on an R3
+    immersion, the frame of ``volume_primitive_r3``."""
+    dxv, dyv = vf._chart_partials()
+    return imm.u + t * vf.v, imm.ux + t * dxv, imm.uy + t * dyv
 
-    On S3 and H3 the geodesic coefficients are evaluated once for the whole
-    frame, from the field's cached <v, v> and |v|; every array is bit for bit
-    what ``exp_map``, ``exp_directional`` and ``exp_velocity`` return.
+
+class _FrameData:
+    """The t-independent data of the deformed frames exp_u(t v) of one field.
+
+    With the geodesic coefficients C, S and g2 at th = t |v| (C = S = 1 and
+    kappa = 0 on the flat spaces), the frame of exp_u(t v) is
+
+        p = C u + t S v,         p_t = -kappa t |v|^2 S u + C v,
+        p_x = C u_x + t S d_x v + <v, d_x v> (lam u + mu v),
+
+    with lam = -kappa t^2 S, mu = t^3 g2, and p_y alike.  So the metric
+    coefficients are quadratic in the pointwise inner products of u_x, u_y,
+    d_x v, d_y v, u and v, and since p ^ p_t = (C^2 + kappa t^2 |v|^2 S^2)
+    u ^ v, the flux density dV_N(p, p_t, p_x, p_y) is that factor times a
+    combination of the volume forms dV_N(u; v, X, Y), X in (u_x, d_x v), Y
+    in (u_y, d_y v).  The products with u and v enter only through lam and
+    mu, which vanish on the flat spaces; on S3 and H3, kappa <u, u> = 1 and
+    <u, u_x> = <u, u_y> = <u, v> = 0 (to roundoff: u lies on the quadric and
+    v is projected tangent).  ``fields`` computes the products and forms
+    once, on first use; a t then costs one evaluation of the geodesic
+    coefficients and a few scalar-field products, and no four-vector.
     """
-    sp = imm.space
-    v = vf.v
-    dxv, dyv = vf._chart_partials
-    if sp.kind == "S3" and abs(t) * vf.norm_inf() > 0.5 * np.pi:
-        raise ChartExitError("geodesic deformation exceeds the S3 chart range")
-    if sp.curvature == 0.0:
-        # lift semantics on FlatT3: local integrands never need wrapping
-        frame = imm.u + t * v, imm.ux + t * dxv, imm.uy + t * dyv
-        return frame + (v,) if velocity else frame
-    geo = amb._Geodesic(sp, imm.u, v, t, vf._sq_norm, vf._norm)
-    frame = geo.point(), geo.directional(imm.ux, dxv), geo.directional(imm.uy, dyv)
-    return frame + (geo.velocity(),) if velocity else frame
 
+    def __init__(self, vf: VariationField):
+        self.imm, self.vf = vf.imm, vf
 
-def _fd_values(imm: Immersion, vf: VariationField, t: float):
-    """(area, energy, volume flux) of the deformed immersion exp_u(t v).
+    @cached_property
+    def fields(self) -> tuple[dict, Optional[tuple]]:
+        """(inner products by name, flux forms), the forms on CMC immersions
+        only.  Names: ux, uy, vx = d_x v, vy = d_y v, u and v; the flux forms
+        are dV_N(u; v, u_x, u_y), the sum of dV_N(u; v, u_x, d_y v) and
+        dV_N(u; v, d_x v, u_y), and dV_N(u; v, d_x v, d_y v)."""
+        imm, vf = self.imm, self.vf
+        sp, u, v = imm.space, imm.u, vf.v
+        dxv, dyv = vf._chart_partials()
+        vec = {"ux": imm.ux, "uy": imm.uy, "vx": dxv, "vy": dyv, "u": u, "v": v}
+        keys = ["ux.vx", "vx.vx", "uy.uy", "uy.vy", "vy.vy", "ux.uy", "vx.vy"]
+        if sp.curvature != 0.0:
+            keys += ["ux.v", "uy.v", "vx.u", "vy.u", "vx.v", "vy.v"]
+        m = {"ux.ux": imm.e2lam, "v.v": vf._sq_norm}
+        for key in keys:
+            a, b = key.split(".")
+            m[key] = amb.inner(sp, vec[a], vec[b])
+        m["ux.vy+vx.uy"] = amb.inner(sp, imm.ux, dyv)
+        m["ux.vy+vx.uy"] += amb.inner(sp, dxv, imm.uy)
+        forms = None
+        if not np.isnan(imm.cmc_value):
+            cross = amb.volume_form(sp, u, v, imm.ux, dyv)
+            cross += amb.volume_form(sp, u, v, dxv, imm.uy)
+            forms = (amb.volume_form(sp, u, v, imm.ux, imm.uy), cross,
+                     amb.volume_form(sp, u, v, dxv, dyv))
+        return m, forms
 
-    The frame at t is built once per field and every integral of it is taken
-    at once; the floats are memoised on the field under the exact t (the
-    difference stencils revisit t = 0, +-step/2, +-step, +-2 step), the frame
-    itself is dropped.  The volume flux d/dt V_h = int h dV_N(udot, u_x, u_y)
-    is taken on CMC immersions only and never at t = 0, where no stencil
-    samples it (None there).  A frame that fails to build stores nothing.
-    """
-    memo = vf._fd_memo
-    if t not in memo:
-        want_flux = t != 0.0 and not np.isnan(imm.cmc_value)
-        p, a, b, *vel = _deformed_frame(imm, vf, t, velocity=want_flux)
-        sp = imm.space
-        g11 = amb.inner(sp, a, a)
-        g22 = amb.inner(sp, b, b)
-        g12 = amb.inner(sp, a, b)
+    def integrals(self, t: float, want_flux: bool):
+        """(area, energy, volume flux or None) of exp_u(t v)."""
+        imm, vf = self.imm, self.vf
+        m, forms = self.fields
+        k = imm.space.curvature
+        c = s = 1.0
+        if k != 0.0:
+            geo = amb._Geodesic(imm.space, imm.u, vf.v, t, vf._sq_norm, vf._norm)
+            c, s = geo.ct, geo.st
+        ts = t * s
+        cc, cs, ss = c * c, c * ts, ts * ts
+        g11 = cc * m["ux.ux"] + 2.0 * cs * m["ux.vx"] + ss * m["vx.vx"]
+        g22 = cc * m["uy.uy"] + 2.0 * cs * m["uy.vy"] + ss * m["vy.vy"]
+        g12 = cc * m["ux.uy"] + cs * m["ux.vy+vx.uy"] + ss * m["vx.vy"]
+        if k != 0.0:
+            # p_i = (C u_i + t S d_i v) + q_i n, q_i = <v, d_i v>, n = lam u + mu v
+            lam, mu = -k * t * t * s, t ** 3 * geo.g2
+            nn = k * (t * t * s) ** 2 + mu * mu * m["v.v"]
+            qx, qy = m["vx.v"], m["vy.v"]
+            pnx = c * mu * m["ux.v"] + ts * (lam * m["vx.u"] + mu * qx)
+            pny = c * mu * m["uy.v"] + ts * (lam * m["vy.u"] + mu * qy)
+            g11 += qx * (2.0 * pnx + qx * nn)
+            g22 += qy * (2.0 * pny + qy * nn)
+            g12 += qy * pnx + qx * pny + qx * qy * nn
         area = float(imm.integrate_chart(np.sqrt(np.maximum(g11 * g22 - g12 ** 2, 0.0))))
         energy = float(imm.integrate_chart(0.5 * (g11 + g22)))
         flux = None
         if want_flux:
-            flux = float(imm.integrate_chart(imm.cmc_value
-                                             * amb.volume_form(sp, p, vel[0], a, b)))
-        memo[t] = (area, energy, flux)
+            v_uu, v_cross, v_dd = forms
+            dvol = cc * v_uu + cs * v_cross + ss * v_dd
+            if k != 0.0:
+                dvol *= cc + k * t * t * m["v.v"] * (s * s)
+            flux = float(imm.integrate_chart(imm.cmc_value * dvol))
+        return area, energy, flux
+
+
+def _fd_values(frame: _FrameData, t: float):
+    """(area, energy, volume flux) of the deformed immersion exp_u(t v).
+
+    The floats are memoised on the field under the exact t (the difference
+    stencils revisit t = 0, +-step/2, +-step, +-2 step), so a value does not
+    depend on the calls made before it.  A t not in the memo is evaluated
+    from the field's ``frame`` data, which agrees with integrals of the
+    frames themselves (``exp_map``, ``exp_directional``, ``exp_velocity``)
+    to roundoff, 1e-13 relative.  The volume flux d/dt V_h =
+    int h dV_N(p_t, p_x, p_y) is taken on CMC immersions only and never at
+    t = 0, where no stencil samples it (None there).  A t that leaves the S3
+    chart raises before anything is evaluated and stores nothing.
+    """
+    imm, vf = frame.imm, frame.vf
+    memo = vf._fd_memo
+    if t not in memo:
+        if imm.space.kind == "S3" and abs(t) * vf.norm_inf() > 0.5 * np.pi:
+            raise ChartExitError("geodesic deformation exceeds the S3 chart range")
+        memo[t] = frame.integrals(t, t != 0.0 and not np.isnan(imm.cmc_value))
     return memo[t]
 
 
@@ -480,15 +547,21 @@ def fd_second_variation(functional: str, imm: Immersion, v,
     primitive 2-form off R^3, so its Hessian is the matching central first
     difference of the exact first-variation flux.
 
-    Each deformed frame is built once per (field, t): its area, energy and
-    volume-flux integrals are memoised on the field, so the oracles of all
-    five functionals on one field and step share seven frames.  Every value
-    is computed by the same expressions in the same order as a frame built
-    per functional, so the result is bit for bit independent of the calls
-    made before it.
+    The stencils visit seven parameters t: 0, +-step/2, +-step, +-2 step.
+    Per call, the t-independent data of the deformed frames (``_FrameData``:
+    pointwise inner products and volume forms of u_x, u_y, d_x v, d_y v, u
+    and v) is built on the first t the field's memo does not hold; per t,
+    one evaluation of the geodesic coefficients and a few scalar-field
+    products give the area, energy and volume-flux integrals, memoised on
+    the field.  So the oracles of all five functionals on one field and step
+    build that data once and evaluate seven t, and the result does not
+    depend on the calls made before it.
+    ``step`` (default 1e-3 max(1, inj) / max|v|) must be finite and > 0.
     """
     if functional not in FUNCTIONALS:
         raise ValueError(f"unknown functional {functional!r}")
+    if step is not None and not 0.0 < step < np.inf:
+        raise ValueError(f"fd step must be finite and > 0, got {step!r}")
     vf = _as_field(imm, v)
     vmax = vf.norm_inf()
     if vmax == 0.0:
@@ -497,14 +570,16 @@ def fd_second_variation(functional: str, imm: Immersion, v,
         inj = np.pi if imm.space.kind == "S3" else 1.0
         step = 1e-3 * max(1.0, inj) / vmax
 
+    frame = _FrameData(vf)
+
     def area(t):
-        return _fd_values(imm, vf, t)[0]
+        return _fd_values(frame, t)[0]
 
     def energy(t):
-        return _fd_values(imm, vf, t)[1]
+        return _fd_values(frame, t)[1]
 
     def flux(t):
-        return _fd_values(imm, vf, t)[2]
+        return _fd_values(frame, t)[2]
 
     if functional == "area":
         return _second_difference(area, step)

@@ -529,6 +529,14 @@ def test_heat_trace_decreasing_and_counting_bound():
             assert cnt <= np.exp(c * t) * v + 1e-9
 
 
+def test_counting_rejects_nan_threshold():
+    _, res = laplace_solve("sphere_r3")
+    assert sp.counting(res, -np.inf) == 0
+    assert sp.counting(res, np.inf) == res.all_eigenvalues.size
+    with pytest.raises(ValueError, match="not NaN"):
+        sp.counting(res, np.nan)
+
+
 def test_heat_trace_truncation_flag():
     _, res = laplace_solve("sphere_r3")
     tiny = sp.heat_trace(res, 1e-6)

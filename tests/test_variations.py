@@ -309,9 +309,10 @@ def test_chart_exit_guard():
     assert list(vf._fd_memo) == [0.0]
 
 
-# The per-call route: one deformed frame for every functional and every
-# difference term, each frame with its own stencils of v.  The memoised
-# oracle must return exactly its values.
+# The direct-frame route: one deformed frame for every functional and every
+# difference term, built from the public exp maps, each frame with its own
+# stencils of v.  The oracle's per-field frame data must reproduce its
+# integrals to roundoff.
 
 def _frame_per_call(imm, vf, t):
     sp, v = imm.space, vf.v
@@ -349,25 +350,41 @@ def _flux_per_call(imm, vf, t, hval):
     return float(imm.integrate_chart(hval * amb.volume_form(sp, p, vel, a, b)))
 
 
-def _fd_per_call(functional, imm, vf, step=None):
+def _default_step(imm, vf, step=None):
+    if step is not None:
+        return step
     vmax = float(np.sqrt(amb.inner(imm.space, vf.v, vf.v)).max())
-    if step is None:
-        inj = np.pi if imm.space.kind == "S3" else 1.0
-        step = 1e-3 * max(1.0, inj) / vmax
-    second = {"area": _area_per_call, "energy": _energy_per_call}
+    inj = np.pi if imm.space.kind == "S3" else 1.0
+    return 1e-3 * max(1.0, inj) / vmax
+
+
+def _fd_route(functional, step, area, energy, flux):
+    """The oracle's difference stencils over per-t value functions."""
+    second = {"area": area, "energy": energy}
 
     def d2(kind):
-        return vr._second_difference(lambda t: second[kind](imm, vf, t), step)
-
-    def flux():
-        return vr._first_difference(
-            lambda t: _flux_per_call(imm, vf, t, imm.cmc_value), step)
+        return vr._second_difference(second[kind], step)
 
     if functional in second:
         return d2(functional)
     if functional == "volume_h":
-        return flux()
-    return d2(functional[:-2]) + flux()
+        return vr._first_difference(flux, step)
+    return d2(functional[:-2]) + vr._first_difference(flux, step)
+
+
+def _fd_per_call(functional, imm, vf, step=None):
+    return _fd_route(functional, _default_step(imm, vf, step),
+                     lambda t: _area_per_call(imm, vf, t),
+                     lambda t: _energy_per_call(imm, vf, t),
+                     lambda t: _flux_per_call(imm, vf, t, imm.cmc_value))
+
+
+def _fd_fresh_fields(functional, imm, seed, step=None):
+    # every difference term reads a fresh field, so an empty memo
+    def value(k):
+        return lambda t: vr._fd_values(vr._FrameData(vr.seeded_variation(imm, seed)), t)[k]
+    step = _default_step(imm, vr.seeded_variation(imm, seed), step)
+    return _fd_route(functional, step, value(0), value(1), value(2))
 
 
 SMALL_GALLERY = [("sphere_r3", {"resolution": (32, 16)}),
@@ -383,12 +400,32 @@ def test_fd_memo_equals_per_call_route(name, kw):
     shared = vr.seeded_variation(imm, 61)
     for step in (None, 2e-3):
         for fn in vr.FUNCTIONALS:
-            ref = _fd_per_call(fn, imm, vr.seeded_variation(imm, 61), step)
+            ref = _fd_fresh_fields(fn, imm, 61, step)
             # a field whose frames are already memoised by earlier oracles,
             # and a fresh one
             assert vr.fd_second_variation(fn, imm, shared, step=step) == ref, (fn, step)
             fresh = vr.seeded_variation(imm, 61)
             assert vr.fd_second_variation(fn, imm, fresh, step=step) == ref, (fn, step)
+
+
+@pytest.mark.parametrize("name,kw", SMALL_GALLERY, ids=[c[0] for c in SMALL_GALLERY])
+def test_fd_values_match_direct_frames(name, kw):
+    imm = gal.gallery(name, **kw)
+    vf = vr.seeded_variation(imm, 61)
+    h = imm.cmc_value
+
+    def close(got, ref):
+        return abs(got - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    for step in (_default_step(imm, vf), 2e-3):
+        for t in (0.0, step / 2, -step / 2, step, -step, 2 * step, -2 * step):
+            area, energy, flux = vr._fd_values(vr._FrameData(vf), t)
+            assert close(area, _area_per_call(imm, vf, t)), (step, t)
+            assert close(energy, _energy_per_call(imm, vf, t)), (step, t)
+            if t == 0.0:
+                assert flux is None
+            else:
+                assert close(flux, _flux_per_call(imm, vf, t, h)), (step, t)
 
 
 def test_fd_oracles_share_frames(monkeypatch):
@@ -412,6 +449,33 @@ def test_fd_oracles_share_frames(monkeypatch):
     # the 8 flux frames
     assert len(ts) == 26
     assert len(sincs) == 3 * 26 + 8
+
+
+def test_fd_frame_data_built_once_per_field(monkeypatch):
+    # the t-independent frame data is built once for all five oracles on
+    # one field, not per t: four volume forms, and one evaluation of the
+    # geodesic coefficients for each of the seven t
+    imm = gal.gallery("sphere_s3", resolution=(32, 16))
+    vf = vr.seeded_variation(imm, 63)
+    forms, coefficients = [], []
+    volume_form, coeff = amb.volume_form, amb._coefficients
+    monkeypatch.setattr(amb, "volume_form",
+                        lambda *args: forms.append(1) or volume_form(*args))
+    monkeypatch.setattr(amb, "_coefficients",
+                        lambda space: coefficients.append(1) or coeff(space))
+    for fn in vr.FUNCTIONALS:
+        vr.fd_second_variation(fn, imm, vf)
+    assert len(forms) == 4
+    assert len(coefficients) == 7
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf, -np.inf])
+def test_fd_step_must_be_finite_and_positive(step):
+    imm = gal.gallery("sphere_s3", resolution=(32, 16))
+    vf = vr.seeded_variation(imm, 64)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        vr.fd_second_variation("area", imm, vf, step=step)
+    assert vf._fd_memo == {}
 
 
 def test_fd_unknown_functional_rejected():
