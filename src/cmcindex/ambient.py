@@ -162,9 +162,13 @@ def _minors(r: np.ndarray, s: np.ndarray) -> dict:
 
 
 def _det4(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """det of the rows (a, b, c, d) over the last axis: sum over column pairs
-    i < j of +-(2x2 minor of a, b in i, j)(complementary minor of c, d)."""
-    m, n = _minors(a, b), _minors(c, d)
+    """det of the rows (a, b, c, d) over the last axis."""
+    return _laplace(_minors(a, b), _minors(c, d))
+
+
+def _laplace(m: dict, n: dict) -> np.ndarray:
+    """det of the rows (a, b, c, d) from the minors m of (a, b) and n of
+    (c, d): sum over column pairs i < j of +-m_ij (complementary n)."""
     return (m[0, 1] * n[2, 3] - m[0, 2] * n[1, 3] + m[0, 3] * n[1, 2]
             + m[1, 2] * n[0, 3] - m[1, 3] * n[0, 2] + m[2, 3] * n[0, 1])
 

@@ -24,10 +24,13 @@ Every seeded variation of a surface lies in one span of N fields (N = 30 to
 N x N Gram matrices of d2A, d2E and the chart defect 8 int |eta|^2 dx dy
 (``span.grams``, streamed over slabs of chart columns from the x and y
 factors of product modes, summed along chart lines, and on spheres
-projected onto the span) and writes
-each variation's row from its coefficient vector c as c^T G c
-(``span.identity_residuals``), so a row depends only on its surface and
-seed.  Every BLAS product stays below OpenBLAS's threading threshold
+projected onto the span).  Every default surface maps onto itself under a
+one-step chart shift that rotates the ambient space, so the Grams come
+from one chart line and the shift's orbit, at a cost that follows the line
+and not the grid; a surface without that symmetry is assembled over the
+whole chart.  Each variation's row is written from its coefficient vector
+c as c^T G c (``span.identity_residuals``), so a row depends only on its
+surface and seed.  Every BLAS product stays below OpenBLAS's threading threshold
 (``grids.serial_matmul``); the outputs were checked byte-identical at
 OPENBLAS_NUM_THREADS 1 and 2 with the OpenBLAS bundled with numpy.
 """

@@ -47,7 +47,7 @@ from .grids import torus_grid
 from .surfaces import Immersion
 
 __all__ = ["DelaunayProfile", "DelaunayConstructionError", "solve_profile",
-           "delaunay_torus", "flux_samples"]
+           "delaunay_torus"]
 
 _H0 = 1.0  # unscaled profile mean curvature
 
@@ -136,14 +136,6 @@ def solve_profile(neck: float) -> DelaunayProfile:
             f"profile with neck={neck} missed the bulge radius: "
             f"got {r[0]:.12f}, expected {r_bulge:.12f}")
     return DelaunayProfile(neck, r_neck, r_bulge, float(t_period), float(x[1]))
-
-
-def flux_samples(profile: DelaunayProfile, n: int = 400) -> np.ndarray:
-    """Samples of the conserved flux r sin(psi) + (h/2) r^2 along a period."""
-    t = np.linspace(0.0, profile.t_period, n)
-    _, r, phi = profile.evaluate(t)
-    sin_psi = -np.cos(phi)  # psi = phi - pi/2
-    return r * sin_psi + 0.5 * _H0 * r * r
 
 
 def delaunay_torus(k: int, neck: float, nx: int, ny: int,

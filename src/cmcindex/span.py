@@ -26,6 +26,14 @@ factors 1, cos, sin, sin cos, sin^2 (a polynomial of degree 2 in the
 ambient coordinates has wavenumber at most 2 in each), so the engine runs
 on those and each Gram is projected by T per ambient axis
 (``_sphere_projection``).
+
+The engine runs on one orbit representative.  Every default identity
+surface maps onto itself under a one-step chart shift that rotates the
+ambient space (the spheres under x -> x + h, the tori under y -> y + h), so
+the Grams are the sum over the shift's orbit of those of one chart line:
+the chart column y = 0 on tori, the longitude x = 0 on spheres
+(``_chart_shift``, ``_orbit_sum``).  An immersion without that symmetry is assembled over the
+whole chart, the trivial orbit.
 ``cmcindex identity`` writes every row of every surface this way; it
 imports this module on demand, and the other commands never compile it.
 """
@@ -36,22 +44,29 @@ import numpy as np
 
 from . import ambient as amb
 from .grids import serial_matmul
+from .spectral import SHIFT_RTOL
 from .surfaces import Immersion
 # the seeded draws and the chart data they are evaluated on, shared with
 # ``variations.random_scalar``
 from .variations import _VARIATION_DECAY, _chart_angles, _scalar_draws, _torus_degree
 
-__all__ = ["coefficients", "basis", "grams", "identity_residuals"]
+__all__ = ["coefficients", "grams", "identity_residuals"]
 
-# chart columns per slab of ``grams``: the stencil's half-width, so that
-# where it divides the row count a sphere's pole slabs hold just the rows
-# its pole flip reaches, the only ones with y parts of two parities.  At
-# widths 2, 3, 4, 5, 6 and 8 the five default identity surfaces took 0.38,
-# 0.30, 0.25, 0.24, 0.22 and 0.22 s (in-process, 2 vCPUs, best of 8), and
-# the tracemalloc peak was 1.53, 1.70, 1.83, 2.14, 2.39 and 2.98 MiB on
-# sphere_s3 at 64x48 (its test allows 2 MiB) and 1.45, 1.57, 1.70, 1.82,
-# 1.94 and 2.33 MiB on the Clifford torus at 64x64
+# chart columns per slab of a whole-chart assembly: the stencil's
+# half-width, so that where it divides the row count a sphere's pole slabs
+# hold just the rows its pole flip reaches, the only ones with y parts of
+# two parities.  At widths 2, 3, 4, 5, 6 and 8 the whole-chart assembly of
+# the five default identity surfaces took 0.34, 0.30, 0.24, 0.22, 0.20 and
+# 0.21 s (in-process, 2 vCPUs, best of 8), and the tracemalloc peak was
+# 1.41, 1.57, 1.74, 2.00, 2.25 and 2.84 MiB on sphere_s3 at 64x48 (its test
+# allows 2 MiB) and 1.30, 1.43, 1.57, 1.69, 1.81 and 2.19 MiB on the
+# Clifford torus at 64x64
 _MODE_SLAB_WIDTH = 4
+# a sphere's orbit representative holds one point of each chart column, so
+# its slabs are this many times wider.  At 1, 2, 4, 8 and 12 times the three
+# default spheres took 0.069, 0.043, 0.034, 0.037 and 0.033 s, and the peak
+# on sphere_s3 at 256x128 was 1.21, 1.20, 1.21, 1.38 and 1.90 MiB
+_ORBIT_SLAB_SCALE = 4
 
 # a sphere's colatitude factors 1, cos, sin, sin cos, sin^2, the order to
 # which each vanishes at the poles, and the rows 1, cos, sin, cos 2, sin 2 of
@@ -114,23 +129,16 @@ def coefficients(imm: Immersion, seeds) -> np.ndarray:
     return np.concatenate([c0[:, None], c1, quad], axis=1).reshape(n, -1)
 
 
-def basis(imm: Immersion) -> np.ndarray:
-    """The N span fields phi_m P(e_a) as one (nx, ny, N, d) array (small grids)."""
-    g, sp = imm.grid, imm.space
-    phi = np.moveaxis(_span_scalars(imm, slice(None)), -1, 0)
-    pe = amb.project_tangent(sp, imm.u[..., None, :], np.eye(sp.dim))
-    return (pe[..., :, None, :] * phi[..., None, :, None]).reshape(g.nx, g.ny, -1, sp.dim)
-
-
 def _planes(z: np.ndarray, axis: int = 0) -> np.ndarray:
     """(real, imaginary) planes of complex data as one real array: the
     Re-inner products of complex fields become real products."""
     return np.stack((z.real, z.imag), axis=axis)
 
 
-def _x_last(field: np.ndarray, cols) -> np.ndarray:
-    """A field (nx, ny, ...) on the chart columns ``cols``, (len(cols), ..., nx)."""
-    return np.ascontiguousarray(np.moveaxis(field[:, cols], 0, -1))
+def _x_last(field: np.ndarray, cols, xs=slice(None)) -> np.ndarray:
+    """A field (nx, ny, ...) on the chart columns ``cols`` and the points
+    ``xs`` of each, (len(cols), ..., len(xs))."""
+    return np.ascontiguousarray(np.moveaxis(field[xs][:, cols], 0, -1))
 
 
 def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -146,12 +154,28 @@ def _pair_table(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, c, table
 
 
-def _chart_modes(g) -> tuple[np.ndarray, ...]:
-    """The product modes' factors: fx (n, nx), fy (ny, n), d/dx fx_j,
-    d/dy fy_k for even and odd longitude wavenumber (2, ny, n), and the x
-    stencil weighted by fx, wx[x', (j, x)] = D[x, x'] fx_j(x').  fx and,
-    on tori, fy are the rows of ``_trig_modes``; on spheres fy holds the
-    colatitude factors of ``_POLE_ORDER``.
+def _x_window(g, xs) -> tuple:
+    """(xs, window, xs in the window, antipodes in the window) for the
+    points ``xs`` of each chart column, a slice or indices: the window holds
+    the points that the x stencil reads from xs and the antipodal points
+    x + pi that the pole flip reads."""
+    anti = (np.arange(g.nx)[xs] + g.nx // 2) % g.nx
+    if isinstance(xs, slice):
+        return xs, xs, xs, anti
+    reach = g.axis_stencil(0, "diff")[0][xs].any(axis=0)
+    reach[xs] = reach[anti] = True
+    window = np.flatnonzero(reach)
+    return xs, window, np.searchsorted(window, xs), np.searchsorted(window, anti)
+
+
+def _chart_modes(g, points) -> tuple[np.ndarray, ...]:
+    """The product modes' factors on the points of ``_x_window``: fx on the
+    own points xs of each chart column (n, len(xs)), fy (ny, n), d/dx fx_j
+    on xs, d/dy fy_k for even and odd longitude wavenumber (2, ny, n), fx
+    on the x window, and the rows xs of the x stencil on the window,
+    transposed (window, len(xs)).  fx and, on tori, fy are the rows of
+    ``_trig_modes``; on spheres fy holds the colatitude factors of
+    ``_POLE_ORDER``.
 
     A sphere's y stencil reads the antipodal column through its pole flip
     Q, where fx_j(x + pi) = (-1)^j fx_j(x) for wavenumber j: the y part of
@@ -163,15 +187,17 @@ def _chart_modes(g) -> tuple[np.ndarray, ...]:
     else:
         s, c = np.sin(g.theta), np.cos(g.theta)
         fx, fy = _trig_modes(g.x, 2), np.stack([np.ones_like(s), c, s, s * c, s * s], axis=1)
-    wx = (g.axis_stencil(0, "diff")[0].T[:, None] * fx.T[:, :, None]).reshape(g.nx, -1)
+    xs, window = points[:2]
+    dx = g.axis_stencil(0, "diff")[0][xs]
     P, Q = g.axis_stencil(1, "diff")
     dfy = serial_matmul(P, fy) + np.array([1.0, -1.0])[:, None, None] * serial_matmul(Q, fy)
-    return fx, fy, wx.sum(0).reshape(fx.shape), dfy, wx
+    return fx[:, xs], fy, serial_matmul(fx, dx.T), dfy, fx[:, window], dx[:, window].T
 
 
-def _sphere_projection(imm: Immersion, fx: np.ndarray, theta: np.ndarray) -> np.ndarray:
+def _sphere_projection(imm: Immersion) -> np.ndarray:
     """T (n^2, M) with phi_m = sum_(j,k) T[j n + k, m] fx_j fy_k on a sphere
-    chart, fy the colatitude factors of ``_chart_modes``.
+    chart, fx the longitude modes 1, cos, sin, cos 2, sin 2 and fy the
+    colatitude factors of ``_chart_modes``.
 
     The longitude modes are orthogonal on the uniform x nodes.  The
     colatitude profile of longitude wavenumber j vanishes at the poles to
@@ -180,10 +206,14 @@ def _sphere_projection(imm: Immersion, fx: np.ndarray, theta: np.ndarray) -> np.
     orthogonal on the midpoint nodes, and written in the factors that vanish
     to order j.  So T weights only products smooth at the poles, whose
     Gram entries are of the span's size, and no product such as cos 2x
-    alone, whose |grad|^2 grows like 1 / sin^2 theta."""
-    n, phi = len(fx), _span_scalars(imm, slice(None))
-    trig = _trig_modes(theta, 2).T
-    per_x = serial_matmul(phi, fx.T) / (fx * fx).sum(1)  # (ny, M, j)
+    alone, whose |grad|^2 grows like 1 / sin^2 theta.  The span scalars are
+    read ``_MODE_SLAB_WIDTH`` rows at a time."""
+    g = imm.grid
+    fx = _trig_modes(g.x, 2)
+    n, trig = len(fx), _trig_modes(g.theta, 2).T
+    per_x = np.concatenate([serial_matmul(_span_scalars(imm, slice(j, j + _MODE_SLAB_WIDTH)), fx.T)
+                            for j in range(0, g.ny, _MODE_SLAB_WIDTH)])
+    per_x /= (fx * fx).sum(1)  # (ny, M, j)
     t = serial_matmul(trig.T, per_x.reshape(len(trig), -1)) / (trig * trig).sum(0)[:, None]
     t = serial_matmul(_FROM_TRIG, t).reshape(n, -1, n)  # (k, M, j)
     wn = (np.arange(n) + 1) // 2
@@ -261,31 +291,36 @@ class _ModeGram:
 class _ModeSlab:
     """The geometry of one slab and the span's product modes on it, x last:
     on the window (``*_w``), where stencil inputs are formed, and on the
-    slab's own points.  Components against P(e_a) are lowered by the
-    signature (``sig*``): <P(e_a), w> = sig_a w_a for every w tangent to the
-    model space (nu, u_x, u_y, u_z).
+    slab's own points.  In each chart column the window takes the x window
+    of ``points`` (``_x_window``), the own points its points xs.
+    Components against P(e_a) are lowered by the signature (``sig*``):
+    <P(e_a), w> = sig_a w_a for every w tangent to the model space (nu, u_x,
+    u_y, u_z).
 
     The modes psi_(j,k) = fx_j(x) fy_k(y) are kept as their factors:
     d/dx(psi c) = fy_k d/dx(fx_j c) and d/dy(psi c) = fx_j d/dy(fy_k c), so
     stencils act on the modes of one chart axis, which enter the stencil
     weights."""
 
-    def __init__(self, imm: Immersion, slab, modes):
+    def __init__(self, imm: Immersion, slab, modes, points):
         sp, sf = imm.space, imm.second_form
         win, own = slab.window, slab.cols
+        xs, xwin, self.own_x, self.anti = points
         self.slab, self.sig = slab, sp.signature
         self.nu_w, self.p_w, self.uz_w, self.uzb_w = (
-            _x_last(x, win) for x in (imm.nu, imm.u, imm.uz, imm.uzbar))
-        self.inv2_w = 2.0 / _x_last(imm.e2lam, win)
-        self.p, self.uz, self.uzb = (x[slab.inner] for x in (self.p_w, self.uz_w, self.uzb_w))
-        self.signu, self.sigux, self.siguy = (self.sig[:, None] * _x_last(x, own)
+            _x_last(x, win, xwin) for x in (imm.nu, imm.u, imm.uz, imm.uzbar))
+        self.inv2_w = 2.0 / _x_last(imm.e2lam, win, xwin)
+        self.p, self.uz, self.uzb = (x[slab.inner][..., self.own_x]
+                                     for x in (self.p_w, self.uz_w, self.uzb_w))
+        self.signu, self.sigux, self.siguy = (self.sig[:, None] * _x_last(x, own, xs)
                                               for x in (imm.nu, imm.ux, imm.uy))
-        self.e2, self.h, self.wc, self.norm_sq, self.azz = (_x_last(x, own) for x in (
+        self.e2, self.h, self.wc, self.norm_sq, self.azz = (_x_last(x, own, xs) for x in (
             imm.e2lam, sf.mean_scalar, imm.chart_weights, sf.norm_sq, sf.azz))
-        self.a_xx, self.a_xy, self.a_yy = (_x_last(x, own) for x in (sf.a_xx, sf.a_xy, sf.a_yy))
-        ux, uy = imm.ux[:, own], imm.uy[:, own]
+        self.a_xx, self.a_xy, self.a_yy = (_x_last(x, own, xs)
+                                           for x in (sf.a_xx, sf.a_xy, sf.a_yy))
+        ux, uy = imm.ux[xs][:, own], imm.uy[xs][:, own]
         self.gsq = _x_last(amb.inner(sp, ux, ux) + amb.inner(sp, uy, uy), slice(None))
-        self.fx, fy, self.dfx, dfy, self._wx = modes
+        self.fx, fy, self.dfx, dfy, self._fx_line, self._dx = modes
         # the y parts of both parities only where the pole flip reaches
         self.fy, self.dfy = fy[own], dfy[:2 if len(slab.flip_rows) else 1, own]
         # rows (column, k): the y stencil of the slab times fy_k on its window
@@ -293,25 +328,25 @@ class _ModeSlab:
                                  for m in (slab.interior, slab.flip))
 
     def diff_modes(self, axis: int, f: np.ndarray) -> np.ndarray:
-        """d/dx(fx_j f) (axis 0) or d/dy(fy_k f) (axis 1) on the slab's
-        columns of fields f (window, C, nx) sampled on its window:
-        (width, C, modes, nx), with the parity axis of ``dfy`` first on
+        """d/dx(fx_j f) (axis 0) or d/dy(fy_k f) (axis 1) on the slab's own
+        points of fields f (window, C, x window) sampled on its window:
+        (width, C, modes, len(xs)), with the parity axis of ``dfy`` first on
         axis 1."""
-        win, C, nx = f.shape
+        win, C, nxw = f.shape
+        n, nxs = self.fx.shape
         if axis == 0:
-            own = f[self.slab.inner]
-            return serial_matmul(own.reshape(-1, nx), self._wx).reshape(len(own), C, -1, nx)
-        out = serial_matmul(self._wy, f.reshape(win, -1)).reshape(-1, len(self.fx), C, nx)
-        res = np.empty((len(self.dfy), len(out), C, len(self.fx), nx))
+            own = f[self.slab.inner, :, None] * self._fx_line
+            return serial_matmul(own.reshape(-1, nxw), self._dx).reshape(len(own), C, n, nxs)
+        out = serial_matmul(self._wy, f[..., self.own_x].reshape(win, -1)).reshape(-1, n, C, nxs)
+        res = np.empty((len(self.dfy), len(out), C, n, nxs))
         res[:] = out.transpose(0, 2, 1, 3)
         del out
         if len(res) > 1:
-            # the flip reads the antipodal column, the x halves swapped
-            flip = serial_matmul(self._wflip, f.reshape(win, -1)).reshape(-1, len(self.fx), C, nx)
-            flip, h, rows = flip.transpose(0, 2, 1, 3), nx // 2, self.slab.flip_rows
-            for half, other in ((slice(h), slice(h, None)), (slice(h, None), slice(h))):
-                res[0, rows, ..., half] += flip[..., other]
-                res[1, rows, ..., half] -= flip[..., other]
+            # the flip reads the antipodal points
+            flip = serial_matmul(self._wflip, f[..., self.anti].reshape(win, -1))
+            flip, rows = flip.reshape(-1, n, C, nxs).transpose(0, 2, 1, 3), self.slab.flip_rows
+            res[0, rows] += flip
+            res[1, rows] -= flip
         return res
 
     def modes(self, axis: int) -> np.ndarray:
@@ -452,6 +487,76 @@ def _defect_modes(fs: _ModeSlab, defect: _ModeGram) -> None:
     defect.add(fs.fy, parts)
 
 
+def _trig_shift(m: int, delta: float) -> np.ndarray:
+    """S with f_k(t + delta) = sum_k' S[k', k] f_k'(t) for the rows f of
+    ``_trig_modes(t, m)``: S maps the coefficients of a trigonometric
+    polynomial to those of its shift by delta."""
+    out = np.eye(2 * m + 1)
+    for j in range(1, m + 1):
+        c, s = np.cos(j * delta), np.sin(j * delta)
+        out[2 * j - 1:2 * j + 1, 2 * j - 1:2 * j + 1] = [[c, s], [-s, c]]
+    return out
+
+
+# chart points per block of lines that ``_chart_shift`` compares at once
+_SHIFT_BLOCK = 1 << 12
+
+
+def _chart_shift(imm: Immersion) -> np.ndarray | None:
+    """The ambient isometry R that a one-step chart shift applies, or None.
+
+    The shift runs along y on tori and along x on spheres, and the chart
+    lines are the lines it moves into each other: the chart columns
+    y = const on tori and the longitudes x = const on spheres.  R is read
+    from the orthonormal frames F and F' = (u_x / |u_x|, u_y / |u_y|,
+    nu[, u]) of one point on lines 0 and 1: R = F' E F^T J, with J the
+    signature and E = F^T J F = diag(+-1).  It is returned if it is an
+    isometry and if u, its first and second chart partials and nu on every
+    line, mapped by R, equal the next line to ``spectral.SHIFT_RTOL`` of
+    each field's largest entry.  The lines are compared in blocks of about
+    ``_SHIFT_BLOCK`` points, so no temporary spans the grid."""
+    g, sig = imm.grid, imm.space.signature
+    along = 1 if g.topology == "torus" else 0
+    fields = [np.moveaxis(f, along, 0) for f in (
+        imm.u, imm.ux, imm.uy, imm.uxx, imm.uxy, imm.uyy, imm.nu)]
+    lines, length = fields[0].shape[:2]
+    u, ux, uy, *_, nu = fields
+    frames = []
+    for line in (0, 1):
+        F = np.stack([x[line, length // 2] for x in (ux, uy, nu, u)[:len(sig)]], axis=1)
+        norm_sq = (sig[:, None] * F * F).sum(0)
+        frames.append((F / np.sqrt(np.abs(norm_sq)), np.sign(norm_sq)))
+    (F, E), (F1, _) = frames
+    R = F1 @ (E[:, None] * F.T) * sig
+    if not np.abs(R.T @ (sig[:, None] * R) - np.diag(sig)).max() <= SHIFT_RTOL:
+        return None
+    step = max(1, _SHIFT_BLOCK // length)
+    for f in fields:
+        worst = scale = 0.0
+        for m in range(0, lines, step):
+            here = f[m:m + step]
+            there = f[np.arange(m + 1, m + 1 + len(here)) % lines]
+            worst = max(worst, np.abs(there - here @ R.T).max())
+            scale = max(scale, np.abs(here).max())
+        if not worst <= SHIFT_RTOL * scale:
+            return None
+    return R
+
+
+def _orbit_sum(grams: list, U: np.ndarray, count: int) -> list:
+    """sum over m < count of (U^m)^T G U^m for each G of ``grams`` (or each
+    matrix of a stack), by doubling: from the sum A_k over the first k lines
+    and U^k, A_2k = A_k + (U^k)^T A_k U^k and A_(2k+1) = G + U^T A_2k U."""
+    acc, power = list(grams), U
+    for bit in bin(count)[3:]:
+        acc = [x + serial_matmul(power.T, serial_matmul(x, power)) for x in acc]
+        power = serial_matmul(power, power)
+        if bit == "1":
+            acc = [x + serial_matmul(U.T, serial_matmul(y, U)) for x, y in zip(grams, acc)]
+            power = serial_matmul(power, U)
+    return acc
+
+
 def grams(imm: Immersion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """N x N Gram matrices of ``second_variation_area``,
     ``second_variation_energy`` and the chart defect 8 int |eta|^2 dx dy on
@@ -466,20 +571,51 @@ def grams(imm: Immersion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     product mode psi_(j,k) = fx_j(x) fy_k(y) every such quantity is
     fy_k X_(a,j) + fx_j Y_(a,k): 2m + 1 modes per point instead of their
     (2m + 1)^2 products, and each product is summed along chart lines
-    before it meets the other factor (``_ModeGram``).  The work is streamed over slabs of
-    ``_MODE_SLAB_WIDTH`` chart columns (``ParamGrid.slabs``) and, within a
-    slab, form by form over the pairs (ambient axis a, component c): each
-    stencil input is a mode times one real coefficient field, sampled on
-    the slab's window only.  No array spans the grid.  Terms that vanish up
-    to roundoff are left out: the connection terms along nu and u_z,
-    <s, u_x> = f <nu, u_x>, and kappa <w, p> p in P(e_a) against tangent
-    vectors w.
+    before it meets the other factor (``_ModeGram``).  The work is streamed
+    over slabs of chart columns (``ParamGrid.slabs``) and, within a slab,
+    form by form over the pairs (ambient axis a, component c): each stencil
+    input is a mode times one real coefficient field, sampled on the slab's
+    window only.  No array spans the grid.  Terms that vanish up to roundoff
+    are left out: the connection terms along nu and u_z, <s, u_x> = f <nu,
+    u_x>, and kappa <w, p> p in P(e_a) against tangent vectors w.
+
+    The slabs cover one orbit representative.  Where a one-step chart shift
+    maps the immersion onto itself by an ambient isometry R
+    (``_chart_shift``: every default identity surface), the forms are
+    invariant under it, so chart line m contributes (U^m)^T G_0 U^m, with
+    G_0 the Grams of line 0 and U = R^-1 (x) S the shift's action on the
+    coefficients: S shifts the trigonometric modes of the shifted axis
+    (``_trig_shift``) and leaves those of the other axis.  Line 0 is the
+    chart column y = 0 on tori (a slab of one column) and the longitude
+    x = 0 on spheres, one point of every column, still slabbed along y; the
+    stencils read the lines around it, the pole flip the antipodal
+    longitude.  The orbit is summed by doubling (``_orbit_sum``).  Without
+    the symmetry the representative is the whole chart, in slabs of
+    ``_MODE_SLAB_WIDTH`` columns, and the orbit trivial.
 
     On sphere charts the Grams over the 25 product modes are projected to
     the span, G = K^T G_25 K with K = I_d (x) T (``_sphere_projection``).
     """
+    return _grams(imm, _chart_shift(imm))
+
+
+def _full_grams(imm: Immersion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``grams`` over the whole chart, as for an immersion without the shift
+    symmetry: the trivial orbit."""
+    return _grams(imm, None)
+
+
+def _grams(imm: Immersion, shift: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """``grams`` over the orbit of the ambient map ``shift`` (None for the
+    trivial orbit)."""
     g, d, kappa = imm.grid, imm.space.dim, imm.space.curvature
-    modes = _chart_modes(g)
+    if shift is None:
+        points, slabs = _x_window(g, slice(None)), g.slabs(_MODE_SLAB_WIDTH)
+    elif g.topology == "torus":
+        points, slabs = _x_window(g, slice(None)), g.slabs(1)[:1]
+    else:
+        points, slabs = _x_window(g, [0]), g.slabs(_ORBIT_SLAB_SCALE * _MODE_SLAB_WIDTH)
+    modes = _chart_modes(g, points)
     fx = modes[0]
     M = len(fx) ** 2
     N = d * M
@@ -494,8 +630,8 @@ def grams(imm: Immersion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # the defect's complex fields come as real arrays with (real, imaginary)
     # interleaved along x, where every mode takes each value twice
     defect_g = _ModeGram(defect, np.repeat(fx, 2, axis=1))
-    for slab in g.slabs(_MODE_SLAB_WIDTH):
-        fs = _ModeSlab(imm, slab, modes)
+    for slab in slabs:
+        fs = _ModeSlab(imm, slab, modes, points)
         if kappa:
             _energy_modes(fs, energy_g, kappa)
         else:
@@ -509,9 +645,23 @@ def grams(imm: Immersion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for form, gram in enumerate((area, energy) if kappa else (area,)):
         for k in range(len(a)):
             gram[a[k] * M:(a[k] + 1) * M, b[k] * M:(b[k] + 1) * M] += point[:, :, form, k]
-    out = (area, energy, defect)
+    out = [area, energy, defect]
+    if shift is not None:
+        sig, n = imm.space.signature, len(fx)
+        # the Grams' indices (a, j, k, b, J, K) with the modes of the
+        # unshifted axis first: U acts on the pairs (a, shifted mode) alone
+        if g.topology == "torus":
+            lines, step, axes = g.ny, 2.0 * np.pi / g.ny, (1, 4, 0, 2, 3, 5)
+        else:
+            lines, step, axes = g.nx, g.hx, (2, 5, 0, 1, 3, 4)
+        out = [x.reshape(d, n, n, d, n, n).transpose(axes).reshape(n * n, d * n, d * n)
+               for x in out]
+        # R^-1 = J R^T J
+        U = np.kron(sig[:, None] * shift.T * sig, _trig_shift(n // 2, step))
+        out = [x.reshape(n, n, d, n, d, n).transpose(np.argsort(axes)).reshape(N, N)
+               for x in _orbit_sum(out, U, lines)]
     if g.topology == "sphere":
-        K = np.kron(np.eye(d), _sphere_projection(imm, fx, g.theta))
+        K = np.kron(np.eye(d), _sphere_projection(imm))
         out = (serial_matmul(K.T, serial_matmul(x, K)) for x in out)
     return tuple(0.5 * (x + x.T) for x in out)
 

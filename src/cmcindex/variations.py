@@ -32,8 +32,7 @@ __all__ = [
     "second_variation_area", "second_variation_energy",
     "second_variation_volume", "second_variation_area_h",
     "second_variation_energy_h", "jacobi_form", "comparison_identity_residual",
-    "fd_second_variation", "volume_primitive_r3", "peter_paul_margin",
-    "energy_curvature_split", "ChartExitError", "FUNCTIONALS",
+    "fd_second_variation", "peter_paul_margin", "ChartExitError", "FUNCTIONALS",
 ]
 
 FUNCTIONALS = ("area", "energy", "volume_h", "area_h", "energy_h")
@@ -324,22 +323,6 @@ def second_variation_energy(imm: Immersion, v) -> float:
     return float(imm.integrate_chart(grad - rm))
 
 
-def energy_curvature_split(imm: Immersion, v) -> tuple[np.ndarray, np.ndarray]:
-    """Complex and real curvature integrands of the energy Hessian.
-
-    Returns (4 Rm(v, u_z, u_zbar, v), Rm(v,u_x,u_x,v) + Rm(v,u_y,u_y,v));
-    the two agree identically, which cross-checks the complex-bilinear
-    extension of the curvature tensor.
-    """
-    vf = _as_field(imm, v)
-    sp = imm.space
-    cplx = 4.0 * amb.riemann(sp, imm.u, vf.v.astype(complex), imm.uz,
-                             imm.uzbar, vf.v.astype(complex))
-    real = (amb.riemann(sp, imm.u, vf.v, imm.ux, imm.ux, vf.v)
-            + amb.riemann(sp, imm.u, vf.v, imm.uy, imm.uy, vf.v))
-    return cplx, real
-
-
 def second_variation_volume(imm: Immersion, v, h_fn: Union[float, Callable],
                             grad_h_fn: Optional[Callable] = None) -> float:
     """Hessian of the enclosed-volume functional with weight dalpha = H dV_N."""
@@ -407,13 +390,6 @@ class ChartExitError(RuntimeError):
     """Deformation left the valid chart region of the ambient space."""
 
 
-def _deformed_frame(imm: Immersion, vf: VariationField, t: float):
-    """Position and chart partials of exp_u(t v) = u + t v on an R3
-    immersion, the frame of ``volume_primitive_r3``."""
-    dxv, dyv = vf._chart_partials()
-    return imm.u + t * vf.v, imm.ux + t * dxv, imm.uy + t * dyv
-
-
 class _FrameData:
     """The t-independent data of the deformed frames exp_u(t v) of one field.
 
@@ -460,10 +436,19 @@ class _FrameData:
         m["ux.vy+vx.uy"] += amb.inner(sp, dxv, imm.uy)
         forms = None
         if not np.isnan(imm.cmc_value):
-            cross = amb.volume_form(sp, u, v, imm.ux, dyv)
-            cross += amb.volume_form(sp, u, v, dxv, imm.uy)
-            forms = (amb.volume_form(sp, u, v, imm.ux, imm.uy), cross,
-                     amb.volume_form(sp, u, v, dxv, dyv))
+            if sp.kind == "S3":
+                # the determinant of the rows (u, v, X, Y), expanded along
+                # (u, v): their minors are shared by the four forms
+                uv = amb._minors(u, v)
+
+                def form(x, y):
+                    return amb._laplace(uv, amb._minors(x, y))
+            else:
+                def form(x, y):
+                    return amb.volume_form(sp, u, v, x, y)
+            cross = form(imm.ux, dyv)
+            cross += form(dxv, imm.uy)
+            forms = (form(imm.ux, imm.uy), cross, form(dxv, dyv))
         return m, forms
 
     def integrals(self, t: float, want_flux: bool):
@@ -591,21 +576,6 @@ def fd_second_variation(functional: str, imm: Immersion, v,
     if functional == "area_h":
         return _second_difference(area, step) + _first_difference(flux, step)
     return _second_difference(energy, step) + _first_difference(flux, step)
-
-
-def volume_primitive_r3(imm: Immersion, v, t: float) -> float:
-    """V_h(exp_u(t v)) from the explicit global primitive in R^3.
-
-    alpha_h = (h/3)(x1 dx2^dx3 - x2 dx1^dx3 + x3 dx1^dx2) pulls back to
-    (h/3) det(p, p_x, p_y) dx dy; only meaningful for R3 immersions.
-    """
-    if imm.space.kind != "R3":
-        raise amb.UnsupportedOperation("global volume primitive exists only in R3")
-    _require_cmc(imm)
-    vf = _as_field(imm, v)
-    p, a, b = _deformed_frame(imm, vf, t)
-    det = amb.volume_form(amb.R3, None, p, a, b)
-    return float(imm.integrate_chart(imm.cmc_value / 3.0 * det))
 
 
 # ----------------------------------------------------------- pointwise bounds

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -205,11 +206,24 @@ def test_normal_part_reduction_on_cmc(name, kw):
         1.0, abs(vr.second_variation_area(imm, tang)))
 
 
+def _energy_curvature_split(imm, vf):
+    """Complex and real curvature integrands of the energy Hessian,
+    (4 Rm(v, u_z, u_zbar, v), Rm(v, u_x, u_x, v) + Rm(v, u_y, u_y, v)): the
+    two agree identically, which cross-checks the complex-bilinear
+    extension of the curvature tensor."""
+    sp = imm.space
+    cplx = 4.0 * amb.riemann(sp, imm.u, vf.v.astype(complex), imm.uz,
+                             imm.uzbar, vf.v.astype(complex))
+    real = (amb.riemann(sp, imm.u, vf.v, imm.ux, imm.ux, vf.v)
+            + amb.riemann(sp, imm.u, vf.v, imm.uy, imm.uy, vf.v))
+    return cplx, real
+
+
 def test_energy_complex_and_real_curvature_terms_agree():
     for name, kw in (("sphere_s3", {}), ("delaunay_t3", {"k": 2})):
         imm = gal.gallery(name, **kw)
         vf = vr.seeded_variation(imm, 31)
-        cplx, real = vr.energy_curvature_split(imm, vf)
+        cplx, real = _energy_curvature_split(imm, vf)
         assert np.abs(cplx.imag).max() < 1e-10 * max(1, np.abs(real).max())
         assert np.abs(cplx.real - real).max() < 1e-10 * max(1, np.abs(real).max())
 
@@ -217,7 +231,7 @@ def test_energy_complex_and_real_curvature_terms_agree():
 def test_flat_ambient_energy_is_pure_dirichlet():
     imm = gal.gallery("delaunay_t3", k=2)
     vf = vr.seeded_variation(imm, 17)
-    _, real = vr.energy_curvature_split(imm, vf)
+    _, real = _energy_curvature_split(imm, vf)
     assert np.abs(real).max() == 0.0
 
 
@@ -261,18 +275,34 @@ def test_fd_oracle_gap_decreases_under_refinement():
     assert gaps[1] > 1e-13  # still genuine truncation, not roundoff
 
 
+def _deformed_frame(imm, vf, t):
+    """Position and chart partials of exp_u(t v) = u + t v on an R3
+    immersion."""
+    dxv, dyv = vf._chart_partials()
+    return imm.u + t * vf.v, imm.ux + t * dxv, imm.uy + t * dyv
+
+
+def _volume_primitive_r3(imm, vf, t):
+    """V_h(exp_u(t v)) from the explicit global primitive in R^3:
+    alpha_h = (h/3)(x1 dx2^dx3 - x2 dx1^dx3 + x3 dx1^dx2) pulls back to
+    (h/3) det(p, p_x, p_y) dx dy."""
+    p, a, b = _deformed_frame(imm, vf, t)
+    det = amb.volume_form(amb.R3, None, p, a, b)
+    return float(imm.integrate_chart(imm.cmc_value / 3.0 * det))
+
+
 def test_r3_primitive_volume_path_agrees():
     # second difference of the explicit primitive = flux-difference oracle
     imm = gal.gallery("sphere_r3")
     vf = vr.seeded_variation(imm, 41)
     step = 1e-3 / vf.norm_inf()
-    f0 = vr.volume_primitive_r3(imm, vf, 0.0)
+    f0 = _volume_primitive_r3(imm, vf, 0.0)
 
     def d2(h):
-        return (-vr.volume_primitive_r3(imm, vf, 2 * h)
-                + 16 * vr.volume_primitive_r3(imm, vf, h) - 30 * f0
-                + 16 * vr.volume_primitive_r3(imm, vf, -h)
-                - vr.volume_primitive_r3(imm, vf, -2 * h)) / (12 * h * h)
+        return (-_volume_primitive_r3(imm, vf, 2 * h)
+                + 16 * _volume_primitive_r3(imm, vf, h) - 30 * f0
+                + 16 * _volume_primitive_r3(imm, vf, -h)
+                - _volume_primitive_r3(imm, vf, -2 * h)) / (12 * h * h)
 
     prim = (16 * d2(step / 2) - d2(step)) / 15
     flux = vr.fd_second_variation("volume_h", imm, vf)
@@ -288,7 +318,7 @@ def test_volume_hessian_with_nonconstant_weight():
     vf = vr.seeded_variation(imm, 43)
 
     def v_alpha(t):
-        p, a, b = vr._deformed_frame(imm, vf, t)
+        p, a, b = _deformed_frame(imm, vf, t)
         det2 = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
         return float(imm.integrate_chart(0.5 * p[..., 2] ** 2 * det2))
 
@@ -453,19 +483,21 @@ def test_fd_oracles_share_frames(monkeypatch):
 
 def test_fd_frame_data_built_once_per_field(monkeypatch):
     # the t-independent frame data is built once for all five oracles on
-    # one field, not per t: four volume forms, and one evaluation of the
-    # geodesic coefficients for each of the seven t
+    # one field, not per t: four volume forms dV_N(u; v, X, Y), which share
+    # the 2x2 minors of (u, v) (five sets of minors in all), and one
+    # evaluation of the geodesic coefficients for each of the seven t
     imm = gal.gallery("sphere_s3", resolution=(32, 16))
     vf = vr.seeded_variation(imm, 63)
-    forms, coefficients = [], []
-    volume_form, coeff = amb.volume_form, amb._coefficients
-    monkeypatch.setattr(amb, "volume_form",
-                        lambda *args: forms.append(1) or volume_form(*args))
+    forms, minors, coefficients = [], [], []
+    laplace, minors_of, coeff = amb._laplace, amb._minors, amb._coefficients
+    monkeypatch.setattr(amb, "_laplace", lambda *args: forms.append(1) or laplace(*args))
+    monkeypatch.setattr(amb, "_minors", lambda *args: minors.append(1) or minors_of(*args))
     monkeypatch.setattr(amb, "_coefficients",
                         lambda space: coefficients.append(1) or coeff(space))
     for fn in vr.FUNCTIONALS:
         vr.fd_second_variation(fn, imm, vf)
     assert len(forms) == 4
+    assert len(minors) == 5
     assert len(coefficients) == 7
 
 
@@ -512,10 +544,18 @@ SPAN_SIZES = {"sphere_r3": 30, "sphere_s3": 60, "sphere_h3": 60,
               "clifford_torus": 100, "delaunay_t3": 75}
 
 
+def _basis(imm):
+    """The N span fields phi_m P(e_a) as one (nx, ny, N, d) array."""
+    g, sp = imm.grid, imm.space
+    phi = np.moveaxis(span._span_scalars(imm, slice(None)), -1, 0)
+    pe = amb.project_tangent(sp, imm.u[..., None, :], np.eye(sp.dim))
+    return (pe[..., :, None, :] * phi[..., None, :, None]).reshape(g.nx, g.ny, -1, sp.dim)
+
+
 @pytest.mark.parametrize("name,kw,res", SPAN_CASES, ids=[c[0] for c in SPAN_CASES])
 def test_span_coefficients_reproduce_seeded_variations(name, kw, res):
     imm = gal.gallery(name, resolution=res, **kw)
-    basis = span.basis(imm)
+    basis = _basis(imm)
     for seed, coef in zip(SEEDS, span.coefficients(imm, SEEDS)):
         v = vr.seeded_variation(imm, seed).v
         field = np.einsum("xyid,i->xyd", basis, coef)
@@ -553,7 +593,7 @@ def test_span_coefficients_bit_for_bit_per_field_decoding(name, kw, res):
     imm = gal.gallery(name, resolution=res, **kw)
     seeds = [0, 1, 7, 697501 * 100003 + 5] + list(range(40, 60))
     new = span.coefficients(imm, seeds)
-    assert span.basis(imm).shape[2] == SPAN_SIZES[name]
+    assert _basis(imm).shape[2] == SPAN_SIZES[name]
     assert new.shape == (len(seeds), SPAN_SIZES[name])
     assert np.array_equal(new, _coefficients_per_field(imm, seeds))
 
@@ -601,7 +641,7 @@ def test_span_grams_match_per_field_forms(name, kw, res):
     the span fields themselves: each within 1e-12 of the Gram's largest
     entry."""
     imm = gal.gallery(name, resolution=res, **kw)
-    fields = np.moveaxis(span.basis(imm), 2, 0)
+    fields = np.moveaxis(_basis(imm), 2, 0)
     grams = span.grams(imm)
 
     def forms(v):
@@ -626,7 +666,7 @@ def _dense_grams(imm):
     of fields i and j; ``inner`` and ``rm`` are the pointwise matrices of
     <a, b> and Rm(a, u_x, u_x, b) + Rm(a, u_y, u_y, b)."""
     sp, sf = imm.space, imm.second_form
-    fields = [vr.VariationField(imm, v) for v in np.moveaxis(span.basis(imm), 2, 0)]
+    fields = [vr.VariationField(imm, v) for v in np.moveaxis(_basis(imm), 2, 0)]
     aw, cw = imm.area_weights, imm.chart_weights
     e2i, h = 1.0 / imm.e2lam, sf.mean_scalar
     a, b = np.eye(sp.dim)[:, None], np.eye(sp.dim)[None]
@@ -675,13 +715,63 @@ def test_torus_grams_match_slab_assembly(name, kw, res):
         assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def _grams_independent_of_slab_width(name, kw, res, monkeypatch):
+# the default identity surfaces at their default grids, and at line counts
+# that are not powers of two
+ORBIT_CASES = [(name, kw, res) for name, kw, _ in SPAN_CASES for res in (
+    ((64, 48), (40, 24)) if name.startswith("sphere") else ((64, 64), (48, 40)))]
+
+
+@pytest.mark.parametrize("name,kw,res", ORBIT_CASES,
+                         ids=[f"{c[0]}-{c[2][0]}x{c[2][1]}" for c in ORBIT_CASES])
+def test_orbit_grams_match_whole_chart(name, kw, res):
+    """Each default identity surface maps onto itself under a one-step
+    chart shift, so its Grams come from one chart line and the shift's
+    orbit; against the whole-chart assembly each form agrees within 1e-13
+    of its largest entry."""
     imm = gal.gallery(name, resolution=res, **kw)
-    grams = span.grams(imm)
-    for width in (1, 3):
-        monkeypatch.setattr(span, "_MODE_SLAB_WIDTH", width)
-        for ref, other in zip(grams, span.grams(imm)):
-            assert np.abs(other - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert span._chart_shift(imm) is not None
+    for new, ref in zip(span.grams(imm), span._full_grams(imm)):
+        assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_grams_without_shift_symmetry_take_whole_chart():
+    """sphere_r3 with u and every chart partial mapped by diag(1, 1.2, 0.8)
+    is an ellipsoid, which no chart shift maps onto itself by an isometry:
+    its Grams are the whole-chart assembly, bit for bit."""
+    imm = gal.gallery("sphere_r3", resolution=(32, 24))
+    stretch = np.array([1.0, 1.2, 0.8])
+    ellipsoid = dataclasses.replace(imm, **{k: getattr(imm, k) * stretch for k in (
+        "u", "ux", "uy", "uxx", "uxy", "uyy")})
+    assert span._chart_shift(imm) is not None
+    assert span._chart_shift(ellipsoid) is None
+    for new, ref in zip(span.grams(ellipsoid), span._full_grams(ellipsoid)):
+        assert np.array_equal(new, ref)
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 6, 7, 40])
+def test_orbit_sum_equals_term_by_term_sum(count):
+    """The doubling sum of (T^m)^T G T^m over m < count against the sum
+    taken term by term."""
+    rng = np.random.default_rng(count)
+    T = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+    grams = [rng.standard_normal((12, 12)) for _ in range(3)]
+    power, ref = np.eye(12), [np.zeros((12, 12)) for _ in grams]
+    for _ in range(count):
+        ref = [r + power.T @ g @ power for r, g in zip(ref, grams)]
+        power = power @ T
+    for new, r in zip(span._orbit_sum(grams, T, count), ref):
+        assert np.abs(new - r).max() <= 1e-13 * np.abs(r).max()
+
+
+def _grams_independent_of_slab_width(name, kw, res, monkeypatch, assemblies):
+    imm = gal.gallery(name, resolution=res, **kw)
+    for assemble in assemblies:
+        monkeypatch.undo()
+        grams = assemble(imm)
+        for width in (1, 3):
+            monkeypatch.setattr(span, "_MODE_SLAB_WIDTH", width)
+            for ref, other in zip(grams, assemble(imm)):
+                assert np.abs(other - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 SPHERE_WIDTH_CASES, TORUS_WIDTH_CASES = (
@@ -696,15 +786,31 @@ def test_sphere_grams_independent_of_slab_width(name, kw, res, monkeypatch):
     columns per slab, on a grid whose column count the widths divide and on
     one where the last slab is short: each form within 1e-13 of its
     largest entry.  Pole slabs carry the y parts of both longitude
-    parities, the others one."""
-    _grams_independent_of_slab_width(name, kw, res, monkeypatch)
+    parities, the others one.  Both the whole chart and the orbit
+    representative, one x column, are slabbed along y."""
+    _grams_independent_of_slab_width(name, kw, res, monkeypatch,
+                                     (span._full_grams, span.grams))
 
 
 @pytest.mark.parametrize("name,kw,res", TORUS_WIDTH_CASES,
                          ids=[f"{c[0]}-{c[2][0]}x{c[2][1]}" for c in TORUS_WIDTH_CASES])
 def test_torus_grams_independent_of_slab_width(name, kw, res, monkeypatch):
-    """As ``test_sphere_grams_independent_of_slab_width``, on torus charts."""
-    _grams_independent_of_slab_width(name, kw, res, monkeypatch)
+    """As ``test_sphere_grams_independent_of_slab_width``, on torus charts,
+    over the whole chart: the orbit representative is one slab of one
+    column."""
+    _grams_independent_of_slab_width(name, kw, res, monkeypatch, (span._full_grams,))
+
+
+def _traced_peak(assemble, imm):
+    """The tracemalloc peak of ``assemble(imm)`` after a first call, which
+    leaves the immersion's geometry and the stencil tables cached."""
+    assemble(imm)
+    tracemalloc.start()
+    try:
+        assemble(imm)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_span_grams_stream_within_memory_budget():
@@ -712,18 +818,19 @@ def test_span_grams_stream_within_memory_budget():
     element over the whole grid, (nx, ny, N) doubles, would already take
     3.1 MiB for the Clifford torus at 64x64 and 1.4 MiB for sphere_s3 at
     64x48.  The sphere budget is the peak that 3-column slabs had
-    (1.6-1.8 MiB), so that wider slabs cannot buy time with memory."""
-    for name, kw, res, budget in (("clifford_torus", {}, (64, 64), 4),
-                                  ("sphere_s3", {"radius": 0.9}, (64, 48), 2)):
-        imm = gal.gallery(name, resolution=res, **kw)
-        span.grams(imm)  # the immersion's geometry and the stencil tables stay cached
-        tracemalloc.start()
-        try:
-            span.grams(imm)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= budget * 2 ** 20, name
+    (1.6-1.8 MiB), so that wider slabs cannot buy time with memory.  The
+    whole-chart assembly is held to the budgets at the default grids, and
+    the orbit assembly, with its line-by-line symmetry check, also at
+    256x256 and 256x128, where one whole-grid vector field alone takes 2
+    and 1 MiB."""
+    for name, kw, grids, budget in (("clifford_torus", {}, ((64, 64), (256, 256)), 4),
+                                    ("sphere_s3", {"radius": 0.9}, ((64, 48), (256, 128)), 2)):
+        for res in grids:
+            imm = gal.gallery(name, resolution=res, **kw)
+            assert span._chart_shift(imm) is not None
+            assemblies = (span.grams, span._full_grams) if res[0] == 64 else (span.grams,)
+            for assemble in assemblies:
+                assert _traced_peak(assemble, imm) <= budget * 2 ** 20, (name, res, assemble)
 
 
 GRAM_DIGEST = """
