@@ -175,14 +175,15 @@ def heat_trace_bound_check(imm: Immersion, lb_result: sp.SpectralResult,
 
     h(t) <= (1+d)^2/(2 pi) Area (h^2+4J^2) (e^(b t)/(e^(b t)-1))^2 with
     b = d(1+d) a, a = (h^2+4J^2)/2; needs a > 0 (fails for h = J = 0).
+    ``delta`` (d above) must be finite and > 0.
     """
     j = _require_extrinsic(imm)
     h = imm.cmc_value
     alpha = 0.5 * (h * h + 4.0 * j * j)
     if alpha <= 0:
         raise amb.UnsupportedOperation("heat-trace bound degenerates when h = J = 0")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be finite and > 0, got {delta!r}")
     beta = delta * (1.0 + delta) * alpha
     ts = np.asarray(t_grid if t_grid is not None else default_t_grid(), dtype=float)
     a = area(imm)

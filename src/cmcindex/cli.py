@@ -22,17 +22,17 @@ one thread (``spectral``), where a second BLAS thread would only spin.
 Every seeded variation of a surface lies in one span of N fields (N = 30 to
 100 on the default surfaces).  ``identity`` assembles once per surface the
 N x N Gram matrices of d2A, d2E and the chart defect 8 int |eta|^2 dx dy
-(``span.grams``, streamed over slabs of chart columns from the x and y
-factors of product modes, summed along chart lines, and on spheres
-projected onto the span).  Every default surface maps onto itself under a
-one-step chart shift that rotates the ambient space, so the Grams come
-from one chart line and the shift's orbit, at a cost that follows the line
-and not the grid; a surface without that symmetry is assembled over the
-whole chart.  Each variation's row is written from its coefficient vector
-c as c^T G c (``span.identity_residuals``), so a row depends only on its
-surface and seed.  Every BLAS product stays below OpenBLAS's threading threshold
-(``grids.serial_matmul``); the outputs were checked byte-identical at
-OPENBLAS_NUM_THREADS 1 and 2 with the OpenBLAS bundled with numpy.
+(``span.grams``: the stencil jets of all N fields at chunks of chart
+points, each form one weighted product of those jets).  Every default
+surface maps onto itself under a one-step chart shift that rotates the
+ambient space, so the Grams come from one chart line and the shift's
+orbit, at a cost that follows the line and not the grid; a surface
+without that symmetry is assembled over the whole chart.  Each
+variation's row is written from its coefficient vector c as c^T G c
+(``span.identity_residuals``), so a row depends only on its surface and
+seed.  The Gram products run numpy's OpenBLAS on one thread, as the
+spectral calls do (``spectral``); the outputs were checked byte-identical
+at OPENBLAS_NUM_THREADS 1 and 2 with the OpenBLAS bundled with numpy.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ holds each stencil (the 8th-order centered first derivative and the sawtooth
 filter) as a pair of dense 1-D matrices per chart axis, built once per grid.
 The pole closure and the Mercator factor sin(theta) live only there.
 ``diff_x`` and ``diff_y`` apply the derivative pair to sampled fields,
-``slabs`` cuts the y pair into runs of chart columns for the span Grams,
-and ``spectral`` assembles its stiffness from the same pairs.  Closed
+``span`` reads the rows of the pair at the chart points of its Grams, and
+``spectral`` assembles its stiffness from the same pairs.  Closed
 surface data is always evaluated analytically; the fixed-order stencils only
 touch sampled variation fields, which keeps their discretization error
 visible and convergent under refinement instead of collapsing to roundoff.
@@ -170,13 +170,6 @@ class ParamGrid:
                 out[h:, rows] += flipped[:h]
         return out.view(f.dtype).reshape(f.shape)
 
-    def slabs(self, width: int) -> tuple["Slab", ...]:
-        """The chart columns in runs of ``width`` (the last may be shorter),
-        each with the y stencil restricted to the columns it reads (its
-        window): on the slab's columns, d/dy of a field f is
-        ``interior @ f[window]`` plus, at ``flip_rows``, ``flip @ f[window]``
-        at the antipodal longitude.  Built once per (grid, width)."""
-        return _slabs(self, width)
     # ------------------------------------------------- 1-D axis stencils
     def axis_stencil(self, axis: int, name: str) -> tuple[np.ndarray, np.ndarray]:
         """Dense 1-D matrices (interior, flip) of one stiffness stencil along
@@ -232,34 +225,6 @@ def _axis_stencil(g: ParamGrid, axis: int, name: str) -> tuple[np.ndarray, np.nd
     return mats[0], mats[1] if pole else np.broadcast_to(0.0, (n, n))
 
 
-# OpenBLAS runs a product of m n k <= 2^18 multiply-adds on one thread and
-# splits larger ones between its threads, which changes the bits of the
-# result with the thread count.  The threshold is 65536 times the build-time
-# GEMM_MULTITHREAD_THRESHOLD, assumed at its default of 4 (as in the OpenBLAS
-# 0.3.31 bundled with numpy, where outputs were checked at 1 and 2 threads);
-# a build with a smaller setting threads smaller products
-SERIAL_PRODUCT = 1 << 18
-
-
-def serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, stacked operands broadcast as in ``np.matmul``, in blocks of
-    rows of a and columns of b whose products are each below
-    ``SERIAL_PRODUCT``: the same bits whatever the number of BLAS threads.
-    numpy runs a stack as one BLAS product per matrix."""
-    (m, k), n = a.shape[-2:], b.shape[-1]
-    cols = max(1, min(n, SERIAL_PRODUCT // k))
-    rows = max(1, min(m, SERIAL_PRODUCT // (k * cols)))
-    if rows == m and cols == n:
-        return np.matmul(a, b)
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (m, n),
-                   np.result_type(a, b))
-    for i in range(0, m, rows):
-        for j in range(0, n, cols):
-            np.matmul(a[..., i:i + rows, :], b[..., j:j + cols],
-                      out=out[..., i:i + rows, j:j + cols])
-    return out
-
-
 @lru_cache(maxsize=32)
 def _pole_flip(g: ParamGrid) -> tuple[np.ndarray, np.ndarray]:
     """The nonzero rows of the sphere y flip factor of ``"diff"`` (the
@@ -270,40 +235,6 @@ def _pole_flip(g: ParamGrid) -> tuple[np.ndarray, np.ndarray]:
     for x in (rows, flip):
         x.setflags(write=False)
     return rows, flip
-
-
-@dataclass(frozen=True, eq=False)
-class Slab:
-    """A run of chart columns with the y factors of ``"diff"`` restricted to
-    the columns its rows reach (see ``ParamGrid.slabs``)."""
-
-    cols: slice            # the chart columns of the slab
-    window: np.ndarray     # the columns its y stencil reads, ascending
-    inner: slice           # where ``cols`` sit inside ``window``
-    interior: np.ndarray   # interior factor, rows ``cols`` x columns ``window``
-    flip_rows: np.ndarray  # slab rows, counted from the slab's first, the flip reaches
-    flip: np.ndarray       # flip factor, rows ``flip_rows`` x columns ``window``
-
-
-@lru_cache(maxsize=32)
-def _slabs(g: ParamGrid, width: int) -> tuple[Slab, ...]:
-    if width < 1:
-        raise ValueError("slab width must be at least 1")
-    P, Q = g.axis_stencil(1, "diff")
-    flip_rows = _pole_flip(g)[0] if g.topology == "sphere" else np.arange(0)
-    out = []
-    for j0 in range(0, g.ny, width):
-        cols = slice(j0, min(j0 + width, g.ny))
-        frows = flip_rows[(flip_rows >= cols.start) & (flip_rows < cols.stop)]
-        # the centered stencil skips its own row, so the slab's columns are
-        # added; they are a contiguous run of the ascending window
-        reach = P[cols].any(axis=0) | Q[frows].any(axis=0)
-        reach[cols] = True
-        window = np.flatnonzero(reach)
-        start = int(np.searchsorted(window, cols.start))
-        out.append(Slab(cols, window, slice(start, start + cols.stop - cols.start),
-                        P[cols][:, window], frows - cols.start, Q[frows][:, window]))
-    return tuple(out)
 
 
 def torus_grid(nx: int, ny: int, lx: float = TWO_PI, ly: float = TWO_PI) -> ParamGrid:

@@ -46,7 +46,11 @@ restore its thread count when the last concurrent caller returns.  At
 these block sizes a second OpenBLAS thread buys no wall-clock time, but
 ``eigh`` on blocks of 26 or more (LAPACK's divide and conquer), and
 ``eigvalsh`` and the cross-axis products at L = 80, wake it, and it then
-spins for 0.10-0.15 s of CPU.
+spins for 0.10-0.15 s of CPU.  ``span.grams`` and
+``span.identity_residuals`` run under the same pin (``_SERIAL_BLAS``), the
+package's one mechanism for results that do not depend on the BLAS thread
+count: OpenBLAS splits a product larger than its threading threshold
+between its threads, and the split changes the bits of the result.
 """
 
 from __future__ import annotations

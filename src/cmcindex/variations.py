@@ -585,7 +585,10 @@ def peter_paul_margin(imm: Immersion, v, eps: float) -> np.ndarray:
 
     rhs - lhs with lhs = |e^{-2lam} h (w(v, nabla_x v, u_y) + w(v, u_x, nabla_y v))|
     and rhs = eps h^2 |v|^2 + (2 eps)^{-1} e^{-2lam} (|nabla_x v|^2 + |nabla_y v|^2).
+    ``eps`` must be finite and > 0.
     """
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"Peter-Paul eps must be finite and > 0, got {eps!r}")
     _require_cmc(imm)
     vf = _as_field(imm, v)
     sp = imm.space

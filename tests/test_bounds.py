@@ -158,6 +158,16 @@ def test_heat_trace_bound_large_t_limit():
     assert limit > 1.0
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, math.nan, math.inf])
+def test_heat_trace_bound_rejects_delta_outside_open_half_line(delta):
+    """A delta of 0, < 0, NaN or inf raises ValueError instead of giving
+    NaN or infinite margins."""
+    imm = surface("sphere_r3")
+    _, lb = laplace_solve("sphere_r3")
+    with pytest.raises(ValueError, match="delta"):
+        bd.heat_trace_bound_check(imm, lb, delta=delta)
+
+
 def test_heat_trace_bound_rejects_degenerate():
     # fabricate h = J = 0 by viewing the Clifford chart with a flat J
     import dataclasses

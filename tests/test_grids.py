@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmcindex.grids import ParamGrid, serial_matmul, sphere_grid, torus_grid
+from cmcindex.grids import ParamGrid, sphere_grid, torus_grid
 
 
 def test_resolution_floor_enforced():
@@ -97,34 +97,3 @@ def test_theta_weights_positive():
         assert np.all(g.theta_weights > 0)
         # integrates sin(theta) exactly: total 2
         assert abs((g.theta_weights * np.sin(g.theta)).sum() - 2.0) < 1e-13
-
-
-@pytest.mark.parametrize("grid", [torus_grid(24, 16, 1.3, 0.7), torus_grid(8, 8),
-                                  sphere_grid(16, 12), sphere_grid(12, 8)],
-                         ids=["torus", "torus-small", "sphere", "sphere-small"])
-def test_slab_stencils_match_full_stencils(grid):
-    """The slabs tile the chart columns, and on each one the interior factor
-    on its window, plus the flip factor at ``flip_rows`` on the antipodal
-    column (the x halves swapped), reproduce ``diff_y``."""
-    rng = np.random.default_rng(5)
-    f = rng.standard_normal((grid.nx, grid.ny, 3))
-    ref = grid.diff_y(f)
-    antipodal = np.roll(f, grid.nx // 2, axis=0)
-    for width in (1, 2, 3, 5):
-        slabs = grid.slabs(width)
-        assert [j for s in slabs for j in range(grid.ny)[s.cols]] == list(range(grid.ny))
-        for slab in slabs:
-            assert list(slab.window[slab.inner]) == list(range(grid.ny)[slab.cols])
-            dy = np.einsum("yw,xwc->xyc", slab.interior, f[:, slab.window])
-            dy[:, slab.flip_rows] += np.einsum("yw,xwc->xyc", slab.flip,
-                                               antipodal[:, slab.window])
-            assert np.abs(dy - ref[:, slab.cols]).max() <= 1e-13 * np.abs(ref).max()
-
-
-def test_serial_matmul_blocks_equal_product():
-    rng = np.random.default_rng(6)
-    for stack, (m, k, n) in (((), (3, 5, 7)), ((), (300, 64, 400)), ((), (2, 70000, 8)),
-                             ((4, 1), (40, 128, 100))):
-        a, b = rng.standard_normal(stack + (m, k)), rng.standard_normal(stack[1:] + (k, n))
-        ref = a @ b
-        assert np.abs(serial_matmul(a, b) - ref).max() <= 1e-12 * np.abs(ref).max()

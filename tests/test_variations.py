@@ -531,6 +531,15 @@ def test_peter_paul_pointwise(name, kw):
             assert marg.min() > -1e-12 * max(1.0, np.abs(marg).max())
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.5, np.nan, np.inf])
+def test_peter_paul_margin_rejects_eps_outside_open_half_line(eps):
+    """An eps of 0 (a ZeroDivisionError before), < 0, NaN or inf raises
+    ValueError instead of returning meaningless margins."""
+    imm = gal.gallery("sphere_r3", resolution=(16, 8))
+    with pytest.raises(ValueError, match="eps"):
+        vr.peter_paul_margin(imm, vr.seeded_variation(imm, 1), eps)
+
+
 # ------------------------------------------------------------- the seeded span
 
 # the five default identity surfaces, on coarse grids
@@ -547,7 +556,7 @@ SPAN_SIZES = {"sphere_r3": 30, "sphere_s3": 60, "sphere_h3": 60,
 def _basis(imm):
     """The N span fields phi_m P(e_a) as one (nx, ny, N, d) array."""
     g, sp = imm.grid, imm.space
-    phi = np.moveaxis(span._span_scalars(imm, slice(None)), -1, 0)
+    phi = span._span_scalars(imm, np.arange(g.nx * g.ny)).reshape(g.nx, g.ny, -1)
     pe = amb.project_tangent(sp, imm.u[..., None, :], np.eye(sp.dim))
     return (pe[..., :, None, :] * phi[..., None, :, None]).reshape(g.nx, g.ny, -1, sp.dim)
 
@@ -700,19 +709,81 @@ def _dense_grams(imm):
     return area, energy, defect
 
 
-TORUS_CASES = [(name, kw, res) for name, kw, _ in SPAN_CASES[3:]
-               for res in ((32, 32), (48, 32))]
+TORUS_CASES, SPHERE_CASES = (
+    [(name, kw, res) for name, kw, _ in cases for res in ((32, 32), (48, 32))]
+    for cases in (SPAN_CASES[3:], SPAN_CASES[:3]))
+
+
+def _assert_grams_match_dense(grams, imm):
+    for new, ref in zip(grams, _dense_grams(imm)):
+        assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("name,kw,res", TORUS_CASES,
                          ids=[f"{c[0]}-{c[2][0]}x{c[2][1]}" for c in TORUS_CASES])
 def test_torus_grams_match_slab_assembly(name, kw, res):
-    """The torus Grams, assembled over chart slabs from the factors
-    fx_j(x) fy_k(y) of the span scalars, against ``_dense_grams``: every
-    entry of each form within 1e-13 of its largest entry."""
+    """The torus Grams, from the chart column y = 0 and its shift orbit,
+    against ``_dense_grams``: every entry of each form within 1e-13 of its
+    largest entry."""
     imm = gal.gallery(name, resolution=res, **kw)
-    for new, ref in zip(span.grams(imm), _dense_grams(imm)):
-        assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+    _assert_grams_match_dense(span.grams(imm), imm)
+
+
+@pytest.mark.parametrize("name,kw,res", SPHERE_CASES,
+                         ids=[f"{c[0]}-{c[2][0]}x{c[2][1]}" for c in SPHERE_CASES])
+def test_sphere_grams_match_dense_assembly(name, kw, res):
+    """As ``test_torus_grams_match_slab_assembly``, on the three spheres,
+    whose Grams come from the longitude x = 0 and its shift orbit."""
+    imm = gal.gallery(name, resolution=res, **kw)
+    assert span._chart_shift(imm) is not None
+    _assert_grams_match_dense(span.grams(imm), imm)
+
+
+# grids where the x and the y stencil read different numbers of points: on
+# an axis of 8 points the offsets +4 and -4 meet and cancel
+NARROW_CASES = [(name, kw, (8, 8) if name.startswith("sphere") else (16, 8))
+                for name, kw, _ in SPAN_CASES]
+
+
+@pytest.mark.parametrize("name,kw,res", NARROW_CASES, ids=[c[0] for c in NARROW_CASES])
+def test_grams_with_unequal_stencil_widths_match_dense_assembly(name, kw, res):
+    """The Grams against ``_dense_grams`` where the x and the y stencil read
+    different numbers of points at each chart point."""
+    imm = gal.gallery(name, resolution=res, **kw)
+    (x, _), (y, _) = span._stencils(imm.grid, np.arange(imm.grid.nx * imm.grid.ny))
+    assert x.shape[1] != y.shape[1]
+    _assert_grams_match_dense(span.grams(imm), imm)
+
+
+def _stretched(imm):
+    """``imm`` with u and every chart partial mapped by diag(1, 1.2, 0.8):
+    no chart shift maps it onto itself by an isometry."""
+    stretch = np.array([1.0, 1.2, 0.8])
+    return dataclasses.replace(imm, **{k: getattr(imm, k) * stretch for k in (
+        "u", "ux", "uy", "uxx", "uxy", "uyy")})
+
+
+@pytest.mark.parametrize("name,kw,res", [("sphere_r3", {}, (32, 24)),
+                                         ("delaunay_t3", {"k": 1}, (32, 16))],
+                         ids=["sphere_r3", "delaunay_t3"])
+def test_grams_without_shift_symmetry_match_dense_assembly(name, kw, res):
+    """The whole-chart path, the trivial orbit, against ``_dense_grams`` on
+    stretched surfaces that have no chart symmetry."""
+    imm = _stretched(gal.gallery(name, resolution=res, **kw))
+    assert span._chart_shift(imm) is None
+    _assert_grams_match_dense(span.grams(imm), imm)
+
+
+@pytest.mark.parametrize("name,kw,res", SPAN_CASES[:3], ids=[c[0] for c in SPAN_CASES[:3]])
+def test_sphere_span_scalars_shift_by_polynomial_map(name, kw, res):
+    """The span scalars on longitude 1 equal those on longitude 0 mapped by
+    A = ``_polynomial_shift(R)``, R the ambient map of the chart shift:
+    phi_m(R p) = sum_m' A[m', m] phi_m'(p)."""
+    imm = gal.gallery(name, resolution=res, **kw)
+    ny = imm.grid.ny
+    line0, line1 = (span._span_scalars(imm, np.arange(ny) + m * ny) for m in (0, 1))
+    mapped = line0 @ span._polynomial_shift(span._chart_shift(imm))
+    assert np.abs(mapped - line1).max() <= 1e-14 * np.abs(line1).max()
 
 
 # the default identity surfaces at their default grids, and at line counts
@@ -763,42 +834,24 @@ def test_orbit_sum_equals_term_by_term_sum(count):
         assert np.abs(new - r).max() <= 1e-13 * np.abs(r).max()
 
 
-def _grams_independent_of_slab_width(name, kw, res, monkeypatch, assemblies):
+CHUNK_CASES = [(name, kw, res) for name, kw, _ in SPAN_CASES for res in ((32, 24), (32, 26))]
+
+
+@pytest.mark.parametrize("name,kw,res", CHUNK_CASES,
+                         ids=[f"{c[0]}-{c[2][0]}x{c[2][1]}" for c in CHUNK_CASES])
+def test_grams_independent_of_chunk_size(name, kw, res, monkeypatch):
+    """The Grams at the chunk size in use against chunks of one and three
+    chart points (the last chunk short where 3 does not divide the point
+    count): each form within 1e-13 of its largest entry, on the orbit line
+    and over the whole chart."""
     imm = gal.gallery(name, resolution=res, **kw)
-    for assemble in assemblies:
+    for assemble in (span.grams, span._full_grams):
         monkeypatch.undo()
         grams = assemble(imm)
-        for width in (1, 3):
-            monkeypatch.setattr(span, "_MODE_SLAB_WIDTH", width)
+        for size in (1, 3):
+            monkeypatch.setattr(span, "_CHUNK", size)
             for ref, other in zip(grams, assemble(imm)):
                 assert np.abs(other - ref).max() <= 1e-13 * np.abs(ref).max()
-
-
-SPHERE_WIDTH_CASES, TORUS_WIDTH_CASES = (
-    [(name, kw, res) for name, kw, _ in cases for res in ((32, 24), (32, 26))]
-    for cases in (SPAN_CASES[:3], SPAN_CASES[3:]))
-
-
-@pytest.mark.parametrize("name,kw,res", SPHERE_WIDTH_CASES,
-                         ids=[f"{c[0]}-{c[2][0]}x{c[2][1]}" for c in SPHERE_WIDTH_CASES])
-def test_sphere_grams_independent_of_slab_width(name, kw, res, monkeypatch):
-    """The Grams at the slab width in use against one and three chart
-    columns per slab, on a grid whose column count the widths divide and on
-    one where the last slab is short: each form within 1e-13 of its
-    largest entry.  Pole slabs carry the y parts of both longitude
-    parities, the others one.  Both the whole chart and the orbit
-    representative, one x column, are slabbed along y."""
-    _grams_independent_of_slab_width(name, kw, res, monkeypatch,
-                                     (span._full_grams, span.grams))
-
-
-@pytest.mark.parametrize("name,kw,res", TORUS_WIDTH_CASES,
-                         ids=[f"{c[0]}-{c[2][0]}x{c[2][1]}" for c in TORUS_WIDTH_CASES])
-def test_torus_grams_independent_of_slab_width(name, kw, res, monkeypatch):
-    """As ``test_sphere_grams_independent_of_slab_width``, on torus charts,
-    over the whole chart: the orbit representative is one slab of one
-    column."""
-    _grams_independent_of_slab_width(name, kw, res, monkeypatch, (span._full_grams,))
 
 
 def _traced_peak(assemble, imm):
@@ -814,15 +867,15 @@ def _traced_peak(assemble, imm):
 
 
 def test_span_grams_stream_within_memory_budget():
-    """The Grams are streamed over slabs of the chart: one field per basis
-    element over the whole grid, (nx, ny, N) doubles, would already take
-    3.1 MiB for the Clifford torus at 64x64 and 1.4 MiB for sphere_s3 at
-    64x48.  The sphere budget is the peak that 3-column slabs had
-    (1.6-1.8 MiB), so that wider slabs cannot buy time with memory.  The
-    whole-chart assembly is held to the budgets at the default grids, and
-    the orbit assembly, with its line-by-line symmetry check, also at
-    256x256 and 256x128, where one whole-grid vector field alone takes 2
-    and 1 MiB."""
+    """The Grams are streamed over chunks of chart points: one field per
+    basis element over the whole grid, (nx, ny, N) doubles, would already
+    take 3.1 MiB for the Clifford torus at 64x64 and 1.4 MiB for sphere_s3
+    at 64x48.  The sphere budget is the peak that 3-column slabs of an
+    earlier engine had (1.6-1.8 MiB), so that larger chunks cannot buy time
+    with memory.  The whole-chart assembly is held to the budgets at the
+    default grids, and the orbit assembly, with its line-by-line symmetry
+    check, also at 256x256 and 256x128, where one whole-grid vector field
+    alone takes 2 and 1 MiB."""
     for name, kw, grids, budget in (("clifford_torus", {}, ((64, 64), (256, 256)), 4),
                                     ("sphere_s3", {"radius": 0.9}, ((64, 48), (256, 128)), 2)):
         for res in grids:
