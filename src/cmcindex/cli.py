@@ -221,10 +221,11 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, header: list[str], rows: list) -> None:
+    """Write the rows, each a list of cells or a line formatted already."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
+        lines.append(row if isinstance(row, str) else ",".join(_csv_cell(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -269,14 +270,16 @@ def cmd_identity(cfg: RunConfig) -> int:
         # each surface is needed once: held by no cache, its geometry is
         # freed before the next surface is built
         imm = _build(desc, cached=False)
+        key = _surface_key(desc)
         seeds = [cfg.seed * 100003 + i for i in range(cfg.variations)]
         rows, worst = [], 0.0
         for seed, rep in zip(seeds, span.identity_residuals(imm, seeds)):
             worst = max(worst, rep["residual_rel"])
-            rows.append([_surface_key(desc), seed,
-                         rep["d2_area"], rep["d2_energy"], rep["defect_chart"],
-                         rep["residual_abs"], rep["residual_rel"]])
-        return {"surface": _surface_key(desc), "max_residual": worst,
+            # the forms are Python floats: repr is the cell ``_csv_cell`` writes
+            rows.append(f"{key},{seed},{rep['d2_area']!r},{rep['d2_energy']!r},"
+                        f"{rep['defect_chart']!r},{rep['residual_abs']!r},"
+                        f"{rep['residual_rel']!r}")
+        return {"surface": key, "max_residual": worst,
                 "pass": bool(worst < cfg.tolerance), "rows": rows}
 
     results = [worker(d) for d in sorted(cfg.surfaces, key=_surface_key)]

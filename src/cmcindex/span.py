@@ -8,9 +8,11 @@ are the products of 1, cos(j t), sin(j t) (j <= m) in the two chart angles,
 M = (2m + 1)^2; on spheres the polynomials of degree <= 2 in the ambient
 coordinates, M = 1 + d + d(d + 1)/2.  P is pointwise linear, so every seeded
 variation lies in the span of the N = d M fields phi_m P(e_a), numbered
-a M + m, and its coefficients there are its rng draws (``coefficients``).
-``seeded_variation`` takes the seed alone, so the degree and decay read
-back here are the only ones any seeded field is drawn with.
+a M + m, and its coefficients there are its rng draws (``coefficients``:
+``variations._scalar_draws`` of the d fields of each seed in one call,
+converted for all seeds at once).  ``seeded_variation`` takes the seed
+alone, so the degree and decay read back here are the only ones any
+seeded field is drawn with.
 
 ``grams`` assembles the N x N Gram matrices of ``second_variation_area``,
 ``second_variation_energy`` and the chart defect 8 int |eta|^2 dx dy, so
@@ -33,6 +35,8 @@ imports this module on demand, and the other commands never compile it.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -74,36 +78,47 @@ def _span_scalars(imm: Immersion, points: np.ndarray) -> np.ndarray:
     return np.concatenate([np.ones((len(p), 1)), p, p[:, a] * p[:, b]], axis=1)
 
 
-def _waves(j: int, phase: np.ndarray) -> list:
-    """cos(j t + phase) = cos(phase) cos(j t) - sin(phase) sin(j t) as
-    (row of ``_trig_modes``, coefficient) pairs."""
-    if j == 0:
-        return [(0, np.cos(phase))]
-    return [(2 * j - 1, np.cos(phase)), (2 * j, -np.sin(phase))]
+@lru_cache(maxsize=1)
+def _seed_states(seeds: tuple) -> tuple:
+    """The bit-generator states of ``default_rng(s)`` for the seeds s.
+    ``cmcindex identity`` reads the same seeds on every surface, and
+    setting a state costs about a tenth of seeding a generator.  The
+    states of the last seed list stay held, about 0.6 KB per seed."""
+    return tuple(np.random.default_rng(s).bit_generator.state for s in seeds)
 
 
 def coefficients(imm: Immersion, seeds) -> np.ndarray:
     """Coefficients (len(seeds), N) of ``seeded_variation(imm, s)`` for each
-    seed s in the span basis: the same rng draws, read as mode coefficients."""
+    seed s in the span basis: the same rng draws (``_scalar_draws``, d
+    fields per seed, from the seeds' generator states ``_seed_states``),
+    read as mode coefficients for all seeds at once.  A row depends only on
+    its own seed."""
     d, n = imm.space.dim, len(seeds)
-    # every field's draws, then one conversion per kind of draw
-    draws = [_scalar_draws(imm, rng, None, _VARIATION_DECAY)
-             for rng in map(np.random.default_rng, seeds) for _ in range(d)]
+    rng = np.random.default_rng(0)
+
+    def fields(state):  # the draws of default_rng(s), from its state
+        rng.bit_generator.state = state
+        return _scalar_draws(imm, rng, None, _VARIATION_DECAY, count=d)
+
+    draws = np.array([fields(state) for state in _seed_states(tuple(seeds))])
     if imm.grid.topology == "torus":
         m = _torus_degree(imm.grid, None)
-        # term (j, k, amp, phx, phy) is amp cos(j xi + phx) cos(k eta + phy)
-        terms = np.array(draws).reshape(n, d, (m + 1) ** 2, 5)
-        out = np.zeros((n, d, 2 * m + 1, 2 * m + 1))
-        for j, k, amp, phx, phy in np.moveaxis(terms, (2, 3), (0, 1)):
-            for row, cx in _waves(int(j[0, 0]), phx):
-                for col, cy in _waves(int(k[0, 0]), phy):
-                    out[:, :, row, col] = amp * cx * cy
-        return out.reshape(n, -1)
+        # term (j, k) is amp cos(j xi + phx) cos(k eta + phy), and
+        # cos(j t + phase) = cos(phase) cos(j t) - sin(phase) sin(j t)
+        amp, phx, phy = np.moveaxis(draws.reshape(n, d, m + 1, m + 1, 3), -1, 0)
+        cx, cy = (np.stack([np.cos(ph), -np.sin(ph)], axis=-1) for ph in (phx, phy))
+        terms = amp[..., None, None] * cx[..., :, None] * cy[..., None, :]
+        # (j, cos) and (j, sin) are the rows 2j - 1 and 2j of ``_trig_modes``
+        # (row 0 for j = 0, which has no sine)
+        keep = np.r_[0, 2:2 * m + 2]
+        out = terms.transpose(0, 1, 2, 4, 3, 5).reshape(n, d, 2 * m + 2, 2 * m + 2)
+        return out[:, :, keep][:, :, :, keep].reshape(n, d * len(keep) ** 2)
     # constant, linear and quadratic (a <= b) coefficients, as in _span_scalars
     a, b = np.triu_indices(d)
-    c0, c1, c2 = (np.array([f[i] for f in draws]).reshape((-1,) + (d,) * i) for i in range(3))
+    draws = draws.reshape(n * d, 1 + d + d * d)
+    c0, c1, c2 = draws[:, 0], draws[:, 1:d + 1], draws[:, d + 1:].reshape(-1, d, d)
     quad = np.where(a == b, c2[:, a, b], c2[:, a, b] + c2[:, b, a])
-    return np.concatenate([c0[:, None], c1, quad], axis=1).reshape(n, -1)
+    return np.concatenate([c0[:, None], c1, quad], axis=1).reshape(n, d * (1 + d + len(a)))
 
 
 def _stencil_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

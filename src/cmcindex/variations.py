@@ -16,8 +16,10 @@ Sign conventions (pinned by the round-sphere oracle tests):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Integral
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -128,38 +130,56 @@ def normal_variation(imm: Immersion, f: np.ndarray) -> VariationField:
 
 # ----------------------------------------------------- random fields (seeded)
 
+def _degree(degree: int | None) -> int:
+    """The degree of a seeded scalar field: 2 for None, else a non-negative
+    integer (0 is the constant field)."""
+    if degree is None:
+        return 2
+    if isinstance(degree, bool) or not isinstance(degree, Integral) or degree < 0:
+        raise ValueError(f"degree must be a non-negative integer or None, got {degree!r}")
+    return int(degree)
+
+
 def _torus_degree(g, degree: int | None) -> int:
     # degree 2 keeps mode-product aliasing of the 8th-order stencils near,
     # not safely below, the 1e-6 identity-residual budget: over 200
     # variations at 64x64 the Clifford torus peaks at 1.01e-6 and 1.04e-6
     # (CLI seeds 697501 and 601682), the Delaunay torus k=2 at 9.9e-7
     # (828851)
-    return min(degree or 2, g.nx // 4, g.ny // 4)
+    return min(_degree(degree), g.nx // 4, g.ny // 4)
 
 
-def _scalar_draws(imm: Immersion, rng: np.random.Generator,
-                  degree: int | None, decay: float):
-    """The rng draws of one seeded scalar field, in the order they are made.
+def _scalar_draws(imm: Immersion, rng: np.random.Generator, degree: int | None,
+                  decay: float, count: int = 1) -> np.ndarray:
+    """The rng draws of ``count`` consecutive seeded scalar fields from one
+    generator, scaled; the one place that fixes their order, which every
+    seeded field and its span coefficients are read from.
 
-    Torus charts: (j, k, amplitude, x phase, y phase) of each term
-    amplitude cos(j xi + x phase) cos(k eta + y phase), j, k <= m.  Sphere
-    charts: (constant, linear coefficients, quadratic coefficients) of a
-    polynomial in the ambient coordinates, None above the degree.
+    Torus charts: (count, T, 3), per term (amplitude, x phase, y phase) of
+    amplitude cos(j xi + x phase) cos(k eta + y phase), for the T = (m + 1)^2
+    terms j, k <= m with k running fastest.  Each term draws a normal and two
+    uniforms in turn, one rng call each.  Sphere charts: (count, K), the
+    constant, the d linear and the d x d quadratic (row-major) coefficients
+    of a polynomial in the ambient coordinates, K = 1 + d + d^2 at degree 2
+    and 1 + d or 1 below: all normals, so one rng call gives the same
+    stream as a call per coefficient block.
     """
     g = imm.grid
     if g.topology == "torus":
         m = _torus_degree(g, degree)
-        # random() * 2 pi is uniform(0, 2 pi) bit for bit (numpy draws it as
-        # low + (high - low) next_double), in a third of its time
-        return [(j, k, decay ** (j + k) * rng.standard_normal(),
-                 rng.random() * (2 * np.pi), rng.random() * (2 * np.pi))
+        calls = (rng.standard_normal, rng.random, rng.random) * (count * (m + 1) ** 2)
+        out = np.array([draw() for draw in calls]).reshape(count, -1, 3)
+        # per term (decay ** (j + k), 2 pi, 2 pi), from Python's ** (numpy's
+        # power differs in the last bit); random() * 2 pi is uniform(0, 2 pi)
+        # bit for bit (numpy draws it as low + (high - low) next_double)
+        out *= [(decay ** (j + k), 2 * np.pi, 2 * np.pi)
                 for j in range(m + 1) for k in range(m + 1)]
-    deg = min(degree or 2, 2)
-    d = imm.space.dim
-    c0 = rng.standard_normal()
-    c1 = 0.6 * rng.standard_normal(d) if deg >= 1 else None
-    c2 = 0.35 * rng.standard_normal((d, d)) if deg >= 2 else None
-    return c0, c1, c2
+        return out
+    d, deg = imm.space.dim, min(_degree(degree), 2)
+    sizes = (1, d, d * d)[:deg + 1]
+    out = rng.standard_normal((count, sum(sizes)))
+    out *= np.repeat((1.0, 0.6, 0.35)[:deg + 1], sizes)
+    return out
 
 
 def _chart_angles(g) -> tuple[np.ndarray, np.ndarray]:
@@ -167,36 +187,29 @@ def _chart_angles(g) -> tuple[np.ndarray, np.ndarray]:
             2.0 * np.pi * (g.y - g.y_range[0]) / (g.y_range[1] - g.y_range[0]))
 
 
-def random_scalar(imm: Immersion, rng: np.random.Generator,
-                  degree: int | None = None, decay: float = 0.3) -> np.ndarray:
-    """Seeded smooth random scalar field, resolved by the grid.
-
-    Torus charts use trigonometric polynomials in the chart angles (degree
-    capped at resolution/4); sphere charts use quadratic polynomials in the
-    ambient coordinates restricted to the surface, which is the band-limited
-    analogue there (chart trig polynomials are not smooth across the poles).
-    """
+def _scalar_field(imm: Immersion, draws: np.ndarray) -> np.ndarray:
+    """The seeded scalar field of one field's ``_scalar_draws``."""
     g = imm.grid
-    draws = _scalar_draws(imm, rng, degree, decay)
     if g.topology == "torus":
         # each cosine factor depends on one chart axis: evaluate it there and
         # combine by broadcasting (same values as on the mesh)
         xi, eta = _chart_angles(g)
+        width = math.isqrt(len(draws))
         out = np.zeros((g.nx, g.ny))
-        for j, k, amp, phx, phy in draws:
+        for t, (amp, phx, phy) in enumerate(draws.tolist()):
+            j, k = divmod(t, width)
             fx = amp * np.cos(j * xi + phx)
             out += fx[:, None] * np.cos(k * eta + phy)
         return out
-    p = imm.u
-    c0, c1, c2 = draws
-    out = c0 * np.ones(p.shape[:2])
-    if c1 is not None:
-        out = out + p @ c1
-    if c2 is not None:
+    p, d = imm.u, imm.space.dim
+    out = draws[0] * np.ones(p.shape[:2])
+    if len(draws) > 1:
+        out = out + p @ draws[1:1 + d]
+    if len(draws) > 1 + d:
         # sum_ab (p_a c_ab) p_b from zero in row-major (a, b) order, over
         # contiguous components: np.einsum("...a,ab,...b->...", p, c2, p)
         # bit for bit, in a third to a half of its time
-        d = imm.space.dim
+        c2 = draws[1 + d:].reshape(d, d)
         comps = [np.ascontiguousarray(p[..., a]) for a in range(d)]
         quad = np.zeros(p.shape[:2])
         for a in range(d):
@@ -206,21 +219,35 @@ def random_scalar(imm: Immersion, rng: np.random.Generator,
     return out
 
 
+def random_scalar(imm: Immersion, rng: np.random.Generator,
+                  degree: int | None = None, decay: float = 0.3) -> np.ndarray:
+    """Seeded smooth random scalar field, resolved by the grid.
+
+    Torus charts use trigonometric polynomials in the chart angles (degree
+    capped at resolution/4); sphere charts use polynomials of degree at most
+    2 in the ambient coordinates restricted to the surface, which is the
+    band-limited analogue there (chart trig polynomials are not smooth
+    across the poles).  ``degree`` None means 2 and 0 the constant field; a
+    negative or non-integer degree raises ``ValueError``.
+    """
+    return _scalar_field(imm, _scalar_draws(imm, rng, degree, decay)[0])
+
+
 # amplitude decay of the seeded variations' torus modes
 _VARIATION_DECAY = 0.35
 
 
 def seeded_variation(imm: Immersion, seed: int) -> VariationField:
     """Seeded smooth random section of u^* TN (tangency enforced): one
-    ``random_scalar`` per ambient axis, drawn in turn from one generator.
+    ``random_scalar`` per ambient axis, drawn in turn from one generator
+    (one ``_scalar_draws`` call for all d).
 
     The seed is the whole recipe: the same seed gives the same field bit for
     bit, which is how ``span`` reads the seeded fields back.
     """
-    rng = np.random.default_rng(seed)
-    comps = [random_scalar(imm, rng, decay=_VARIATION_DECAY)
-             for _ in range(imm.space.dim)]
-    return VariationField(imm, np.stack(comps, axis=-1))
+    draws = _scalar_draws(imm, np.random.default_rng(seed), None, _VARIATION_DECAY,
+                          count=imm.space.dim)
+    return VariationField(imm, np.stack([_scalar_field(imm, x) for x in draws], axis=-1))
 
 
 # ------------------------------------------------------ covariant derivatives

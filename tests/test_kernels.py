@@ -268,3 +268,21 @@ CASES = (
 @pytest.mark.parametrize("check,args", CASES)
 def test_kernel_matches_reference_formula_bit_for_bit(check, args):
     check(*args)
+
+
+@pytest.mark.parametrize("kind,params,res", [("clifford_torus", {}, (32, 24)),
+                                              ("sphere_s3", {"radius": 0.9}, (64, 48))],
+                         ids=["clifford_torus", "sphere_s3"])
+def test_seeded_variation_matches_reference_loop(kind, params, res):
+    """``seeded_variation`` draws its d scalar fields in one call; the field
+    equals d reference fields drawn in turn from one generator, bit for
+    bit."""
+    imm = gal.gallery(kind, resolution=res, **params)
+    torus = imm.grid.topology == "torus"
+    ref = _ref_random_scalar if torus else _ref_random_scalar_sphere
+    kw = {"decay": vr._VARIATION_DECAY} if torus else {}
+    for seed in (0, 7, 697501 * 100003 + 5):
+        rng = np.random.default_rng(seed)
+        comps = [ref(imm, rng, **kw) for _ in range(imm.space.dim)]
+        old = vr.VariationField(imm, np.stack(comps, axis=-1)).v
+        assert _same_bits(vr.seeded_variation(imm, seed).v, old)

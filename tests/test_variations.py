@@ -56,6 +56,21 @@ def test_seeded_variation_roundtrip():
 
 # ------------------------------------------------------------- conformal defect
 
+@pytest.mark.parametrize("name", ["clifford_torus", "sphere_r3"])
+def test_random_scalar_degree_zero_is_constant(name):
+    """Degree 0 is the constant field on both charts, an integer of any
+    type is accepted, and a negative or non-integer degree is refused."""
+    imm = gal.gallery(name, resolution=(32, 24))
+    for seed in range(3):
+        f = vr.random_scalar(imm, np.random.default_rng(seed), degree=0)
+        assert f.shape == (32, 24) and np.all(f == f[0, 0]) and f[0, 0] != 0
+    assert np.array_equal(vr.random_scalar(imm, np.random.default_rng(1), degree=np.int64(1)),
+                          vr.random_scalar(imm, np.random.default_rng(1), degree=1))
+    for bad in (-1, 1.5, "2", True):
+        with pytest.raises(ValueError, match="degree"):
+            vr.random_scalar(imm, np.random.default_rng(0), degree=bad)
+
+
 def test_defect_zero_for_zero_variation():
     imm = gal.gallery("clifford_torus")
     d = vr.conformal_defect(imm, np.zeros_like(imm.u))
@@ -571,11 +586,33 @@ def test_span_coefficients_reproduce_seeded_variations(name, kw, res):
         assert np.abs(field - v).max() <= 1e-13 * np.abs(v).max()
 
 
+def _ref_scalar_draws(imm, rng, decay):
+    """The draws of one seeded scalar field, one rng call per scalar, in the
+    order ``variations._scalar_draws`` must keep: per torus term (j, k,
+    amplitude, x phase, y phase), on spheres (constant, linear, quadratic)."""
+    g = imm.grid
+    if g.topology == "torus":
+        m = min(2, g.nx // 4, g.ny // 4)
+        return [(j, k, decay ** (j + k) * rng.standard_normal(),
+                 rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi))
+                for j in range(m + 1) for k in range(m + 1)]
+    d = imm.space.dim
+    return rng.standard_normal(), 0.6 * rng.standard_normal(d), 0.35 * rng.standard_normal((d, d))
+
+
+def _waves(j, phase):
+    """cos(j t + phase) as (row of ``span._trig_modes``, coefficient) pairs."""
+    if j == 0:
+        return [(0, np.cos(phase))]
+    return [(2 * j - 1, np.cos(phase)), (2 * j, -np.sin(phase))]
+
+
 def _coefficients_per_field(imm, seeds):
-    """``span.coefficients`` as it was written first: one numpy conversion
-    per seeded field, kept as the reference for its bits."""
+    """``span.coefficients`` as it was written first: the draws of each
+    seeded field one rng call per scalar (``_ref_scalar_draws``) and one
+    numpy conversion per field, kept as the reference for its bits."""
     d, n = imm.space.dim, len(seeds)
-    fields = ((r, a, vr._scalar_draws(imm, rng, None, vr._VARIATION_DECAY))
+    fields = ((r, a, _ref_scalar_draws(imm, rng, vr._VARIATION_DECAY))
               for r, rng in enumerate(map(np.random.default_rng, seeds)) for a in range(d))
     if imm.grid.topology == "torus":
         m = vr._torus_degree(imm.grid, None)
@@ -584,8 +621,8 @@ def _coefficients_per_field(imm, seeds):
             terms[r, a] = draws
         out = np.zeros((n, d, 2 * m + 1, 2 * m + 1))
         for j, k, amp, phx, phy in np.moveaxis(terms, (2, 3), (0, 1)):
-            for row, cx in span._waves(int(j[0, 0]), phx):
-                for col, cy in span._waves(int(k[0, 0]), phy):
+            for row, cx in _waves(int(j[0, 0]), phx):
+                for col, cy in _waves(int(k[0, 0]), phy):
                     out[:, :, row, col] = amp * cx * cy
         return out.reshape(n, -1)
     a, b = np.triu_indices(d)
@@ -605,6 +642,40 @@ def test_span_coefficients_bit_for_bit_per_field_decoding(name, kw, res):
     assert _basis(imm).shape[2] == SPAN_SIZES[name]
     assert new.shape == (len(seeds), SPAN_SIZES[name])
     assert np.array_equal(new, _coefficients_per_field(imm, seeds))
+
+
+# the five default identity surfaces on their default grids
+IDENTITY_CASES = [(name, kw, (64, 48) if name.startswith("sphere") else (64, 64))
+                  for name, kw, _ in SPAN_CASES]
+
+
+@pytest.mark.parametrize("name,kw,res", IDENTITY_CASES, ids=[c[0] for c in IDENTITY_CASES])
+def test_coefficients_match_scalar_draws_bit_for_bit(name, kw, res):
+    """``span.coefficients`` on the default identity grids against one rng
+    call per scalar and one conversion per field, bit for bit, at 0, 1 and
+    200 seeds (the CLI's seeds at --seed 4011), also when the seeds'
+    generator states come from the previous call."""
+    imm = gal.gallery(name, resolution=res, **kw)
+    assert span.coefficients(imm, []).shape == (0, SPAN_SIZES[name])
+    for seeds in ([5], [4011 * 100003 + i for i in range(200)]):
+        ref = _coefficients_per_field(imm, seeds)
+        assert np.array_equal(span.coefficients(imm, seeds), ref)
+        assert np.array_equal(span.coefficients(imm, seeds), ref)
+
+
+@pytest.mark.parametrize("name,kw,res", SPAN_CASES, ids=[c[0] for c in SPAN_CASES])
+def test_scalar_draws_count_equals_sequential_draws(name, kw, res):
+    """``count`` fields drawn at once equal ``count`` fields drawn one after
+    another from the same generator, at every degree, and leave the
+    generator in the same state."""
+    imm = gal.gallery(name, resolution=res, **kw)
+    for degree in (None, 0, 1, 3):
+        for count in (1, 2, 4):
+            rng, seq = np.random.default_rng(count), np.random.default_rng(count)
+            batch = vr._scalar_draws(imm, rng, degree, vr._VARIATION_DECAY, count=count)
+            single = [vr._scalar_draws(imm, seq, degree, vr._VARIATION_DECAY) for _ in range(count)]
+            assert np.array_equal(batch, np.concatenate(single))
+            assert rng.random() == seq.random()
 
 
 @pytest.mark.parametrize("name,kw,res", SPAN_CASES, ids=[c[0] for c in SPAN_CASES])
