@@ -97,10 +97,15 @@ def _golden_section(f: Callable[[float], float], a: float, b: float,
     return 0.5 * (a + b)
 
 
-def optimize_delta(lo: float = 1e-6, hi: float = 100.0,
-                   tol: float = 1e-10) -> tuple[float, float]:
-    """Golden-section minimizer of the delta-expression on (lo, hi)."""
-    x = _golden_section(delta_expression, lo, hi, tol)
+# bracket and width tolerance of the delta-expression minimizer
+_DELTA_BRACKET = (1e-6, 100.0)
+_DELTA_TOL = 1e-10
+
+
+def optimize_delta() -> tuple[float, float]:
+    """Golden-section minimizer of the delta-expression on ``_DELTA_BRACKET``
+    and its minimum."""
+    x = _golden_section(delta_expression, *_DELTA_BRACKET, _DELTA_TOL)
     return x, delta_expression(x)
 
 
@@ -164,8 +169,12 @@ def interpolation_check(imm: Immersion, f: np.ndarray) -> float:
     return l4 ** 2 * l1 - l2 ** 3
 
 
-def default_t_grid(n: int = 40) -> np.ndarray:
-    return np.geomspace(0.05, 5.0, n)
+# points of the default log t-grid on [0.05, 5]
+_T_GRID_POINTS = 40
+
+
+def default_t_grid() -> np.ndarray:
+    return np.geomspace(0.05, 5.0, _T_GRID_POINTS)
 
 
 def heat_trace_bound_check(imm: Immersion, lb_result: sp.SpectralResult,

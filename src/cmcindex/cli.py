@@ -16,6 +16,9 @@ surfaces are written in sorted order.  Each command builds and solves its
 surfaces one after another on the calling thread: at the default grids the
 per-surface work is short numpy calls that hold the GIL, and a pool of two
 threads measured more CPU time than one thread and no less wall-clock time.
+No command asks for one surface twice (the refinement grids of ``spectrum``
+are surfaces of their own), so each is built afresh and its geometry freed
+once its analysis is done.
 The spectral calls of ``spectrum`` and ``bounds`` run numpy's OpenBLAS on
 one thread (``spectral``), where a second BLAS thread would only spin.
 
@@ -107,9 +110,9 @@ def _surface_key(desc: dict) -> str:
     return f"{desc['kind']}({params})@{nx}x{ny}"
 
 
-def _build(desc: dict, cached: bool = True):
+def _build(desc: dict):
     try:
-        return gal.from_descriptor(desc, cached)
+        return gal.from_descriptor(desc)
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -267,9 +270,7 @@ def cmd_identity(cfg: RunConfig) -> int:
     from . import span
 
     def worker(desc):
-        # each surface is needed once: held by no cache, its geometry is
-        # freed before the next surface is built
-        imm = _build(desc, cached=False)
+        imm = _build(desc)
         key = _surface_key(desc)
         seeds = [cfg.seed * 100003 + i for i in range(cfg.variations)]
         rows, worst = [], 0.0

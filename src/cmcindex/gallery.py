@@ -10,7 +10,6 @@ center, matching h = 2/rho (R^3), 2*cot(rho) (S^3) and 2*coth(rho) (H^3).
 from __future__ import annotations
 
 import math
-import threading
 from numbers import Integral, Real
 from typing import Callable
 
@@ -24,19 +23,20 @@ from .surfaces import Immersion
 __all__ = ["gallery", "gallery_names", "default_resolution", "check_params",
            "from_descriptor"]
 
-# built members and Delaunay profiles, oldest first; the cap is well above
-# the 11 keys of the largest default command (`spectrum`, refinement grids
-# included), so no default command rebuilds anything
+# Delaunay profiles by neck ratio (the name is read by perfbench's tracer)
 _CACHE: dict = {}
-_CACHE_CAP = 64
-# one lock per cache key, so that concurrent threads build each key once
-_KEY_LOCKS: dict = {}
-_KEY_LOCKS_GUARD = threading.Lock()
 
 # accepted parameters of each gallery member and their number types
 _PARAMS = {"sphere_r3": {"radius": Real}, "sphere_s3": {"radius": Real},
            "sphere_h3": {"radius": Real}, "clifford_torus": {},
            "delaunay_t3": {"k": Integral, "neck": Real}}
+# open range of each sphere's radius: far enough inside float64 that the
+# powers of the radius in the reference data and geometry stay finite
+# (R^3 overflows by 1e80); on S^3 the geodesic radius stays below pi; in the
+# hyperboloid model of H^3 the coordinates (sinh, cosh)(rho) cancel to a
+# round-off of eps cosh(rho)^2, and the 1e-6 CMC check fails from rho = 12
+_RADII = {"sphere_r3": (1e-50, 1e50), "sphere_s3": (1e-50, math.pi),
+          "sphere_h3": (1e-50, 10.0)}
 
 
 def gallery_names() -> list[str]:
@@ -46,8 +46,8 @@ def gallery_names() -> list[str]:
 def check_params(name: str, params: dict) -> None:
     """Raise KeyError for an unknown surface or a parameter it does not take,
     TypeError for a parameter value of the wrong type and ValueError for a
-    value that is not finite, a Delaunay lobe count below 1 or a neck ratio
-    outside (0, 1)."""
+    value that is not finite, a Delaunay lobe count below 1, a neck ratio
+    outside (0, 1) or a sphere radius outside its range (``_RADII``)."""
     if name not in _PARAMS:
         raise KeyError(f"unknown gallery surface {name!r}")
     accepted = _PARAMS[name]
@@ -67,6 +67,8 @@ def check_params(name: str, params: dict) -> None:
         raise ValueError(f"{name} lobe count k must be at least 1, got {params['k']!r}")
     if "neck" in params and not 0 < params["neck"] < 1:
         raise ValueError(f"{name} neck ratio must lie in (0, 1), got {params['neck']!r}")
+    if "radius" in params and not _RADII[name][0] < params["radius"] < _RADII[name][1]:
+        raise ValueError(f"{name} radius must lie in {_RADII[name]}, got {params['radius']!r}")
 
 
 def default_resolution(name: str, **params) -> tuple[int, int]:
@@ -119,8 +121,6 @@ def _make_sphere(space, radial: Callable, name: str, flip_x: bool,
 
 
 def _sphere_r3(radius: float, resolution) -> Immersion:
-    if radius <= 0:
-        raise ValueError("sphere radius must be positive")
     rad = (lambda n: radius * n, lambda dn: radius * dn)
     ref = {
         "area_exact": 4.0 * np.pi * radius ** 2,
@@ -136,10 +136,6 @@ def _sphere_curved(space, radius: float, resolution) -> Immersion:
     """Geodesic sphere of radius rho about (0, 0, 0, 1) in S3 or H3:
     u = (S n, C) with (S, C) = (sin, cos)(rho) on S3, (sinh, cosh)(rho) on H3."""
     on_s3 = space.curvature > 0
-    if on_s3 and not 0.0 < radius < np.pi:
-        raise ValueError("geodesic radius must lie in (0, pi)")
-    if not on_s3 and radius <= 0:
-        raise ValueError("sphere radius must be positive")
     sin, cos = (np.sin, np.cos) if on_s3 else (np.sinh, np.cosh)
     sr, cr = sin(radius), cos(radius)
 
@@ -195,11 +191,12 @@ def _clifford(resolution) -> Immersion:
 # ------------------------------------------------------------------- factory
 
 def gallery(name: str, resolution: tuple[int, int] | None = None, **params) -> Immersion:
-    """Construct a gallery member (cached per name/params/resolution)."""
+    """Build a gallery member afresh: every call returns a new immersion, so
+    keep the one you analyse (a variation field is tied to the immersion it
+    was built on)."""
     check_params(name, params)
     res = tuple(resolution) if resolution is not None else default_resolution(name, **params)
-    key = (name, tuple(sorted(params.items())), res)
-    return _cached(key, lambda: _construct(name, res, params))
+    return _construct(name, res, params)
 
 
 def _construct(name: str, res: tuple[int, int], params: dict) -> Immersion:
@@ -211,44 +208,21 @@ def _construct(name: str, res: tuple[int, int], params: dict) -> Immersion:
         return _sphere_curved(amb.H3, params.get("radius", 0.8), res)
     if name == "clifford_torus":
         return _clifford(res)
-    # delaunay_t3
+    # delaunay_t3; a profile solve is cheap and deterministic, so threads
+    # that race on one neck and both solve it do no harm
     k = int(params.get("k", 1))
     neck = float(params.get("neck", 0.55))
-    prof = _cached(("profile", neck), lambda: solve_profile(neck))
+    prof = _CACHE.get(neck)
+    if prof is None:
+        prof = _CACHE[neck] = solve_profile(neck)
     return delaunay_torus(k, neck, res[0], res[1], profile=prof)
-
-
-def _cached(key, build: Callable):
-    """``_CACHE[key]``, calling ``build`` for it at most once while it is cached.
-
-    Past ``_CACHE_CAP`` entries the oldest are evicted, with their locks, in
-    place (the dict object itself is never replaced).
-    """
-    value = _CACHE.get(key)
-    if value is None:
-        with _KEY_LOCKS_GUARD:
-            lock = _KEY_LOCKS.setdefault(key, threading.Lock())
-        with lock:
-            value = _CACHE.get(key)
-            if value is None:
-                value = build()
-                with _KEY_LOCKS_GUARD:
-                    _CACHE[key] = value
-                    while len(_CACHE) > _CACHE_CAP:
-                        oldest = next(iter(_CACHE))
-                        del _CACHE[oldest]
-                        _KEY_LOCKS.pop(oldest, None)
-    return value
 
 
 # --------------------------------------------------------------- descriptors
 
-def from_descriptor(desc: dict, cached: bool = True) -> Immersion:
-    """The member a ``{"kind", "params", "resolution"}`` descriptor names;
-    with ``cached=False`` built afresh and held by no cache, so that it is
-    freed with its last reference."""
+def from_descriptor(desc: dict) -> Immersion:
+    """The member a ``{"kind", "params", "resolution"}`` descriptor names,
+    built afresh as by ``gallery``."""
     name, res, params = desc["kind"], tuple(desc["resolution"]), desc.get("params", {})
-    if cached:
-        return gallery(name, resolution=res, **params)
     check_params(name, params)
     return _construct(name, res, params)

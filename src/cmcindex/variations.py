@@ -219,8 +219,12 @@ def _scalar_field(imm: Immersion, draws: np.ndarray) -> np.ndarray:
     return out
 
 
+# amplitude decay of ``random_scalar``'s torus modes
+_SCALAR_DECAY = 0.3
+
+
 def random_scalar(imm: Immersion, rng: np.random.Generator,
-                  degree: int | None = None, decay: float = 0.3) -> np.ndarray:
+                  degree: int | None = None) -> np.ndarray:
     """Seeded smooth random scalar field, resolved by the grid.
 
     Torus charts use trigonometric polynomials in the chart angles (degree
@@ -230,7 +234,7 @@ def random_scalar(imm: Immersion, rng: np.random.Generator,
     across the poles).  ``degree`` None means 2 and 0 the constant field; a
     negative or non-integer degree raises ``ValueError``.
     """
-    return _scalar_field(imm, _scalar_draws(imm, rng, degree, decay)[0])
+    return _scalar_field(imm, _scalar_draws(imm, rng, degree, _SCALAR_DECAY)[0])
 
 
 # amplitude decay of the seeded variations' torus modes

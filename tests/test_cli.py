@@ -260,6 +260,38 @@ def test_bad_delaunay_params_exit_2(tmp_path, params):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind, radius", [("sphere_r3", 1e-200), ("sphere_r3", 1e160),
+                                          ("sphere_h3", 800.0), ("sphere_h3", 400.0)])
+def test_bad_sphere_radius_exit_2(tmp_path, kind, radius):
+    # unchecked, these raise ZeroDivisionError or OverflowError (exit 1),
+    # overflow with RuntimeWarnings (exit 1) or blame a NaN CMC value
+    cfg = {"surfaces": [{"kind": kind, "params": {"radius": radius}}]}
+    proc = _python(["-m", "cmcindex.cli", "gallery", "--config", _cfg(tmp_path, cfg),
+                    "--out", str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 2
+    assert "config error" in proc.stderr and f"{kind} radius" in proc.stderr
+    assert repr(radius) in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, builds", [("identity", 5), ("spectrum", 10),
+                                             ("bounds", 7), ("gallery", 5)])
+def test_default_commands_build_each_surface_once(tmp_path, monkeypatch, command, builds):
+    # no default command asks for one surface twice, refinement grids
+    # included, which is why the gallery keeps no built surfaces
+    keys = []
+    real = cli.gal._construct
+
+    def recording(name, res, params):
+        keys.append((name, tuple(sorted(params.items())), tuple(res)))
+        return real(name, res, params)
+
+    monkeypatch.setattr(cli.gal, "_construct", recording)
+    assert cli.main([command, "--out", str(tmp_path / "out")]) == 0
+    assert len(keys) == builds and len(set(keys)) == builds
+
+
 def test_default_paths_import_no_scipy(tmp_path):
     # the four commands on their defaults (identity on a small config), the
     # README quick start with eigenpair residuals, and the span module run
