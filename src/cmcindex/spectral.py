@@ -21,23 +21,26 @@ symmetric L x L block per wavenumber k is built straight from the 1-D axis
 stencils: their symbol |D(k)|^2 along the shift axis, and one of two
 cross-axis matrices picked by the pole sign (-1)^k.  Only 0 <= k <= S/2
 exist (0 < k < S/2 count twice, for k and -k).  The operator keeps that 1-D
-data and forms a block only to solve or apply it.  The cross-axis part is
+data and forms a block only to solve it.  The cross-axis part is
 positive semidefinite, so by Weyl's inequality each block's eigenvalues lie
 above a floor min(|D(k)|^2 w/m - q) known without solving it.
 ``eigensolve`` solves blocks in increasing floor order and stops once the
 next floor is above the ``count``-th lowest eigenvalue found; on the default
 surfaces that is 2-4 of 17-41 blocks.  The result is bit for bit that of
-solving every block.  Block eigenvalues stay on the operator:
-``weak_index`` re-solves only the constrained wavenumber-0 block and adds
-the blocks its band can reach, and ``SpectralResult.all_eigenvalues``
-solves the rest on first access.  Eigenvectors are the real cos/sin lifts
-of the block eigenvectors.  ``residual_norms`` applies K to them through
-every block (an rfft along the shift axis, one unscaled block per
-wavenumber, an irfft back) and takes ||K||_2 exactly as the largest block
-eigenvalue in magnitude, solving blocks down from the largest inf-norm
-bound.  No n x n array, dense or sparse, is formed, and the L x L blocks
-are solved by ``numpy.linalg``, deterministically.  An operator with no
-shift-invariant axis raises ``ValueError``.
+solving every block.  Every block eigenvalue comes from ``eigvalsh`` and
+stays on the operator, so index, nullity and ``eps_null`` do not depend on
+whether eigenvectors were asked for: ``weak_index`` re-solves only the
+constrained wavenumber-0 block and adds the blocks its band can reach, and
+``SpectralResult.all_eigenvalues`` solves the rest on first access.
+Eigenvectors are the real cos/sin lifts of ``eigh`` vectors, taken only of
+the blocks that hold a returned pair.  ``residual_norms`` applies K to them
+from the 1-D data (an rfft along the shift axis, diag(sym_k w - m q) plus
+one cross-axis product per wavenumber parity, an irfft back) and takes
+||K||_2 exactly as the largest block eigenvalue in magnitude, solving
+blocks down from the largest inf-norm bound.  No n x n array, dense or
+sparse, is formed, and the L x L blocks are solved by ``numpy.linalg``,
+deterministically.  An operator with no shift-invariant axis raises
+``ValueError``, naming the field that varies most along each periodic axis.
 
 ``eigensolve``, ``weak_index`` and ``residual_norms`` (with the blocks and
 block eigenvalues they build lazily), and the first access to
@@ -164,42 +167,56 @@ class DiscreteOperator:
         g = self.imm.grid
         return g.nx, g.ny
 
+    @property
+    def _periodic_axes(self) -> tuple:
+        return (0, 1) if self.imm.grid.topology == "torus" else (0,)
+
+    def _spreads(self, axis: int):
+        """Per field the blocks need constant along ``axis``, lazily: its name,
+        its largest deviation from the first sample along it, and max |f|."""
+        shape = self.resolution
+        for name, f in (("mass", self.M_diag.reshape(shape)),
+                        ("potential", np.broadcast_to(self.q, shape)),
+                        ("chart weights", self.imm.chart_weights)):
+            yield name, np.abs(f - np.take(f, [0], axis=axis)).max(), np.abs(f).max()
+
     @cached_property
     def shift_axis(self) -> Optional[int]:
         """Periodic chart axis along which the pencil is shift invariant."""
-        g = self.imm.grid
-        shape = (g.nx, g.ny)
-        fields = (self.M_diag.reshape(shape), np.broadcast_to(self.q, shape),
-                  self.imm.chart_weights)
-        for axis in (0, 1) if g.topology == "torus" else (0,):
-            if all(_constant_along(f, axis) for f in fields):
+        for axis in self._periodic_axes:
+            if all(spread <= SHIFT_RTOL * top for _, spread, top in self._spreads(axis)):
                 return axis
         return None
 
     @cached_property
-    def _mode_blocks(self) -> tuple[_FourierBlocks, np.ndarray]:
+    def _mode_blocks(self) -> _FourierBlocks:
         """The reduced blocks B_k of wavenumbers k = 0..S/2 along
-        ``shift_axis``, formed on demand, and the M^{-1/2} of one chart line.
+        ``shift_axis``, formed on demand.
 
         Each stencil D of ``grid.axis_stencil`` gives D^T W D: along the
         shift axis it is circulant, so |DFT of its row|^2 (k) W; across the
         line it is (P + s Q)^T W (P + s Q) for interior P and pole flip Q,
         with s = (-1)^k from the antipodal shift by S/2 (Q = 0 on tori).
-        Raises ``ValueError`` where there is no ``shift_axis``.
+        Raises ``ValueError`` where there is no ``shift_axis``, naming per
+        periodic axis the field of largest relative spread along it.
         """
         g, a = self.imm.grid, self.shift_axis
         if a is None:
-            raise ValueError("operator has no periodic chart axis along which its mass, "
-                             "potential and chart weights are constant; the Fourier "
-                             "block solver needs one")
+            worst = []
+            for axis in self._periodic_axes:
+                rel, name = max((spread / (top or 1.0), name)
+                                for name, spread, top in self._spreads(axis))
+                worst.append(f"its {name} varies by {rel:.1e} along axis {axis}")
+            raise ValueError(f"{self.imm.name}: operator has no periodic chart axis along "
+                             "which its mass, potential and chart weights are constant; "
+                             f"the Fourier block solver needs one ({', '.join(worst)})")
         line = (0, slice(None)) if a == 0 else (slice(None), 0)
         w = self.imm.chart_weights[line]
         m = self.M_diag.reshape(self.resolution)[line]
         q = np.broadcast_to(self.q, self.resolution)[line]
         sym = sum(np.abs(np.fft.rfft(g.axis_stencil(a, name)[0][0])) ** 2
                   for name in _AXIS_STENCILS)
-        blocks = _FourierBlocks(w, m, q, sym, _cross_axis(g, 1 - a, w))
-        return blocks, blocks.scale
+        return _FourierBlocks(w, m, q, sym, _cross_axis(g, 1 - a, w))
 
     def describe(self) -> dict:
         return {
@@ -223,11 +240,6 @@ def _cross_axis(g, axis: int, w: np.ndarray) -> list:
     return across
 
 
-def _constant_along(f: np.ndarray, axis: int) -> bool:
-    spread = np.abs(f - np.take(f, [0], axis=axis)).max()
-    return bool(spread <= SHIFT_RTOL * np.abs(f).max())
-
-
 def _inf_norm(A: np.ndarray) -> float:
     return float(np.abs(A).sum(axis=1).max())
 
@@ -241,7 +253,8 @@ class _FourierBlocks:
     """Reduced blocks B_k = R (A_{k mod 2} + diag(sym_k w - m q)) R of one
     operator, k = 0..S/2, kept as the 1-D data of one chart line: chart
     weights w, mass m, potential q, stencil symbol sym along the shift axis,
-    the two cross-axis matrices A and R = M^{-1/2} (``scale``).
+    the two cross-axis matrices A and R = M^{-1/2} (``scale``), with the
+    diagonal rows sym_k w - m q (``diag``).
 
     Block k is formed on each ``self[k]``; its eigenvalues (``solve``) are
     kept once computed.
@@ -250,7 +263,8 @@ class _FourierBlocks:
     def __init__(self, w, m, q, sym, across):
         self.w, self.m, self.q, self.sym, self.across = w, m, q, sym, across
         self.scale = 1.0 / np.sqrt(m)
-        self._solved = ({}, {})     # eigvalsh, eigh results by wavenumber
+        self.diag = sym[:, None] * w - m * q
+        self._solved = {}           # eigvalsh results by wavenumber
 
     def __len__(self) -> int:
         return self.sym.size
@@ -259,19 +273,14 @@ class _FourierBlocks:
         if not 0 <= k < len(self):
             raise IndexError(k)
         s = self.scale
-        B = s[:, None] * (self.across[k % 2] + np.diag(self.sym[k] * self.w - self.m * self.q)) * s
+        B = s[:, None] * (self.across[k % 2] + np.diag(self.diag[k])) * s
         return 0.5 * (B + B.T)
 
-    def solve(self, k: int, vectors: bool = False, keep: bool = True):
-        """``eigvalsh(B_k)``, or ``eigh(B_k)`` with ``vectors``; kept for the
-        next call unless ``keep`` is false."""
-        done = self._solved[vectors]
-        if k in done:
-            return done[k]
-        out = (np.linalg.eigh if vectors else np.linalg.eigvalsh)(self[k])
-        if keep:
-            done[k] = out
-        return out
+    def solve(self, k: int) -> np.ndarray:
+        """``eigvalsh(B_k)``, ascending, kept for the next call."""
+        if k not in self._solved:
+            self._solved[k] = np.linalg.eigvalsh(self[k])
+        return self._solved[k]
 
     def _bounds(self, diag: np.ndarray, across: list) -> tuple[np.ndarray, np.ndarray]:
         # per block: min of the diagonal part, and the inf-norm bound
@@ -298,7 +307,7 @@ class _FourierBlocks:
         """Upper bound on the computed |eigenvalues| of each unscaled block
         K_k = A_{k mod 2} + diag(sym_k w - m q): its inf-norm, raised by
         ``BOUND_RTOL`` for round-off."""
-        _, norm = self._bounds(self.sym[:, None] * self.w - self.m * self.q, self.across)
+        _, norm = self._bounds(self.diag, self.across)
         return norm * (1.0 + BOUND_RTOL)
 
 
@@ -365,26 +374,24 @@ def _multiplicity(k: int, S: int) -> int:
     return 1 if (2 * k) % S == 0 else 2
 
 
-def _lifted(S: int, ks, values) -> tuple[np.ndarray, list, np.ndarray]:
-    """Eigenvalues ``values(k)`` of the blocks ``ks`` (ascending wavenumbers),
-    listed once per lift, with the lifts and their stable ascending order."""
+def _lifted(blocks: _FourierBlocks, S: int, ks) -> tuple[np.ndarray, list, np.ndarray]:
+    """Eigenvalues of the blocks ``ks`` (ascending wavenumbers), listed once
+    per lift, with the lifts and their stable ascending order."""
     # (wavenumber, lift part): 0 < k < S/2 carry a cos and a sin lift
     lifts = [(k, part) for k in ks for part in range(_multiplicity(k, S))]
-    solved = {k: values(k) for k in ks}
-    lam = np.concatenate([solved[k] for k, _ in lifts] or [np.empty(0)])
+    lam = np.concatenate([blocks.solve(k) for k, _ in lifts] or [np.empty(0)])
     return lam, lifts, np.argsort(lam, kind="stable")
 
 
-def _bottom_blocks(blocks: _FourierBlocks, S: int, values, rank: int,
+def _bottom_blocks(blocks: _FourierBlocks, S: int, rank: int,
                    least: float = -np.inf, found: tuple = (), first: int = 0) -> list:
     """Ascending wavenumbers k >= ``first`` of the blocks that can hold an
     eigenvalue at or below max(``least``, the ``rank``-th lowest eigenvalue
     with multiplicity of those blocks and the values ``found``).
 
-    Blocks are solved by ``values(k)`` in increasing floor order until the
-    next floor lies above that level among the values found so far, which is
-    never below the true level: every block left out has all its eigenvalues
-    above it.
+    Blocks are solved in increasing floor order until the next floor lies
+    above that level among the values found so far, which is never below the
+    true level: every block left out has all its eigenvalues above it.
     """
     found, picked = list(found), []
     for k in first + np.argsort(blocks.floors[first:], kind="stable"):
@@ -393,32 +400,31 @@ def _bottom_blocks(blocks: _FourierBlocks, S: int, values, rank: int,
                  else max(least, np.partition(lam, rank - 1)[rank - 1]))
         if blocks.floors[k] > level:
             break
-        found += [values(k)] * _multiplicity(k, S)
+        found += [blocks.solve(k)] * _multiplicity(k, S)
         picked.append(int(k))
     return sorted(picked)
 
 
 def _block_eigen(op: DiscreteOperator, count: int, want_vectors: bool
                  ) -> tuple[np.ndarray, Optional[np.ndarray], Callable]:
-    """Ascending eigenvalues of the Fourier blocks that can hold the lowest
-    ``count``, optionally the lowest ``count`` M-orthonormal eigenvectors, and
-    the full spectrum on demand."""
-    blocks, scale = op._mode_blocks
-    S = op.resolution[op.shift_axis]
-
-    def values(k):
-        return blocks.solve(k, True)[0] if want_vectors else blocks.solve(k)
-
-    lam, lifts, order = _lifted(S, _bottom_blocks(blocks, S, values, count), values)
-    spectrum = lambda: _block_spectrum(op, want_vectors)  # noqa: E731
+    """Ascending eigenvalues (``eigvalsh``) of the Fourier blocks that can
+    hold the lowest ``count``, optionally the lowest ``count`` M-orthonormal
+    eigenvectors, and the full spectrum on demand.  ``eigh`` runs only on the
+    blocks that hold one of those; its column c pairs with the c-th
+    ``eigvalsh`` value (both ascending)."""
+    blocks = op._mode_blocks
+    S, L = op.resolution[op.shift_axis], blocks.scale.size
+    lam, lifts, order = _lifted(blocks, S, _bottom_blocks(blocks, S, count))
+    spectrum = lambda: _block_spectrum(op)  # noqa: E731
     if not want_vectors:
         return lam[order], None, spectrum
+    picked = [(lifts[idx // L], idx % L) for idx in order[:count]]
+    vectors = {k: np.linalg.eigh(blocks[k])[1] for k in {k for (k, _), _ in picked}}
     # lift: phi[s, line] = Re / Im of e^{-2 pi i k s / S} M^{-1/2} u
     vecs = np.empty((op.n, count))
-    for col, idx in enumerate(order[:count]):
-        (k, part), c = lifts[idx // scale.size], idx % scale.size
+    for col, ((k, part), c) in enumerate(picked):
         phase = np.exp(-2j * np.pi * k * np.arange(S) / S)
-        v = np.outer(phase, scale * blocks.solve(k, True)[1][:, c])
+        v = np.outer(phase, blocks.scale * vectors[k][:, c])
         v = v.imag if part else v.real
         vecs[:, col] = (v if op.shift_axis == 0 else v.T).ravel()
     vecs /= np.sqrt(np.einsum("ij,i,ij->j", vecs, op.M_diag, vecs))
@@ -426,16 +432,10 @@ def _block_eigen(op: DiscreteOperator, count: int, want_vectors: bool
 
 
 @_SERIAL_BLAS
-def _block_spectrum(op: DiscreteOperator, from_eigh: bool) -> np.ndarray:
-    """Full sorted spectrum from every Fourier block, by the routine its
-    ``eigensolve`` used: ``eigh``, whose vectors are not kept for the blocks
-    it had not solved, or ``eigvalsh``."""
-    blocks, _ = op._mode_blocks
-
-    def values(k):
-        return blocks.solve(k, True, keep=False)[0] if from_eigh else blocks.solve(k)
-
-    lam, _, order = _lifted(op.resolution[op.shift_axis], range(len(blocks)), values)
+def _block_spectrum(op: DiscreteOperator) -> np.ndarray:
+    """Full sorted spectrum from every Fourier block."""
+    blocks = op._mode_blocks
+    lam, _, order = _lifted(blocks, op.resolution[op.shift_axis], range(len(blocks)))
     return lam[order]
 
 
@@ -495,27 +495,24 @@ def _block_apply(op: DiscreteOperator, V: np.ndarray) -> tuple[np.ndarray, float
     """(K V, ||K||_2) on the Fourier block path.
 
     The DFT of V along the shift axis is multiplied, wavenumber by
-    wavenumber, by the unscaled block K_k = M^{1/2} B_k M^{1/2} and
-    transformed back.  The spectrum of K is the union of the blocks' spectra,
-    so ||K||_2 is the largest |eigenvalue| over them, exactly.  Blocks are
-    solved for it in decreasing order of their ``ceilings``, until the next
-    ceiling lies below the largest |eigenvalue| found.
+    wavenumber, by K_k = A_{k mod 2} + diag(sym_k w - m q) from that 1-D data
+    (one batched product per parity), and transformed back.  The spectrum of
+    K is the union of the blocks' spectra, so ||K||_2 is the largest
+    |eigenvalue| over them, exactly.  Blocks K_k are formed and solved for it
+    in decreasing order of their ``ceilings``, until the next ceiling lies
+    below the largest |eigenvalue| found.
     """
-    blocks, scale = op._mode_blocks
-    a = op.shift_axis
+    blocks, a = op._mode_blocks, op.shift_axis
     F = np.moveaxis(np.fft.rfft(V.reshape(*op.resolution, -1), axis=a), a, 0)
-    root = 1.0 / scale
-
-    def unscaled(k):
-        return root[:, None] * blocks[k] * root
-
-    KF, knorm = np.empty_like(F), 0.0
-    for k in range(len(blocks)):
-        KF[k] = unscaled(k) @ F[k]
+    KF = blocks.diag[:, :, None] * F
+    for parity, A in enumerate(blocks.across):
+        KF[parity::2] += A @ F[parity::2]
+    knorm = 0.0
     for k in np.argsort(-blocks.ceilings, kind="stable"):
         if blocks.ceilings[k] < knorm:
             break
-        knorm = max(knorm, float(np.abs(np.linalg.eigvalsh(unscaled(k))).max()))
+        Kk = blocks.across[k % 2] + np.diag(blocks.diag[k])
+        knorm = max(knorm, float(np.abs(np.linalg.eigvalsh(Kk)).max()))
     KV = np.fft.irfft(np.moveaxis(KF, 0, a), n=op.resolution[a], axis=a)
     return KV.reshape(op.n, -1), knorm
 
@@ -564,11 +561,10 @@ def weak_index(op: DiscreteOperator) -> int:
     same under either.  The interlacing i - 1 <= i_h <= i is therefore a
     check on the result, not a consequence of the construction.
     """
-    blocks, scale = op._mode_blocks
+    blocks = op._mode_blocks
     S = op.resolution[op.shift_axis]
-    head = _constrained_eigvalsh(blocks[0], 1.0 / scale)
-    ks = _bottom_blocks(blocks, S, blocks.solve, WEAK_INDEX_BAND, least=0.0,
-                        found=(head,), first=1)
+    head = _constrained_eigvalsh(blocks[0], 1.0 / blocks.scale)
+    ks = _bottom_blocks(blocks, S, WEAK_INDEX_BAND, least=0.0, found=(head,), first=1)
     w = np.sort(np.concatenate([head] + [blocks.solve(k) for k in ks
                                           for _ in range(_multiplicity(k, S))]))
     eps = _null_tolerance(w[:WEAK_INDEX_BAND])

@@ -76,8 +76,10 @@ class Immersion:
     @cached_property
     def e2lam(self) -> np.ndarray:
         g = amb.inner(self.space, self.ux, self.ux)
-        if np.any(g < _DEGENERATE):
-            raise BranchPointError(f"{self.name}: degenerate chart point (|u_x|^2 < 1e-14)")
+        # relative to the largest |u_x|^2, so a small surface is not degenerate
+        if np.any(g <= _DEGENERATE * g.max()):
+            raise BranchPointError(f"{self.name}: degenerate chart point "
+                                   "(|u_x|^2 <= 1e-14 max |u_x|^2)")
         return g
 
     @cached_property

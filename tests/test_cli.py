@@ -275,6 +275,18 @@ def test_bad_sphere_radius_exit_2(tmp_path, kind, radius):
     assert not (tmp_path / "out").exists()
 
 
+def test_h3_sphere_without_shift_axis_names_the_field(tmp_path):
+    # at radius 5 the hyperboloid round-off in q = |A|^2 - 2 spreads the
+    # potential by 2.8e-8 relative along x, far above SHIFT_RTOL
+    cfg = {"surfaces": [{"kind": "sphere_h3", "params": {"radius": 5.0},
+                         "resolution": [32, 16]}]}
+    proc = _python(["-m", "cmcindex.cli", "spectrum", "--config", _cfg(tmp_path, cfg),
+                    "--out", str(tmp_path / "out")], tmp_path)
+    assert proc.returncode == 2
+    assert "sphere_h3" in proc.stderr and "potential" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("command, builds", [("identity", 5), ("spectrum", 10),
                                              ("bounds", 7), ("gallery", 5)])
 def test_default_commands_build_each_surface_once(tmp_path, monkeypatch, command, builds):

@@ -187,7 +187,7 @@ def _old_mode_blocks(op):
                          ids=[f"{c[0]}-{c[1].get('k', '')}" for c in BLOCK_CASES])
 def test_stencil_blocks_match_dft_of_dense_K_row(name, kw, axis):
     op = sp.assemble_jacobi(gal.gallery(name, **kw))
-    blocks, _ = op._mode_blocks
+    blocks = op._mode_blocks
     old = _old_mode_blocks(op)
     assert len(blocks) == len(old) == op.resolution[axis] // 2 + 1
     # both parities of the pole sign (-1)^k on the spheres
@@ -197,38 +197,46 @@ def test_stencil_blocks_match_dft_of_dense_K_row(name, kw, axis):
         assert np.abs(B - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_block_path_solves_only_bottom_blocks(monkeypatch):
+@pytest.mark.parametrize("want_vectors", [False, True])
+def test_block_path_solves_only_bottom_blocks(monkeypatch, want_vectors):
     op = sp.assemble_jacobi(gal.gallery("sphere_r3", resolution=(32, 16)))
-    blocks, _ = op._mode_blocks
+    blocks = op._mode_blocks
     assert len(blocks) == 17
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda B: calls.append(B) or eigvalsh(B))
+    calls = {"eigvalsh": [], "eigh": []}
+    for name, solver in [(name, getattr(np.linalg, name)) for name in calls]:
+        monkeypatch.setattr(np.linalg, name,
+                            lambda B, name=name, solver=solver: calls[name].append(B) or solver(B))
 
     def solved(mats):
         # wavenumber of each solved (unconstrained) block
         return [next(k for k in range(len(blocks)) if np.array_equal(B, blocks[k]))
                 for B in mats]
 
-    sp.eigensolve(op, 8, want_vectors=False)
-    first = solved(calls)
+    sp.eigensolve(op, 8, want_vectors=want_vectors)
+    first, lifted = solved(calls["eigvalsh"]), solved(calls["eigh"])
     assert 1 <= len(first) <= 4 and len(set(first)) == len(first)
-    before = len(calls)
+    # eigenvectors only of blocks already solved for their eigenvalues, once each
+    assert bool(lifted) == want_vectors
+    assert set(lifted) <= set(first) and len(set(lifted)) == len(lifted)
+    before = len(calls["eigvalsh"])
     sp.weak_index(op)
     # one constrained wavenumber-0 solve, and only blocks not yet solved
-    head, *rest = calls[before:]
+    head, *rest = calls["eigvalsh"][before:]
     assert head.shape == (op.resolution[1] - 1,) * 2
     assert not set(solved(rest)) & set(first)
     assert len(set(solved(rest))) == len(rest)
+    assert len(calls["eigh"]) == len(lifted)
 
 
 def _full_block_route(op, count, want_vectors):
     """The route that solves every Fourier block: (lowest ``count``
-    eigenvalues, their eigenvectors, eps_null, full spectrum)."""
-    blocks, scale = op._mode_blocks
-    S = op.resolution[op.shift_axis]
+    eigenvalues, their eigenvectors, eps_null, full spectrum).  Eigenvalues
+    come from ``eigvalsh`` with or without vectors, eigenvectors from
+    ``eigh``."""
+    blocks = op._mode_blocks
+    scale, S = blocks.scale, op.resolution[op.shift_axis]
     lifts = [(k, part) for k in range(len(blocks)) for part in range(sp._multiplicity(k, S))]
-    solved = [np.linalg.eigh(B) if want_vectors else (np.linalg.eigvalsh(B), None)
+    solved = [(np.linalg.eigvalsh(B), np.linalg.eigh(B)[1] if want_vectors else None)
               for B in blocks]
     lam = np.concatenate([solved[k][0] for k, _ in lifts])
     order = np.argsort(lam, kind="stable")
@@ -247,9 +255,9 @@ def _full_block_route(op, count, want_vectors):
 
 
 def _full_weak_index(op):
-    blocks, scale = op._mode_blocks
+    blocks = op._mode_blocks
     S = op.resolution[op.shift_axis]
-    parts = [sp._constrained_eigvalsh(blocks[0], 1.0 / scale)]
+    parts = [sp._constrained_eigvalsh(blocks[0], 1.0 / blocks.scale)]
     for k in range(1, len(blocks)):
         parts += [np.linalg.eigvalsh(blocks[k])] * sp._multiplicity(k, S)
     w = np.sort(np.concatenate(parts))
@@ -257,19 +265,19 @@ def _full_weak_index(op):
 
 
 def _unscaled_blocks(op):
-    """The unscaled blocks K_k = M^{1/2} B_k M^{1/2}."""
-    blocks, scale = op._mode_blocks
-    root = 1.0 / scale
-    return [root[:, None] * B * root for B in blocks]
+    """The unscaled blocks K_k = A_{k mod 2} + diag(sym_k w - m q)."""
+    blocks = op._mode_blocks
+    return [blocks.across[k % 2] + np.diag(d) for k, d in enumerate(blocks.diag)]
 
 
 def _full_residual_norms(op, res):
-    """K V through every unscaled block, and ||K||_2 from all their spectra."""
-    a, V = op.shift_axis, res.eigenvectors
+    """K V block by block from the cross-axis matrices and the diagonal
+    rows, and ||K||_2 from the spectra of all unscaled blocks."""
+    blocks, a, V = op._mode_blocks, op.shift_axis, res.eigenvectors
     F = np.moveaxis(np.fft.rfft(V.reshape(*op.resolution, -1), axis=a), a, 0)
     KF, knorm = np.empty_like(F), 0.0
     for k, Kk in enumerate(_unscaled_blocks(op)):
-        KF[k] = Kk @ F[k]
+        KF[k] = blocks.diag[k][:, None] * F[k] + blocks.across[k % 2] @ F[k]
         knorm = max(knorm, float(np.abs(np.linalg.eigvalsh(Kk)).max()))
     KV = np.fft.irfft(np.moveaxis(KF, 0, a), n=op.resolution[a], axis=a)
     R = KV.reshape(op.n, -1) - (op.M_diag[:, None] * V) * res.eigenvalues
@@ -299,16 +307,18 @@ VECTORS_AT_N_MAX = 1024
 def test_pruned_blocks_equal_full_route(name, kw):
     imm = gal.gallery(name, **kw)
     op = sp.assemble_jacobi(imm)
-    blocks, _ = op._mode_blocks
+    blocks = op._mode_blocks
     assert sp.weak_index(op) == _full_weak_index(op)
     for k, Kk in enumerate(_unscaled_blocks(op)):
         assert blocks.floors[k] <= np.linalg.eigvalsh(blocks[k])[0]
         assert blocks.floors[k] <= np.linalg.eigh(blocks[k])[0][0]
         assert blocks.ceilings[k] >= np.abs(np.linalg.eigvalsh(Kk)).max()
-    op = sp.assemble_jacobi(imm)
-    blocks, _ = op._mode_blocks
+    by_route = {}
     for vectors in (False, True):
-        results = []
+        # a fresh operator per route: no block solved by the other
+        op = sp.assemble_jacobi(imm)
+        blocks = op._mode_blocks
+        results = {}
         for count in (0, 1, 12, op.n):
             if vectors and count == op.n > VECTORS_AT_N_MAX:
                 continue
@@ -318,16 +328,23 @@ def test_pruned_blocks_equal_full_route(name, kw):
             assert res.eps_null == eps
             # every block that may reach the count-th eigenvalue was solved
             reach = {k for k in range(len(blocks)) if count and blocks.floors[k] <= lam[-1]}
-            assert reach <= set(blocks._solved[vectors])
+            assert reach <= set(blocks._solved)
             assert (res.eigenvectors is None) == (vecs is None)
             if vectors:
                 assert np.array_equal(res.eigenvectors, vecs)
             if vectors and count == 12:
                 assert np.array_equal(sp.residual_norms(op, res),
                                       _full_residual_norms(op, res))
-            results.append((res, full))
-        for res, full in results:
+            results[count] = (res, full)
+        for res, full in results.values():
             assert np.array_equal(res.all_eigenvalues, full)
+        by_route[vectors] = results
+    # the classification data do not depend on whether vectors were asked for
+    for count, (res, _) in by_route[True].items():
+        plain = by_route[False][count][0]
+        assert np.array_equal(res.eigenvalues, plain.eigenvalues)
+        assert res.eps_null == plain.eps_null
+        assert np.array_equal(res.all_eigenvalues, plain.all_eigenvalues)
     assert sp.weak_index(op) == _full_weak_index(op)
 
 
@@ -356,6 +373,18 @@ def test_block_residuals_match_dense_route(name, kw, axis):
     got, ref = sp.residual_norms(op, off), _dense_residual_norms(op, off)
     assert got.min() > 1e-6
     assert np.abs(got - ref).max() <= 1e-12
+
+
+def test_residuals_form_no_block(monkeypatch):
+    # K V comes from the cross-axis matrices and the diagonal rows alone
+    op = sp.assemble_jacobi(gal.gallery("sphere_s3", resolution=(32, 16)))
+    res = sp.eigensolve(op, 12)
+
+    def no_block(self, k):
+        raise AssertionError(f"block {k} formed")
+
+    monkeypatch.setattr(sp._FourierBlocks, "__getitem__", no_block)
+    assert sp.residual_norms(op, res).max() <= 1e-10
 
 
 def test_block_path_at_6400_unknowns():

@@ -3,6 +3,7 @@ import pytest
 
 from cmcindex import ambient as amb
 from cmcindex import gallery as gal
+from cmcindex import spectral as spc
 from cmcindex import surfaces as sf
 from cmcindex.grids import sphere_grid, torus_grid
 from cmcindex.surfaces import BranchPointError, Immersion
@@ -35,6 +36,15 @@ def test_branch_point_rejected():
     imm = Immersion(amb.R3, g, z, z, z, z, z, z, genus=1)
     with pytest.raises(BranchPointError):
         _ = imm.e2lam
+
+
+def test_small_sphere_scales_jacobi_spectrum():
+    # the degeneracy threshold is relative, so radius 1e-6 is a valid
+    # sphere whose Jacobi eigenvalues are those at radius 1 times 1e12
+    lam = [spc.eigensolve(spc.assemble_jacobi(
+        gal.gallery("sphere_r3", radius=r, resolution=(32, 16))), 12, False).eigenvalues
+        for r in (1.0, 1e-6)]
+    assert np.abs(lam[1] * 1e-12 - lam[0]).max() <= 1e-12 * np.abs(lam[0]).max()
 
 
 @pytest.mark.parametrize("name,a2,h", [
