@@ -9,10 +9,11 @@ M = (2m + 1)^2; on spheres the polynomials of degree <= 2 in the ambient
 coordinates, M = 1 + d + d(d + 1)/2.  P is pointwise linear, so every seeded
 variation lies in the span of the N = d M fields phi_m P(e_a), numbered
 a M + m, and its coefficients there are its rng draws (``coefficients``:
-``variations._scalar_draws`` of the d fields of each seed in one call,
-converted for all seeds at once).  ``seeded_variation`` takes the seed
-alone, so the degree and decay read back here are the only ones any
-seeded field is drawn with.
+the draws of the d fields of each seed, a prefix of the seed's raw stream
+``variations._raw_draws`` that every surface of a seed list shares,
+scaled and converted for all seeds at once).  ``seeded_variation`` takes
+the seed alone, so the degree and decay read back here are the only ones
+any seeded field is drawn with.
 
 ``grams`` assembles the N x N Gram matrices of ``second_variation_area``,
 ``second_variation_energy`` and the chart defect 8 int |eta|^2 dx dy, so
@@ -36,15 +37,14 @@ imports this module on demand, and the other commands never compile it.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .spectral import _SERIAL_BLAS, SHIFT_RTOL
 from .surfaces import Immersion
 # the seeded draws and the chart data they are evaluated on, shared with
 # ``variations.random_scalar``
-from .variations import _VARIATION_DECAY, _chart_angles, _scalar_draws, _torus_degree
+from .variations import (_VARIATION_DECAY, _chart_angles, _draw_scales, _raw_draws,
+                         _torus_degree)
 
 __all__ = ["coefficients", "grams", "identity_residuals"]
 
@@ -78,29 +78,47 @@ def _span_scalars(imm: Immersion, points: np.ndarray) -> np.ndarray:
     return np.concatenate([np.ones((len(p), 1)), p, p[:, a] * p[:, b]], axis=1)
 
 
-@lru_cache(maxsize=1)
-def _seed_states(seeds: tuple) -> tuple:
-    """The bit-generator states of ``default_rng(s)`` for the seeds s.
-    ``cmcindex identity`` reads the same seeds on every surface, and
-    setting a state costs about a tenth of seeding a generator.  The
-    states of the last seed list stay held, about 0.6 KB per seed."""
-    return tuple(np.random.default_rng(s).bit_generator.state for s in seeds)
+# the raw draws of the last seed list: (seeds, {torus: (len(seeds), size)
+# array}), one array per draw pattern.  An array is never mutated once
+# stored, only replaced with the whole pair, so callers on several threads
+# read consistent draws.
+_streams: tuple = ((), {})
+
+
+def _seed_streams(seeds: tuple, torus: bool, size: int) -> np.ndarray:
+    """The first ``size`` raw draws (``variations._raw_draws``) of
+    ``default_rng(s)`` for each seed s, read-only: (len(seeds), size).
+
+    ``cmcindex identity`` reads the same seeds on every surface, and every
+    surface's draws are a prefix of its pattern's stream (torus or sphere),
+    so each seed's stream is drawn once per pattern and held for the last
+    seed list only.  A longer request redraws the stream from the seeds and
+    replaces the held array; in the CLI's surface order the longest
+    request of each pattern comes first (Clifford's 108 draws per seed
+    before Delaunay's 81, sphere_h3's 84 before sphere_r3's 39)."""
+    global _streams
+    held, arrays = _streams
+    same = held == seeds
+    out = arrays.get(torus) if same else None
+    if out is None or out.shape[1] < size:
+        out = np.empty((len(seeds), size))
+        for row, seed in zip(out, seeds):
+            row[:] = _raw_draws(np.random.default_rng(seed), torus, size)
+        out.flags.writeable = False
+        _streams = (seeds, {**arrays, torus: out} if same else {torus: out})
+    return out[:, :size]
 
 
 def coefficients(imm: Immersion, seeds) -> np.ndarray:
     """Coefficients (len(seeds), N) of ``seeded_variation(imm, s)`` for each
-    seed s in the span basis: the same rng draws (``_scalar_draws``, d
-    fields per seed, from the seeds' generator states ``_seed_states``),
-    read as mode coefficients for all seeds at once.  A row depends only on
-    its own seed."""
+    seed s in the span basis: the same rng draws (d fields per seed, a
+    prefix of the seed's stream ``_seed_streams``), scaled as
+    ``variations._scalar_draws`` scales them and read as mode coefficients,
+    for all seeds at once.  A row depends only on its own seed."""
     d, n = imm.space.dim, len(seeds)
-    rng = np.random.default_rng(0)
-
-    def fields(state):  # the draws of default_rng(s), from its state
-        rng.bit_generator.state = state
-        return _scalar_draws(imm, rng, None, _VARIATION_DECAY, count=d)
-
-    draws = np.array([fields(state) for state in _seed_states(tuple(seeds))])
+    scales = _draw_scales(imm, None, _VARIATION_DECAY)
+    raw = _seed_streams(tuple(seeds), imm.grid.topology == "torus", d * scales.size)
+    draws = raw.reshape((n, d) + scales.shape) * scales
     if imm.grid.topology == "torus":
         m = _torus_degree(imm.grid, None)
         # term (j, k) is amp cos(j xi + phx) cos(k eta + phy), and

@@ -149,37 +149,54 @@ def _torus_degree(g, degree: int | None) -> int:
     return min(_degree(degree), g.nx // 4, g.ny // 4)
 
 
-def _scalar_draws(imm: Immersion, rng: np.random.Generator, degree: int | None,
-                  decay: float, count: int = 1) -> np.ndarray:
-    """The rng draws of ``count`` consecutive seeded scalar fields from one
-    generator, scaled; the one place that fixes their order, which every
-    seeded field and its span coefficients are read from.
+def _raw_draws(rng: np.random.Generator, torus: bool, size: int) -> np.ndarray:
+    """The next ``size`` draws of ``rng`` in the seeded fields' order,
+    unscaled: the one place that fixes that order, which every seeded field
+    and its span coefficients are read from.
 
-    Torus charts: (count, T, 3), per term (amplitude, x phase, y phase) of
-    amplitude cos(j xi + x phase) cos(k eta + y phase), for the T = (m + 1)^2
-    terms j, k <= m with k running fastest.  Each term draws a normal and two
-    uniforms in turn, one rng call each.  Sphere charts: (count, K), the
-    constant, the d linear and the d x d quadratic (row-major) coefficients
-    of a polynomial in the ambient coordinates, K = 1 + d + d^2 at degree 2
-    and 1 + d or 1 below: all normals, so one rng call gives the same
-    stream as a call per coefficient block.
-    """
+    Torus charts (``torus`` true) draw per term a normal and two uniforms
+    in turn, one rng call each (``size`` a multiple of 3).  Sphere charts
+    draw normals alone, so one rng call gives the same stream as one call
+    per coefficient block.  Either stream is a prefix of any longer one
+    from the same generator state: the draws of d fields are the first
+    draws of those of more fields."""
+    if torus:
+        calls = (rng.standard_normal, rng.random, rng.random) * (size // 3)
+        return np.array([draw() for draw in calls])
+    return rng.standard_normal(size)
+
+
+def _draw_scales(imm: Immersion, degree: int | None, decay: float) -> np.ndarray:
+    """The factors that scale one field's ``_raw_draws`` into its
+    ``_scalar_draws``: (T, 3) on torus charts, (K,) on sphere charts."""
     g = imm.grid
     if g.topology == "torus":
         m = _torus_degree(g, degree)
-        calls = (rng.standard_normal, rng.random, rng.random) * (count * (m + 1) ** 2)
-        out = np.array([draw() for draw in calls]).reshape(count, -1, 3)
         # per term (decay ** (j + k), 2 pi, 2 pi), from Python's ** (numpy's
         # power differs in the last bit); random() * 2 pi is uniform(0, 2 pi)
         # bit for bit (numpy draws it as low + (high - low) next_double)
-        out *= [(decay ** (j + k), 2 * np.pi, 2 * np.pi)
-                for j in range(m + 1) for k in range(m + 1)]
-        return out
+        return np.array([(decay ** (j + k), 2 * np.pi, 2 * np.pi)
+                         for j in range(m + 1) for k in range(m + 1)])
     d, deg = imm.space.dim, min(_degree(degree), 2)
     sizes = (1, d, d * d)[:deg + 1]
-    out = rng.standard_normal((count, sum(sizes)))
-    out *= np.repeat((1.0, 0.6, 0.35)[:deg + 1], sizes)
-    return out
+    return np.repeat((1.0, 0.6, 0.35)[:deg + 1], sizes)
+
+
+def _scalar_draws(imm: Immersion, rng: np.random.Generator, degree: int | None,
+                  decay: float, count: int = 1) -> np.ndarray:
+    """The rng draws of ``count`` consecutive seeded scalar fields from one
+    generator (``_raw_draws``), scaled (``_draw_scales``).
+
+    Torus charts: (count, T, 3), per term (amplitude, x phase, y phase) of
+    amplitude cos(j xi + x phase) cos(k eta + y phase), for the T = (m + 1)^2
+    terms j, k <= m with k running fastest.  Sphere charts: (count, K), the
+    constant, the d linear and the d x d quadratic (row-major) coefficients
+    of a polynomial in the ambient coordinates, K = 1 + d + d^2 at degree 2
+    and 1 + d or 1 below.
+    """
+    scales = _draw_scales(imm, degree, decay)
+    raw = _raw_draws(rng, imm.grid.topology == "torus", count * scales.size)
+    return raw.reshape((count,) + scales.shape) * scales
 
 
 def _chart_angles(g) -> tuple[np.ndarray, np.ndarray]:

@@ -1,8 +1,13 @@
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+import weakref
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -676,6 +681,90 @@ def test_scalar_draws_count_equals_sequential_draws(name, kw, res):
             single = [vr._scalar_draws(imm, seq, degree, vr._VARIATION_DECAY) for _ in range(count)]
             assert np.array_equal(batch, np.concatenate(single))
             assert rng.random() == seq.random()
+
+
+# the CLI's 200 seeds at --seed 4011
+CLI_SEEDS = [4011 * 100003 + i for i in range(200)]
+
+
+@pytest.fixture(scope="module")
+def identity_surfaces():
+    """The five default identity surfaces in the CLI's (sorted) order, each
+    with its reference coefficients at ``CLI_SEEDS``."""
+    return [(imm, _coefficients_per_field(imm, CLI_SEEDS))
+            for imm in (gal.gallery(name, resolution=res, **kw)
+                        for name, kw, res in sorted(IDENTITY_CASES, key=lambda c: c[0]))]
+
+
+@pytest.fixture
+def stream_draws(monkeypatch):
+    """A fresh stream memo; the list returned collects the (torus, size) of
+    every seed's stream drawn."""
+    calls = []
+
+    def counted(rng, torus, size):
+        calls.append((torus, size))
+        return vr._raw_draws(rng, torus, size)
+
+    monkeypatch.setattr(span, "_streams", ((), {}))
+    monkeypatch.setattr(span, "_raw_draws", counted)
+    return calls
+
+
+# the seeds' streams drawn, as (torus, draws per seed): count, when the five
+# surfaces are read with the memo emptied before each, in the CLI's order
+# and in reverse
+STREAMS_DRAWN = {
+    "fresh": {(True, 108): 200, (True, 81): 200, (False, 84): 400, (False, 39): 200},
+    "cli": {(True, 108): 200, (False, 84): 200},
+    "reverse": {(False, 84): 200, (True, 81): 200, (True, 108): 200}}
+
+
+@pytest.mark.parametrize("order", STREAMS_DRAWN)
+def test_shared_streams_bit_for_bit_in_any_order(identity_surfaces, stream_draws, order):
+    """Each seed's stream is drawn once per pattern in the CLI's order;
+    in reverse order Clifford's 108 draws per seed outgrow Delaunay's 81
+    and are redrawn from the seeds.  The rows are the same either way, and
+    the held streams are read-only."""
+    cases = identity_surfaces[::-1] if order == "reverse" else identity_surfaces
+    for imm, ref in cases:
+        if order == "fresh":
+            span._streams = ((), {})
+        assert np.array_equal(span.coefficients(imm, CLI_SEEDS), ref)
+    assert Counter(stream_draws) == STREAMS_DRAWN[order]
+    seeds, arrays = span._streams
+    assert seeds == tuple(CLI_SEEDS)
+    assert not any(x.flags.writeable for x in arrays.values())
+
+
+def test_shared_streams_from_two_threads(identity_surfaces, stream_draws):
+    """Two threads reading the five surfaces at once, in opposite orders,
+    each get the reference rows."""
+    barrier = threading.Barrier(2)
+
+    def run(cases):
+        barrier.wait()
+        return [span.coefficients(imm, CLI_SEEDS) for imm, _ in cases]
+
+    with ThreadPoolExecutor(2) as pool:
+        runs = [pool.submit(run, cases) for cases in (identity_surfaces, identity_surfaces[::-1])]
+        results = [runs[0].result(), runs[1].result()[::-1]]
+    for got in results:
+        for coef, (_, ref) in zip(got, identity_surfaces):
+            assert np.array_equal(coef, ref)
+
+
+def test_new_seed_list_releases_old_streams(identity_surfaces, stream_draws):
+    """The memo holds the streams of the last seed list only."""
+    for imm, _ in identity_surfaces[:3]:
+        span.coefficients(imm, CLI_SEEDS)
+    held = [weakref.ref(x) for x in span._streams[1].values()]
+    assert len(held) == 2
+    imm, _ = identity_surfaces[0]
+    assert np.array_equal(span.coefficients(imm, [5]), _coefficients_per_field(imm, [5]))
+    gc.collect()
+    assert all(ref() is None for ref in held)
+    assert span._streams[0] == (5,) and list(span._streams[1]) == [True]
 
 
 @pytest.mark.parametrize("name,kw,res", SPAN_CASES, ids=[c[0] for c in SPAN_CASES])
