@@ -111,12 +111,11 @@ def optimize_delta() -> tuple[float, float]:
 
 # ------------------------------------------------------------------ the bound
 
-def _require_extrinsic(imm_or_space) -> float:
-    space = imm_or_space.space if isinstance(imm_or_space, Immersion) else imm_or_space
-    j = space.extrinsic_bound
+def _require_extrinsic(imm: Immersion) -> float:
+    j = imm.space.extrinsic_bound
     if j is None:
         raise amb.UnsupportedOperation(
-            f"{space.kind} carries no Euclidean embedding bound J")
+            f"{imm.space.kind} carries no Euclidean embedding bound J")
     return float(j)
 
 

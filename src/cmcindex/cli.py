@@ -110,13 +110,6 @@ def _surface_key(desc: dict) -> str:
     return f"{desc['kind']}({params})@{nx}x{ny}"
 
 
-def _build(desc: dict):
-    try:
-        return gal.from_descriptor(desc)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _load_config(args, defaults: list) -> RunConfig:
     raw = {}
     if args.config:
@@ -270,7 +263,7 @@ def cmd_identity(cfg: RunConfig) -> int:
     from . import span
 
     def worker(desc):
-        imm = _build(desc)
+        imm = gal.from_descriptor(desc)
         key = _surface_key(desc)
         seeds = [cfg.seed * 100003 + i for i in range(cfg.variations)]
         rows, worst = [], 0.0
@@ -303,7 +296,7 @@ def _analyse(desc: dict, count: int, stability: bool = False) -> tuple:
     the record holds the surface key, index, nullity, weak index, the
     refinement-stability flag (None unless ``stability``), the interlacing
     check and the known index lower bound with its check."""
-    imm = _build(desc)
+    imm = gal.from_descriptor(desc)
     op = sp.assemble_jacobi(imm)
     res = sp.eigensolve(op, min(count, op.n), want_vectors=False)
     i, n = sp.index_nullity(res)
@@ -313,7 +306,7 @@ def _analyse(desc: dict, count: int, stability: bool = False) -> tuple:
         # refine by 5/4 (even nx for sphere pole closure)
         fine_desc = dict(desc, resolution=[2 * (int(nx * 1.25) // 2),
                                            int(ny * 1.25)])
-        fine = sp.eigensolve(sp.assemble_jacobi(_build(fine_desc)),
+        fine = sp.eigensolve(sp.assemble_jacobi(gal.from_descriptor(fine_desc)),
                              min(count, op.n), want_vectors=False)
         stable = (i, n) == sp.index_nullity(fine)
     iw = sp.weak_index(op)
@@ -394,7 +387,7 @@ def cmd_bounds(cfg: RunConfig) -> int:
 
 def cmd_gallery(cfg: RunConfig) -> int:
     def worker(desc):
-        imm = _build(desc)
+        imm = gal.from_descriptor(desc)
         entry = {
             "surface": _surface_key(desc), "descriptor": desc,
             "reference": {k: (float(v) if isinstance(v, (int, float, np.floating)) else v)

@@ -156,7 +156,7 @@ class ParamGrid:
         if np.iscomplexobj(g):
             g = g.view(np.float64)
         out = np.empty_like(g)
-        P = self.axis_stencil(axis, "diff")[0]
+        P, Q = self.axis_stencil(axis, "diff")
         if axis == 0:
             np.matmul(P, g.transpose(1, 0, 2), out=out.transpose(1, 0, 2))
         else:
@@ -164,8 +164,8 @@ class ParamGrid:
             if self.topology == "sphere":
                 # the flip factor enters through its nonzero rows only, and
                 # reaches the antipodal longitude by a swap of the x halves
-                rows, flip = _pole_flip(self)
-                flipped, h = np.matmul(flip, g), self.nx // 2
+                rows = np.flatnonzero(Q.any(axis=1))
+                flipped, h = np.matmul(Q[rows], g), self.nx // 2
                 out[:h, rows] += flipped[h:]
                 out[h:, rows] += flipped[:h]
         return out.view(f.dtype).reshape(f.shape)
@@ -223,18 +223,6 @@ def _axis_stencil(g: ParamGrid, axis: int, name: str) -> tuple[np.ndarray, np.nd
     mats.setflags(write=False)
     # a periodic axis has no flip: a zero view that holds no memory
     return mats[0], mats[1] if pole else np.broadcast_to(0.0, (n, n))
-
-
-@lru_cache(maxsize=32)
-def _pole_flip(g: ParamGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero rows of the sphere y flip factor of ``"diff"`` (the
-    stencil half-width at each pole) and the factor restricted to them."""
-    Q = g.axis_stencil(1, "diff")[1]
-    rows = np.flatnonzero(Q.any(axis=1))
-    flip = Q[rows]
-    for x in (rows, flip):
-        x.setflags(write=False)
-    return rows, flip
 
 
 def torus_grid(nx: int, ny: int, lx: float = TWO_PI, ly: float = TWO_PI) -> ParamGrid:

@@ -458,14 +458,10 @@ def _constrained_eigvalsh(B: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _normalize_signs(vecs: np.ndarray) -> np.ndarray:
     """Deterministic sign: first component above threshold made positive."""
-    out = vecs.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        big = np.abs(col) > 1e-8 * np.abs(col).max()
-        k = int(np.argmax(big))
-        if col[k] < 0:
-            out[:, j] = -col
-    return out
+    mag = np.abs(vecs)
+    first = np.argmax(mag > 1e-8 * mag.max(axis=0), axis=0)
+    lead = vecs[first, np.arange(vecs.shape[1])]
+    return vecs * np.where(lead < 0, -1.0, 1.0)
 
 
 def _null_tolerance(eigs: np.ndarray) -> float:

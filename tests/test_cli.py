@@ -391,7 +391,8 @@ def test_resolution_below_8_is_config_error(tmp_path, capsys, argv):
 def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch):
     """--seed is checked as the config's "seed" is, before any surface is
     built and before --out is made."""
-    monkeypatch.setattr(cli, "_build", lambda *a, **kw: pytest.fail("surface built"))
+    monkeypatch.setattr(cli.gal, "from_descriptor",
+                        lambda *a, **kw: pytest.fail("surface built"))
     rc = cli.main(["identity", "--seed", "-1", "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "config error: 'seed' must be at least 0" in capsys.readouterr().err

@@ -6,7 +6,9 @@ projection, connection and geodesics must give the same floating-point
 result element by element, signed zeros included.  Chart derivatives apply the ``axis_stencil``
 matrices, whose summation order is BLAS's, so they are held to the
 ``np.roll`` stencils and pole padding within 1e-13 max|f| / h, with exact
-zeros kept exact."""
+zeros kept exact; the sphere d/dy is also held bit for bit to its matrix
+formula with the flip factor restricted to its nonzero rows.  The eigenvector
+sign normalization must equal its column-by-column loop bit for bit."""
 
 from __future__ import annotations
 
@@ -14,7 +16,9 @@ import numpy as np
 import pytest
 
 from cmcindex import ambient as amb
+from cmcindex import cli
 from cmcindex import gallery as gal
+from cmcindex import spectral as sp
 from cmcindex import variations as vr
 from cmcindex.grids import _C8, sphere_grid, torus_grid
 
@@ -157,6 +161,50 @@ def _ref_random_scalar_sphere(imm, rng, degree=None):
     return out
 
 
+def _ref_sphere_diff_y(grid, f):
+    """Sphere d/dy: the interior factor on every chart line, then the flip
+    factor restricted to its nonzero rows, each x half added to the
+    antipodal one."""
+    f = np.ascontiguousarray(f, dtype=np.result_type(f.dtype, np.float64))
+    g = f.reshape(grid.nx, grid.ny, -1)
+    if np.iscomplexobj(g):
+        g = g.view(np.float64)
+    P, Q = grid.axis_stencil(1, "diff")
+    out = np.matmul(P, g)
+    rows = np.flatnonzero(Q.any(axis=1))
+    flipped, h = np.matmul(Q[rows], g), grid.nx // 2
+    out[:h, rows] += flipped[h:]
+    out[h:, rows] += flipped[:h]
+    return out.view(f.dtype).reshape(f.shape)
+
+
+def _ref_normalize_signs(vecs):
+    out = vecs.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        big = np.abs(col) > 1e-8 * np.abs(col).max()
+        k = int(np.argmax(big))
+        if col[k] < 0:
+            out[:, j] = -col
+    return out
+
+
+def _synthetic_columns():
+    """All-zero columns of both signs, leading entries below 1e-8 max (one at
+    the threshold exactly), first large entry negative or positive, and
+    signed zeros throughout; each with its negation."""
+    cols = np.array([
+        [0.0] * 8,
+        [-0.0] * 8,
+        [1e-10, -2e-9, -0.0, 0.0, -3.0, 2.0, -0.0, 1.0],
+        [-1e-8, 0.0, -0.0, 1.0, -1.0, 0.0, -0.0, 0.5],
+        [-0.0, 3e-8, -1.0, 0.0, -0.0, 0.25, -0.0, 1.0],
+        [-5e-300, 0.0, -0.0, -0.0, -7.0, 0.0, 7.0, -0.0],
+        [-2.0, -0.0, 0.0, 1e-12, -0.0, 0.0, 2.0, -0.0],
+    ]).T
+    return np.concatenate([cols, -cols], axis=1)
+
+
 def _check_inner(space, cplx):
     rng = np.random.default_rng(11)
     for shape in ((24, 16), (5,), ()):
@@ -236,6 +284,21 @@ def _check_random_scalar(kind, params, resolution):
             assert _same_bits(new, old)
 
 
+def _check_sphere_diff_y(res, cplx):
+    grid = sphere_grid(*res)
+    rng = np.random.default_rng(31)
+    for trailing in ((), (4,)):
+        f = _field(rng, res + trailing, cplx)
+        assert _same_bits(grid.diff_y(f), _ref_sphere_diff_y(grid, f))
+
+
+def _check_normalize_signs(desc):
+    op = sp.assemble_jacobi(gal.from_descriptor(desc))
+    vecs = sp._block_eigen(op, 12, True)[1]
+    for v in (vecs, -vecs, _synthetic_columns()):
+        assert _same_bits(sp._normalize_signs(v), _ref_normalize_signs(v))
+
+
 DIFF_GRIDS = (torus_grid(24, 16, 1.3, 0.7), sphere_grid(16, 12))
 
 CASES = (
@@ -262,6 +325,11 @@ CASES = (
                                  ("sphere_r3", {}, (64, 48)),
                                  ("sphere_s3", {"radius": 0.9}, (64, 48)),
                                  ("sphere_h3", {"radius": 0.8}, (32, 24))]]
+    + [pytest.param(_check_sphere_diff_y, (res, cplx),
+                    id=f"diff_y-flip_rows-{res[0]}x{res[1]}-{'complex' if cplx else 'real'}")
+       for res in ((16, 12), (64, 48)) for cplx in (False, True)]
+    + [pytest.param(_check_normalize_signs, (desc,), id=f"normalize_signs-{desc['kind']}")
+       for desc in cli._SPECTRUM_DEFAULTS]
 )
 
 

@@ -658,8 +658,8 @@ IDENTITY_CASES = [(name, kw, (64, 48) if name.startswith("sphere") else (64, 64)
 def test_coefficients_match_scalar_draws_bit_for_bit(name, kw, res):
     """``span.coefficients`` on the default identity grids against one rng
     call per scalar and one conversion per field, bit for bit, at 0, 1 and
-    200 seeds (the CLI's seeds at --seed 4011), also when the seeds'
-    generator states come from the previous call."""
+    200 seeds (the CLI's seeds at --seed 4011), also when the seeds' raw
+    streams are the ones the previous call drew and held."""
     imm = gal.gallery(name, resolution=res, **kw)
     assert span.coefficients(imm, []).shape == (0, SPAN_SIZES[name])
     for seeds in ([5], [4011 * 100003 + i for i in range(200)]):
