@@ -28,9 +28,12 @@ N x N Gram matrices of d2A, d2E and the chart defect 8 int |eta|^2 dx dy
 (``span.grams``: the stencil jets of all N fields at chunks of chart
 points, each form one weighted product of those jets).  Every default
 surface maps onto itself under a one-step chart shift that rotates the
-ambient space, so the Grams come from one chart line and the shift's
-orbit, at a cost that follows the line and not the grid; a surface
-without that symmetry is assembled over the whole chart.  Each
+ambient space: along both torus axes on the Clifford torus, along one
+chart axis on the others.  So the engine reads only the block of points
+those shifts leave (one point on the Clifford torus, one chart line on
+the others), and the Grams are summed over the orbit along each
+symmetric axis; only the symmetry check reads every line.  A surface
+without any such symmetry is assembled over the whole chart.  Each
 variation's row is written from its coefficient vector c as c^T G c
 (``span.identity_residuals``), so a row depends only on its surface and
 seed.  The Gram products run numpy's OpenBLAS on one thread, as the

@@ -24,13 +24,17 @@ of chart points, in chunks (``_add_chunk``): it reads the stencil jets
 per-point algebra of the three per-field functions to them, and adds each
 form as one weighted product sum_p w_p X_p^T Y_p.
 
-The engine runs on one orbit representative.  Every default identity
-surface maps onto itself under a one-step chart shift that rotates the
-ambient space (the spheres under x -> x + h, the tori under y -> y + h), so
-the Grams are the sum over the shift's orbit of those of one chart line:
-the chart column y = 0 on tori, the longitude x = 0 on spheres
-(``_chart_shift``, ``_orbit_sum``).  An immersion without that symmetry is
-assembled over the whole chart, the trivial orbit.
+The engine runs on one orbit representative.  Each periodic chart axis
+(both on tori, x on spheres) is tested for a one-step chart shift that maps
+the immersion onto itself by an ambient isometry (``_chart_shift``), and
+the engine reads the block of points those shifts leave: index 0 along
+every symmetric axis.  The Grams of the block are then summed over the
+shift's orbit along each symmetric axis in turn (``_orbit_sum``).  The
+Clifford torus is symmetric along both torus axes, so its block is one
+chart point; the Delaunay tori along y alone, so theirs is the chart
+column y = 0; the spheres along x, so theirs is the longitude x = 0.  An
+immersion without any such symmetry is assembled over the whole chart,
+the trivial orbit.
 ``cmcindex identity`` writes every row of every surface this way; it
 imports this module on demand, and the other commands never compile it.
 """
@@ -49,10 +53,12 @@ from .variations import (_VARIATION_DECAY, _chart_angles, _draw_scales, _raw_dra
 __all__ = ["coefficients", "grams", "identity_residuals"]
 
 # chart points per chunk of the Gram engine.  At 16, 24 and 32 the Grams of
-# the five default identity surfaces took 22.9, 20.9 and 19.5 ms
+# the five default identity surfaces took 19.5, 18.6 and 18.4 ms
 # (in-process, 2 vCPUs, best of 15), and the tracemalloc peak was 0.98,
-# 1.42 and 1.86 MiB on sphere_s3 at 64x48 (its test allows 2 MiB) and 1.66,
-# 2.31 and 2.92 MiB on the Clifford torus at 64x64 (4 MiB)
+# 1.42 and 1.86 MiB on sphere_s3 at 64x48 (its test allows 2 MiB) and 1.69,
+# 2.35 and 2.95 MiB for the whole-chart Grams of the Clifford torus at
+# 64x64 (4 MiB).  The Clifford torus's own block is one point: 0.78 MiB at
+# any chunk size
 _CHUNK = 16
 
 
@@ -298,21 +304,29 @@ def _polynomial_shift(R: np.ndarray) -> np.ndarray:
 _SHIFT_BLOCK = 1 << 12
 
 
-def _chart_shift(imm: Immersion) -> np.ndarray | None:
-    """The ambient isometry R that a one-step chart shift applies, or None.
+def _periodic_axes(g) -> tuple:
+    """The chart axes a shift runs along: both on tori, x on spheres (the
+    y axis of a sphere ends at the poles)."""
+    return (0, 1) if g.topology == "torus" else (0,)
 
-    The shift runs along y on tori and along x on spheres, and the chart
-    lines are the lines it moves into each other: the chart columns
-    y = const on tori and the longitudes x = const on spheres.  R is read
-    from the orthonormal frames F and F' = (u_x / |u_x|, u_y / |u_y|,
-    nu[, u]) of one point on lines 0 and 1: R = F' E F^T J, with J the
+
+def _chart_shift(imm: Immersion, axis: int | None = None) -> np.ndarray | None:
+    """The ambient isometry R that a one-step chart shift along ``axis``
+    applies, or None.  ``axis`` is a periodic chart axis
+    (``_periodic_axes``), by default the last one: y on tori, x on spheres.
+
+    The chart lines are the lines the shift moves into each other: the
+    lines x = const for a shift along x (the longitudes on spheres), the
+    chart columns y = const for one along y.  R is read from the
+    orthonormal frames F and F' = (u_x / |u_x|, u_y / |u_y|, nu[, u]) of
+    one point on lines 0 and 1: R = F' E F^T J, with J the
     signature and E = F^T J F = diag(+-1).  It is returned if it is an
     isometry and if u, its first and second chart partials and nu on every
     line, mapped by R, equal the next line to ``spectral.SHIFT_RTOL`` of
     each field's largest entry.  The lines are compared in blocks of about
     ``_SHIFT_BLOCK`` points, so no temporary spans the grid."""
     g, sig = imm.grid, imm.space.signature
-    along = 1 if g.topology == "torus" else 0
+    along = _periodic_axes(g)[-1] if axis is None else axis
     fields = [np.moveaxis(f, along, 0) for f in (
         imm.u, imm.ux, imm.uy, imm.uxx, imm.uxy, imm.uyy, imm.nu)]
     lines, length = fields[0].shape[:2]
@@ -372,59 +386,68 @@ def grams(imm: Immersion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     against tangent vectors w.
 
     The points are one orbit representative.  Where a one-step chart shift
-    maps the immersion onto itself by an ambient isometry R
-    (``_chart_shift``: every default identity surface), the forms are
-    invariant under it, so chart line m contributes (U^m)^T G_0 U^m, with
-    G_0 the Grams of line 0 and U = R^-1 (x) A the shift's action on the
-    coefficients: on tori A = I (x) S, with S the shift of the
-    trigonometric modes of y (``_trig_shift``), and on spheres A maps the
+    along a periodic axis maps the immersion onto itself by an ambient
+    isometry R (``_chart_shift``, tested on every periodic axis), the forms
+    are invariant under it: the points m steps along the axis from a set
+    with Grams G contribute (U^m)^T G U^m, with U = R^-1 (x) A the shift's
+    action on the coefficients.  On tori A is S (x) I for a shift along x
+    and I (x) S for one along y, with S the shift of that axis's
+    trigonometric modes (``_trig_shift``); on spheres A maps the
     coefficients of the polynomial modes under p -> R p
-    (``_polynomial_shift``).  Line 0 is the chart column y = 0 on tori and
-    the longitude x = 0 on spheres; the stencils read the lines around it,
-    the pole flip the antipodal longitude.  The orbit is summed by doubling
-    (``_orbit_sum``).  Without the symmetry the representative is the whole
-    chart and the orbit trivial.  The products run with numpy's OpenBLAS
-    on one thread (``spectral._SERIAL_BLAS``), so the Grams do not depend
-    on the BLAS thread count.
+    (``_polynomial_shift``).  The engine assembles the block of points
+    with index 0 along every symmetric axis: one point on the Clifford
+    torus, the chart column y = 0 on the Delaunay tori and the longitude
+    x = 0 on spheres.  The stencils read the points around it, the pole
+    flip the antipodal longitude.  The block's Grams are summed over the
+    orbit along x, then along y, each by doubling (``_orbit_sum``).
+    Without any symmetry the block is the whole chart and the orbits
+    trivial.  The products run with numpy's OpenBLAS on one thread
+    (``spectral._SERIAL_BLAS``), so the Grams do not depend on the BLAS
+    thread count.
     """
-    return _grams(imm, _chart_shift(imm))
+    periodic = _periodic_axes(imm.grid)
+    return _grams(imm, tuple(_chart_shift(imm, axis) if axis in periodic else None
+                             for axis in (0, 1)))
 
 
 def _full_grams(imm: Immersion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``grams`` over the whole chart, as for an immersion without the shift
+    """``grams`` over the whole chart, as for an immersion without a shift
     symmetry: the trivial orbit."""
-    return _grams(imm, None)
+    return _grams(imm, (None, None))
 
 
 @_SERIAL_BLAS
-def _grams(imm: Immersion, shift: np.ndarray | None) -> tuple[np.ndarray, ...]:
-    """``grams`` over the orbit of the ambient map ``shift`` (None for the
-    trivial orbit)."""
+def _grams(imm: Immersion, shifts: tuple) -> tuple[np.ndarray, ...]:
+    """``grams`` over the orbits of the ambient maps ``shifts``, one per
+    chart axis (None for the trivial orbit along it)."""
     g, sp = imm.grid, imm.space
     d, sig = sp.dim, sp.signature
-    if shift is None:
-        points = np.arange(g.nx * g.ny)
-    elif g.topology == "torus":
-        points = np.arange(g.nx) * g.ny
-    else:
-        points = np.arange(g.ny)
+    # the block of points the shifts leave: index 0 along each symmetric axis
+    xs, ys = (np.arange(n if R is None else 1) for R, n in zip(shifts, (g.nx, g.ny)))
+    points = (xs[:, None] * g.ny + ys).ravel()
     N = d * _span_scalars(imm, points[:1]).shape[1]
     out = [np.zeros((N, N)) for _ in range(3)]
     for start in range(0, len(points), _CHUNK):
         _add_chunk(imm, points[start:start + _CHUNK], *out)
-    if shift is not None:
-        r_inv = sig[:, None] * shift.T * sig  # R^-1 = J R^T J
+    # each symmetric axis in turn spreads the Grams of the points so far
+    # over their orbit along it: the block, then its x orbit, then the grid
+    for axis, (R, count) in enumerate(zip(shifts, (g.nx, g.ny))):
+        if R is None:
+            continue
+        r_inv = sig[:, None] * R.T * sig  # R^-1 = J R^T J
         if g.topology == "sphere":
-            out = _orbit_sum(out, np.kron(r_inv, _polynomial_shift(shift)), g.nx)
+            out = _orbit_sum(out, np.kron(r_inv, _polynomial_shift(R)), count)
         else:
-            # the Grams' indices (a, j, k, b, J, K) with the x modes j, J
-            # first: U acts on the pairs (a, y mode k) alone
-            n, axes = 2 * _torus_degree(g, None) + 1, (1, 4, 0, 2, 3, 5)
+            # the Grams' indices (a, j, k, b, J, K) with the x modes j, J and
+            # the y modes k, K: U acts on the pairs (a, mode along the axis)
+            # alone, so the modes along the other axis go first
+            n, mode = 2 * _torus_degree(g, None) + 1, 1 + axis
+            axes = (3 - mode, 6 - mode, 0, mode, 3, mode + 3)
             out = [x.reshape(d, n, n, d, n, n).transpose(axes).reshape(n * n, d * n, d * n)
                    for x in out]
-            U = np.kron(r_inv, _trig_shift(n // 2, 2.0 * np.pi / g.ny))
+            U = np.kron(r_inv, _trig_shift(n // 2, 2.0 * np.pi / count))
             out = [x.reshape(n, n, d, n, d, n).transpose(np.argsort(axes)).reshape(N, N)
-                   for x in _orbit_sum(out, U, g.ny)]
+                   for x in _orbit_sum(out, U, count)]
     return tuple(0.5 * (x + x.T) for x in out)
 
 
@@ -435,7 +458,18 @@ def identity_residuals(imm: Immersion, seeds) -> list[dict]:
     span Gram matrices (without its defect_surface): the rows of ``cmcindex
     identity``.  The Grams are built once (not at all for no seeds).  Each
     row sums over its own coefficients only, so it depends only on the
-    surface and its seed, not on the other seeds."""
+    surface and its seed, not on the other seeds.
+
+    Each form c^T G c carries roundoff relative to the row's scale
+    max(|d2A|, |d2E|, 1), the scale ``tests/test_reports.py`` compares rows
+    at, not to its own size, so a form that cancels against that scale has
+    no relative accuracy of its own.  Against
+    ``comparison_identity_residual`` at the default grids (40 seeds) the
+    forms differ by up to 5e-15 of the scale from the whole chart, 9e-15
+    from the chart line of a sphere or the Delaunay torus, and 5.5e-14
+    from the one chart point of the Clifford torus.  The orbit sums add
+    roundoff that grows with the grid: the Clifford torus's largest
+    residual_rel is 3.6e-13 at 512x512."""
     seeds = list(seeds)
     if not seeds:
         return []

@@ -882,9 +882,10 @@ def _assert_grams_match_dense(grams, imm):
 @pytest.mark.parametrize("name,kw,res", TORUS_CASES,
                          ids=[f"{c[0]}-{c[2][0]}x{c[2][1]}" for c in TORUS_CASES])
 def test_torus_grams_match_slab_assembly(name, kw, res):
-    """The torus Grams, from the chart column y = 0 and its shift orbit,
-    against ``_dense_grams``: every entry of each form within 1e-13 of its
-    largest entry."""
+    """The torus Grams, from the block of points the chart shifts leave
+    (one point on the Clifford torus, the chart column y = 0 on the
+    Delaunay torus) and its orbits, against ``_dense_grams``: every entry
+    of each form within 1e-13 of its largest entry."""
     imm = gal.gallery(name, resolution=res, **kw)
     _assert_grams_match_dense(span.grams(imm), imm)
 
@@ -956,13 +957,39 @@ ORBIT_CASES = [(name, kw, res) for name, kw, _ in SPAN_CASES for res in (
                          ids=[f"{c[0]}-{c[2][0]}x{c[2][1]}" for c in ORBIT_CASES])
 def test_orbit_grams_match_whole_chart(name, kw, res):
     """Each default identity surface maps onto itself under a one-step
-    chart shift, so its Grams come from one chart line and the shift's
-    orbit; against the whole-chart assembly each form agrees within 1e-13
-    of its largest entry."""
+    chart shift along one or both chart axes, so its Grams come from the
+    block of points the shifts leave (one point on the Clifford torus, one
+    chart line on the others) and its orbits along them; against the
+    whole-chart assembly each form agrees within 1e-13 of its largest
+    entry."""
     imm = gal.gallery(name, resolution=res, **kw)
     assert span._chart_shift(imm) is not None
     for new, ref in zip(span.grams(imm), span._full_grams(imm)):
         assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+BLOCK_CASES = [(name, kw, res) for name, kw, _ in SPAN_CASES for res in (
+    ((64, 48),) if name.startswith("sphere") else ((64, 64), (48, 40)))]
+
+
+@pytest.mark.parametrize("name,kw,res", BLOCK_CASES,
+                         ids=[f"{c[0]}-{c[2][0]}x{c[2][1]}" for c in BLOCK_CASES])
+def test_grams_assemble_block_the_shifts_leave(name, kw, res, monkeypatch):
+    """The chart points ``_add_chunk`` receives are the block with index 0
+    along every axis of a chart shift symmetry: one point on the Clifford
+    torus (symmetric along x and y), the nx points of the chart column
+    y = 0 on the Delaunay torus (along y alone: its profile varies along
+    x) and the ny points of the longitude x = 0 on the spheres (along x)."""
+    imm = gal.gallery(name, resolution=res, **kw)
+    g, seen, add = imm.grid, [], span._add_chunk
+    if g.topology == "torus":
+        assert (span._chart_shift(imm, 0) is not None) == (name == "clifford_torus")
+        assert span._chart_shift(imm, 1) is not None
+    monkeypatch.setattr(span, "_add_chunk",
+                        lambda imm, points, *grams: seen.append(points) or add(imm, points, *grams))
+    span.grams(imm)
+    block = {"clifford_torus": np.zeros(1, int), "delaunay_t3": np.arange(g.nx) * g.ny}
+    assert np.array_equal(np.concatenate(seen), block.get(name, np.arange(g.ny)))
 
 
 def test_grams_without_shift_symmetry_take_whole_chart():
@@ -1002,8 +1029,10 @@ CHUNK_CASES = [(name, kw, res) for name, kw, _ in SPAN_CASES for res in ((32, 24
 def test_grams_independent_of_chunk_size(name, kw, res, monkeypatch):
     """The Grams at the chunk size in use against chunks of one and three
     chart points (the last chunk short where 3 does not divide the point
-    count): each form within 1e-13 of its largest entry, on the orbit line
-    and over the whole chart."""
+    count): each form within 1e-13 of its largest entry, on the block of
+    points the chart shifts leave (a chart line of 24 to 32 points on the
+    spheres and the Delaunay torus, one point on the Clifford torus) and
+    over the whole chart."""
     imm = gal.gallery(name, resolution=res, **kw)
     for assemble in (span.grams, span._full_grams):
         monkeypatch.undo()
