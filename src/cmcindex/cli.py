@@ -150,6 +150,7 @@ def _load_config(args, defaults: list) -> RunConfig:
                                    max(8, n // 2)]
             else:
                 d["resolution"] = [n, n]
+            _check_descriptor(d)    # an odd n is no sphere grid
     cfg = RunConfig(surfaces=surfaces)
     for key, (kind, least) in _SETTINGS.items():
         if key in raw:
@@ -188,7 +189,8 @@ def _check_descriptor(d) -> None:
     try:
         gal.check_params(d["kind"], params)
         if res is not None:
-            check_resolution(*res)
+            check_resolution("sphere" if d["kind"].startswith("sphere") else "torus",
+                             *res)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(exc.args[0]) from exc
 

@@ -34,6 +34,10 @@ exactly once along the axis.
 
 Scaling is exact, so the k-lobed members inherit h_k = k h_1 and
 Area_k = Area_1 / k identically up to rounding.
+
+The immersion is c (x, r, r)(t) times (1, cos theta, sin theta); the profile
+equations give the t-derivatives of the first factor, and
+``surfaces.separable`` forms the chart partials from the two factor jets.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ import numpy as np
 
 from .ambient import FLAT_T3
 from .grids import torus_grid
-from .surfaces import Immersion
+from .surfaces import Immersion, _circle, _const, separable
 
 __all__ = ["DelaunayProfile", "DelaunayConstructionError", "solve_profile",
            "delaunay_torus"]
@@ -145,6 +149,8 @@ def delaunay_torus(k: int, neck: float, nx: int, ny: int,
     The chart is the doubly periodic conformal (t, theta) rectangle covering
     k profile periods; the scaled surface runs once through the fundamental
     domain along the first axis.  Coordinates are kept as unwrapped lifts.
+    The surface is built by ``surfaces.separable`` from the jet of the
+    profile factor c (x, r, r)(t) and that of (1, cos theta, sin theta).
     """
     if k < 1:
         raise DelaunayConstructionError("lobe count k must be >= 1")
@@ -163,47 +169,21 @@ def delaunay_torus(k: int, neck: float, nx: int, ny: int,
     x_prof, r, phi = prof.evaluate(t_loc)
     x_full = x_prof + wraps * prof.x_period
 
-    th = grid.y
-    ct, st = np.cos(th), np.sin(th)
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    one = np.ones_like(th)
-
-    def assemble(f_ax, f_rad):
-        # f_ax, f_rad are functions of t only; tensorize against theta.
-        out = np.empty((nx, ny, 3))
-        out[..., 0] = np.outer(f_ax, one)
-        out[..., 1] = np.outer(f_rad, ct)
-        out[..., 2] = np.outer(f_rad, st)
-        return out
-
     c = scale
-    u = assemble(c * x_full, c * r)
-    ut = assemble(c * r * cphi, c * r * sphi)
-    # theta-derivatives rotate the radial part.
-    utheta = np.empty((nx, ny, 3))
-    utheta[..., 0] = 0.0
-    utheta[..., 1] = np.outer(c * r, -st)
-    utheta[..., 2] = np.outer(c * r, ct)
-    # d/dt(r cos phi) = h r^2 sin phi,  d/dt(r sin phi) = r - h r^2 cos phi.
-    utt = assemble(c * _H0 * r * r * sphi, c * (r - _H0 * r * r * cphi))
-    uttheta = np.empty((nx, ny, 3))
-    uttheta[..., 0] = 0.0
-    uttheta[..., 1] = np.outer(c * r * sphi, -st)
-    uttheta[..., 2] = np.outer(c * r * sphi, ct)
-    uthth = np.empty((nx, ny, 3))
-    uthth[..., 0] = 0.0
-    uthth[..., 1] = np.outer(c * r, -ct)
-    uthth[..., 2] = np.outer(c * r, -st)
-
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    # d/dt(r cos phi) = h r^2 sin phi,  d/dt(r sin phi) = r - h r^2 cos phi
+    rad2 = c * (r - _H0 * r * r * cphi)
+    X = np.stack([np.stack(v, axis=-1) for v in (
+        [c * x_full, c * r, c * r], [c * r * cphi, c * r * sphi, c * r * sphi],
+        [c * _H0 * r * r * sphi, rad2, rad2])])
+    Y = np.concatenate([_const(ny, 1), _circle(grid.y)], axis=-1)
     h_scaled = _H0 / scale
-    imm = Immersion(FLAT_T3, grid, u, ut, utheta, utt, uttheta, uthth,
-                    genus=1, branch_count=0, cmc_value=h_scaled,
-                    name=f"delaunay_t3(k={k}, neck={neck})",
-                    reference={
-                        "k": k, "neck": neck,
-                        "profile_t_period": prof.t_period,
-                        "profile_x_period": prof.x_period,
-                        "index_lower_bound": 2 * k - 2,
-                        "h_exact": h_scaled,
-                    })
-    return imm
+    return separable(FLAT_T3, grid, X, Y, genus=1, branch_count=0,
+                     cmc_value=h_scaled, name=f"delaunay_t3(k={k}, neck={neck})",
+                     reference={
+                         "k": k, "neck": neck,
+                         "profile_t_period": prof.t_period,
+                         "profile_x_period": prof.x_period,
+                         "index_lower_bound": 2 * k - 2,
+                         "h_exact": h_scaled,
+                     })

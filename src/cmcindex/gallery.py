@@ -2,9 +2,14 @@
 
 Every member is a conformal CMC immersion with analytically evaluated chart
 partials and reference data (exact area and curvature where available, known
-index/nullity expectations).  Charts are oriented so the declared CMC value
-is positive:  the oriented normal of the round spheres points toward the
-center, matching h = 2/rho (R^3), 2*cot(rho) (S^3) and 2*coth(rho) (H^3).
+index/nullity expectations).  ``surfaces.separable`` builds every member
+from 1-D factor jets: the spheres from the longitude circle and the Mercator
+colatitude profile under a radial map (rho n on R^3, (S n, C) on S^3 and
+H^3), the Clifford torus from two circles of radius 1/sqrt(2) and the
+Delaunay tori from the profile curve times (1, cos theta, sin theta).
+Charts are oriented so the declared CMC value is positive:  the oriented
+normal of the round spheres points toward the center, matching h = 2/rho
+(R^3), 2*cot(rho) (S^3) and 2*coth(rho) (H^3).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from . import ambient as amb
 from .delaunay import delaunay_torus, solve_profile
 from .grids import sphere_grid, torus_grid
-from .surfaces import Immersion
+from .surfaces import Immersion, _circle, _const, separable
 
 __all__ = ["gallery", "gallery_names", "default_resolution", "check_params",
            "from_descriptor"]
@@ -83,41 +88,24 @@ def default_resolution(name: str, **params) -> tuple[int, int]:
 
 # ------------------------------------------------------------- sphere charts
 
-def _sphere_chart(flip_x: bool):
-    """Unit-sphere direction field n(x, theta) and its chart derivatives.
-
-    The chart y is the Mercator coordinate with d/dy = sin(theta) d/dtheta;
-    flip_x reverses the longitude to flip the induced orientation.
-    """
-    s = -1.0 if flip_x else 1.0
-
-    def parts(x, th):
-        sth, cth = np.sin(th), np.cos(th)
-        cx, sx = np.cos(x), s * np.sin(x)
-        n = np.stack([sth * cx, sth * sx, cth], axis=-1)
-        # x-derivatives of (cx, sx) are (-s*sx, s*cx): one factor s per d/dx.
-        n_x = s * np.stack([-sth * sx, sth * cx, np.zeros_like(x)], axis=-1)
-        # d/dy = sin(theta) d/dtheta applied repeatedly:
-        n_y = sth[..., None] * np.stack([cth * cx, cth * sx, -sth], axis=-1)
-        n_xx = np.stack([-sth * cx, -sth * sx, np.zeros_like(x)], axis=-1)
-        n_xy = s * sth[..., None] * np.stack([-cth * sx, cth * cx, np.zeros_like(x)], axis=-1)
-        c2 = cth * cth - sth * sth
-        n_yy = sth[..., None] * np.stack([c2 * cx, c2 * sx, -2.0 * sth * cth], axis=-1)
-        return n, n_x, n_y, n_xx, n_xy, n_yy
-    return parts
-
-
 def _make_sphere(space, radial: Callable, name: str, flip_x: bool,
                  resolution, genus0_reference: dict, cmc_value: float) -> Immersion:
-    """Build a distance sphere u = radial(n) over the conformal chart."""
-    nx, ny = resolution
-    grid = sphere_grid(nx, ny)
-    X, TH = np.meshgrid(grid.x, grid.theta, indexing="ij")
-    n, n_x, n_y, n_xx, n_xy, n_yy = _sphere_chart(flip_x)(X, TH)
+    """Build a distance sphere u = radial(n) over the conformal chart, with
+    n = (cos x, s sin x, 1) * (sin th, sin th, cos th) and d/dy = sin(th) d/dth
+    in the Mercator coordinate y; flip_x (s = -1) flips the orientation.  The
+    radial map (u, du) acts on the th-factor; the components it appends past
+    the third are constant in x."""
+    grid = sphere_grid(*resolution)
     u, du = radial
-    return Immersion(space, grid, u(n), du(n_x), du(n_y), du(n_xx), du(n_xy),
-                     du(n_yy), genus=0, branch_count=0, cmc_value=cmc_value,
-                     name=name, reference=genus0_reference)
+    sth, cth = np.sin(grid.theta), np.cos(grid.theta)
+    c2 = cth * cth - sth * sth
+    Y = np.stack([u(np.stack([sth, sth, cth], axis=-1)),
+                  du(sth[:, None] * np.stack([cth, cth, -sth], axis=-1)),
+                  du(sth[:, None] * np.stack([c2, c2, -2.0 * sth * cth], axis=-1))])
+    X = np.concatenate([_circle(grid.x, sign=-1.0 if flip_x else 1.0),
+                        _const(grid.nx, Y.shape[-1] - 2)], axis=-1)
+    return separable(space, grid, X, Y, genus=0, branch_count=0,
+                     cmc_value=cmc_value, name=name, reference=genus0_reference)
 
 
 def _sphere_r3(radius: float, resolution) -> Immersion:
@@ -163,19 +151,11 @@ def _sphere_curved(space, radius: float, resolution) -> Immersion:
 def _clifford(resolution) -> Immersion:
     nx, ny = resolution
     grid = torus_grid(nx, ny)
-    X, Y = grid.meshes()
-    z = np.zeros_like(X)
     rt = 1.0 / np.sqrt(2.0)
-
-    def stack(a, b, c, d):
-        return rt * np.stack([a, b, c, d], axis=-1)
-
-    u = stack(np.cos(X), np.sin(X), np.cos(Y), np.sin(Y))
-    ux = stack(-np.sin(X), np.cos(X), z, z)
-    uy = stack(z, z, -np.sin(Y), np.cos(Y))
-    uxx = stack(-np.cos(X), -np.sin(X), z, z)
-    uxy = stack(z, z, z, z)
-    uyy = stack(z, z, -np.cos(Y), -np.sin(Y))
+    # u = (cos x, sin x, cos y, sin y) / sqrt(2): one circle jet of radius
+    # 1/sqrt(2) per chart axis, each constant along the other axis
+    X = np.concatenate([_circle(grid.x, rt), _const(nx, 2)], axis=-1)
+    Y = np.concatenate([_const(ny, 2), _circle(grid.y, rt)], axis=-1)
     ref = {
         "area_exact": 2.0 * np.pi ** 2,
         "h_exact": 0.0,
@@ -183,9 +163,8 @@ def _clifford(resolution) -> Immersion:
         "jacobi_index": 5, "jacobi_nullity": 4,
         "weak_index": 4,
     }
-    return Immersion(amb.S3, grid, u, ux, uy, uxx, uxy, uyy, genus=1,
-                     branch_count=0, cmc_value=0.0, name="clifford_torus",
-                     reference=ref)
+    return separable(amb.S3, grid, X, Y, genus=1, branch_count=0, cmc_value=0.0,
+                     name="clifford_torus", reference=ref)
 
 
 # ------------------------------------------------------------------- factory

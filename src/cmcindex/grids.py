@@ -61,9 +61,7 @@ class ParamGrid:
     def __post_init__(self):
         if self.topology not in ("torus", "sphere"):
             raise ValueError(f"unknown topology {self.topology!r}")
-        check_resolution(self.nx, self.ny)
-        if self.topology == "sphere" and self.nx % 2:
-            raise ValueError("sphere grids need even nx for pole closure")
+        check_resolution(self.topology, self.nx, self.ny)
 
     # ------------------------------------------------------------------ nodes
     @cached_property
@@ -229,14 +227,17 @@ def torus_grid(nx: int, ny: int, lx: float = TWO_PI, ly: float = TWO_PI) -> Para
     return ParamGrid("torus", nx, ny, (0.0, lx), (0.0, ly))
 
 
-def check_resolution(nx: int, ny: int) -> None:
-    """Raise ValueError for a grid with fewer than 8 nodes along an axis."""
+def check_resolution(topology: str, nx: int, ny: int) -> None:
+    """Raise ValueError for a grid with fewer than 8 nodes along an axis, or a
+    sphere grid with odd nx (its pole closure reads the antipodal longitude)."""
     if nx < 8 or ny < 8:
         raise ValueError("grid resolution must be at least 8 per direction")
+    if topology == "sphere" and nx % 2:
+        raise ValueError(f"sphere grids need even nx for pole closure, got nx = {nx}")
 
 
 def sphere_grid(nx: int, ny: int) -> ParamGrid:
-    check_resolution(nx, ny)    # before the node spacing divides by ny
+    check_resolution("sphere", nx, ny)    # before the node spacing divides by ny
     dth = np.pi / ny
     ymax = float(np.log(np.tan(0.5 * (np.pi - 0.5 * dth))))
     return ParamGrid("sphere", nx, ny, (0.0, TWO_PI), (-ymax, ymax))

@@ -1,7 +1,10 @@
 """Sampled conformal immersions and their induced geometry.
 
 An ``Immersion`` stores the map and its first and second chart partials,
-evaluated analytically on a :class:`~cmcindex.grids.ParamGrid`.  All induced
+evaluated analytically on a :class:`~cmcindex.grids.ParamGrid`.  Every
+gallery member is separable in its chart, u_c(x, y) = X_c(x) Y_c(y) per
+ambient component, and ``separable`` forms the six chart arrays as outer
+products of the 1-D factor jets (X, X', X'') and (Y, Y', Y'').  All induced
 quantities (conformal factor, oriented unit normal, second fundamental form,
 mean curvature) are computed pointwise from this data; no grid differencing
 of the surface itself is ever performed.
@@ -26,7 +29,7 @@ from .ambient import AmbientSpace
 from .grids import ParamGrid
 
 __all__ = [
-    "Immersion", "SecondFormData", "BranchPointError",
+    "Immersion", "SecondFormData", "BranchPointError", "separable",
     "area", "energy", "gauss_curvature", "cmc_residual", "conformality_residual",
 ]
 
@@ -166,6 +169,38 @@ class Immersion:
     @cached_property
     def uzbar(self) -> np.ndarray:
         return 0.5 * (self.ux + 1j * self.uy)
+
+
+# ----------------------------------------------------------------- factor jets
+
+def _circle(t: np.ndarray, radius: float = 1.0, sign: float = 1.0) -> np.ndarray:
+    """Jet (value, d/dt, d^2/dt^2) of radius * (cos t, sign * sin t), shape
+    (3, len(t), 2)."""
+    c, s = radius * np.cos(t), sign * radius * np.sin(t)
+    return np.stack([np.stack([c, s], axis=-1), sign * np.stack([-s, c], axis=-1),
+                     -np.stack([c, s], axis=-1)])
+
+
+def _const(n: int, k: int) -> np.ndarray:
+    """Jet of k components equal to 1 at n chart points, shape (3, n, k)."""
+    return np.multiply.outer([1.0, 0.0, 0.0], np.ones((n, k)))
+
+
+def separable(space: AmbientSpace, grid: ParamGrid, X: np.ndarray, Y: np.ndarray,
+              **fields) -> Immersion:
+    """The immersion with components u_c(x, y) = X_c(x) Y_c(y).
+
+    X (shape (3, nx, d)) holds the chart-x factors and their first two
+    derivatives, Y (shape (3, ny, d)) the chart-y factors and theirs; the
+    partial u_{x^i y^j} is the outer product of X[i] and Y[j] per component.
+    ``fields`` (genus, cmc_value, name, ...) pass to ``Immersion``."""
+    if X.shape[:2] != (3, grid.nx) or Y.shape != (3, grid.ny, X.shape[2]):
+        raise ValueError(f"jets {X.shape}, {Y.shape} do not fit grid {grid.nx}x{grid.ny}")
+
+    def part(i, j):
+        return X[i][:, None, :] * Y[j][None, :, :]
+    return Immersion(space, grid, part(0, 0), part(1, 0), part(0, 1),
+                     part(2, 0), part(1, 1), part(0, 2), **fields)
 
 
 # ------------------------------------------------------------------ operations

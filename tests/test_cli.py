@@ -397,3 +397,21 @@ def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch):
     assert rc == 2
     assert "config error: 'seed' must be at least 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, surfaces", [
+    (["spectrum", "--resolution", "9"], None),
+    (["identity"], [{"kind": "clifford_torus"},
+                    {"kind": "sphere_r3", "resolution": [33, 16]}])])
+def test_odd_sphere_longitudes_are_config_error(tmp_path, capsys, monkeypatch,
+                                               argv, surfaces):
+    """An odd nx on a sphere, from --resolution or from a config, is
+    rejected before any surface is built and before --out is made."""
+    monkeypatch.setattr(cli.gal, "from_descriptor",
+                        lambda *a, **kw: pytest.fail("surface built"))
+    if surfaces is not None:
+        argv = argv + ["--config", _cfg(tmp_path, {"surfaces": surfaces})]
+    rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error: sphere grids need even nx" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

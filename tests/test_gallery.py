@@ -132,3 +132,78 @@ def test_every_member_is_cmc_and_conformal():
         assert sf.cmc_residual(imm) < 1e-6, name
         assert imm.branch_count == 0
         assert np.isfinite(imm.cmc_value)
+
+
+_CHART = ("u", "ux", "uy", "uxx", "uxy", "uyy")
+
+
+def _meshgrid_chart(imm, name, params):
+    """The six chart arrays of ``imm`` as built before the factor form: the
+    sphere direction field on a (x, theta) meshgrid, the Clifford torus
+    stacked over ``grid.meshes()`` and the Delaunay torus assembled column
+    by column."""
+    g = imm.grid
+    if name.startswith("sphere"):
+        s = -1.0 if name == "sphere_s3" else 1.0
+        x, th = np.meshgrid(g.x, g.theta, indexing="ij")
+        sth, cth, cx, sx, z = np.sin(th), np.cos(th), np.cos(x), s * np.sin(x), 0 * x
+        c2 = cth * cth - sth * sth
+        n = [np.stack([sth * cx, sth * sx, cth], axis=-1),
+             s * np.stack([-sth * sx, sth * cx, z], axis=-1),
+             sth[..., None] * np.stack([cth * cx, cth * sx, -sth], axis=-1),
+             np.stack([-sth * cx, -sth * sx, z], axis=-1),
+             s * sth[..., None] * np.stack([-cth * sx, cth * cx, z], axis=-1),
+             sth[..., None] * np.stack([c2 * cx, c2 * sx, -2.0 * sth * cth], axis=-1)]
+        rho = params.get("radius", {"sphere_r3": 1.0, "sphere_s3": 0.9,
+                                    "sphere_h3": 0.8}[name])
+        if name == "sphere_r3":
+            return [rho * a for a in n]
+        sin, cos = (np.sin, np.cos) if name == "sphere_s3" else (np.sinh, np.cosh)
+        return [np.concatenate([sin(rho) * a, np.full(a.shape[:-1] + (1,), c)], axis=-1)
+                for a, c in zip(n, [cos(rho)] + [0.0] * 5)]
+    if name == "clifford_torus":
+        x, y = g.meshes()
+        z = np.zeros_like(x)
+        rt = 1.0 / np.sqrt(2.0)
+        return [rt * np.stack(c, axis=-1) for c in (
+            [np.cos(x), np.sin(x), np.cos(y), np.sin(y)], [-np.sin(x), np.cos(x), z, z],
+            [z, z, -np.sin(y), np.cos(y)], [-np.cos(x), -np.sin(x), z, z], [z, z, z, z],
+            [z, z, -np.cos(y), -np.sin(y)])]
+    prof = gal._CACHE[params.get("neck", 0.55)]
+    k = params.get("k", 1)
+    c = 1.0 / (k * prof.x_period)
+    wraps = np.floor(g.x / prof.t_period + 1e-13)
+    x_prof, r, phi = prof.evaluate(g.x - wraps * prof.t_period)
+    x_full = x_prof + wraps * prof.x_period
+    ct, st, one = np.cos(g.y), np.sin(g.y), np.ones_like(g.y)
+    cphi, sphi = np.cos(phi), np.sin(phi)
+
+    def assemble(f_ax, f_rad, rot=(ct, st)):
+        out = np.empty((g.nx, g.ny, 3))
+        out[..., 0] = np.outer(f_ax, one)
+        out[..., 1] = np.outer(f_rad, rot[0])
+        out[..., 2] = np.outer(f_rad, rot[1])
+        return out
+    return [assemble(c * x_full, c * r), assemble(c * r * cphi, c * r * sphi),
+            assemble(0.0 * x_full, c * r, (-st, ct)),
+            assemble(c * r * r * sphi, c * (r - r * r * cphi)),
+            assemble(0.0 * x_full, c * r * sphi, (-st, ct)),
+            assemble(0.0 * x_full, c * r, (-ct, -st))]
+
+
+@pytest.mark.parametrize("name, params, res", [
+    ("sphere_r3", {"radius": 1.0}, (64, 48)), ("sphere_s3", {"radius": 0.9}, (64, 48)),
+    ("sphere_h3", {"radius": 0.8}, (64, 48)), ("clifford_torus", {}, (64, 64)),
+    ("delaunay_t3", {"k": 2, "neck": 0.55}, (64, 64)), ("delaunay_t3", {"k": 3}, (96, 32)),
+    ("delaunay_t3", {"k": 1, "neck": 0.9}, (32, 32)),
+    # the S3 longitude flip, with cos(rho) < 0
+    ("sphere_s3", {"radius": 2.2}, (24, 12))])
+def test_factor_jets_reproduce_meshgrid_charts(name, params, res):
+    imm = gal.gallery(name, res, **params)
+    for attr, want in zip(_CHART, _meshgrid_chart(imm, name, params)):
+        got = getattr(imm, attr)
+        if name.startswith("sphere"):
+            # (sin th cos th) cos x rounds apart from sin th (cos th cos x)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), attr
+        else:
+            assert np.array_equal(got, want), attr

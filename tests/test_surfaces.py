@@ -30,6 +30,16 @@ def test_conformal_factor_scaling_homothety():
     assert np.abs((b.lam - a.lam) - np.log(3.0)).max() < 1e-12
 
 
+def test_separable_rejects_jets_off_the_grid():
+    g = torus_grid(8, 12)
+    with pytest.raises(ValueError, match="do not fit grid 8x12"):
+        sf.separable(amb.R3, g, np.ones((3, 8, 3)), np.ones((3, 8, 3)), genus=1)
+    with pytest.raises(ValueError, match="do not fit grid 8x12"):
+        sf.separable(amb.R3, g, np.ones((3, 8, 3)), np.ones((3, 12, 4)), genus=1)
+    imm = sf.separable(amb.R3, g, np.ones((3, 8, 3)), np.ones((3, 12, 3)), genus=1)
+    assert imm.u.shape == imm.uxy.shape == (8, 12, 3)
+
+
 def test_branch_point_rejected():
     g = torus_grid(8, 8)
     z = np.zeros((8, 8, 3))
